@@ -11,13 +11,14 @@ actually re-designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.gapped import GappedExtension, gapped_extend
 from repro.core.gapped_batch import batch_gapped_extend
 from repro.core.hit_detection import DatabaseHits, detect_hits
+from repro.core.hits import TaggedHits
 from repro.core.results import (
     Alignment,
     ExtensionArray,
@@ -34,6 +35,7 @@ from repro.core.statistics import (
 from repro.core.traceback import batch_traceback_align
 from repro.core.two_hit import select_seeds_and_extend
 from repro.engine.compiled import CompiledQuery, compile_query
+from repro.errors import ConfigError
 from repro.io.database import SequenceDatabase
 
 if TYPE_CHECKING:
@@ -56,6 +58,37 @@ class PhaseCounts:
     num_gapped_extensions: int
     num_traceback: int
     num_reported: int
+
+
+def phase_ungapped_tagged(
+    pipelines: "Sequence[BlastpPipeline]",
+    tagged: TaggedHits,
+    db: SequenceDatabase,
+    cutoffs: Sequence[Cutoffs],
+) -> tuple[ExtensionArray, int, np.ndarray, np.ndarray]:
+    """Phase 2 for every query of a tagged hit stream at once.
+
+    Stacks the batch's PSSMs column-wise and hands the stream to
+    :func:`~repro.core.two_hit.select_seeds_and_extend`, whose result it
+    returns: the query-major extension stream, the seed count, the
+    stream's per-query row bounds and the per-query seed counts.
+    """
+    window = tagged.layout.two_hit_window
+    if any(p.params.two_hit_window != window for p in pipelines):
+        raise ConfigError(
+            "all queries of a batch must share the two-hit window the hit "
+            f"stream was keyed for ({window})"
+        )
+    query_cols = np.zeros(len(pipelines) + 1, dtype=np.int64)
+    np.cumsum([p.query_length for p in pipelines], out=query_cols[1:])
+    return select_seeds_and_extend(
+        tagged,
+        db,
+        np.concatenate([p.pssm for p in pipelines], axis=1),
+        query_cols,
+        pipelines[0].params.word_length,
+        np.array([c.x_drop_ungapped for c in cutoffs], dtype=np.int64),
+    )
 
 
 class BlastpPipeline:
@@ -197,22 +230,11 @@ class BlastpPipeline:
     def phase_ungapped(
         self, db_hits: DatabaseHits, db: SequenceDatabase, cutoffs: Cutoffs
     ) -> tuple[ExtensionArray, int]:
-        """Phase 2: two-hit seeding + x-drop ungapped extension."""
-        return self.phase_ungapped_hits(db_hits.hits, db, cutoffs)
-
-    def phase_ungapped_hits(
-        self, hits, db: SequenceDatabase, cutoffs: Cutoffs
-    ) -> tuple[ExtensionArray, int]:
-        """Phase 2 on a bare hit array (what the batched sweep unpacks
-        from its query-tagged stream, block by block)."""
-        return select_seeds_and_extend(
-            hits,
-            db,
-            self.pssm,
-            self.params.word_length,
-            self.params.two_hit_window,
-            cutoffs.x_drop_ungapped,
-        )
+        """Phase 2: two-hit seeding + x-drop ungapped extension — the
+        one-query case of :func:`phase_ungapped_tagged`."""
+        tagged = TaggedHits.from_hits(db_hits.hits, self.params.two_hit_window)
+        extensions, num_seeds, _, _ = phase_ungapped_tagged([self], tagged, db, [cutoffs])
+        return extensions, num_seeds
 
     def phase_gapped(
         self,

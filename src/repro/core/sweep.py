@@ -2,13 +2,18 @@
 
 Per-query search costs ``O(queries x database)`` passes over the subject
 codes. This driver inverts the loop: the database is streamed once in
-residue-balanced blocks (:meth:`~repro.io.database.SequenceDatabase.blocks`),
-each block is swept through a :class:`~repro.seeding.multi_query.MultiQueryIndex`
-(one word-index pass for the whole batch), and the query-tagged hit stream
-is untagged into per-query two-hit seeding + ungapped extension *inside the
-block*. Only the surviving extensions — thousands, not the millions of raw
-hits — accumulate across blocks; gapped extension and traceback then run
-per query exactly as the per-query pipeline does.
+residue-balanced blocks (:meth:`~repro.io.database.SequenceDatabase.blocks`)
+and each block goes through one call site, :func:`sweep_extend_block`,
+shared by the in-process sweep and the process pool's workers: sweep the
+block through a :class:`~repro.seeding.multi_query.MultiQueryIndex` into
+a *query-tagged* sorted key stream (:class:`~repro.core.hits.TaggedHits`),
+run phase 2 on that stream for every query at once
+(:func:`~repro.core.pipeline.phase_ungapped_tagged`), and only then, at
+the block boundary, cut the query-major *extension* stream per query —
+zero-copy slices (:meth:`~repro.seeding.multi_query.MultiQueryIndex.untag`).
+Only the surviving extensions — thousands, not the millions of raw hits —
+accumulate across blocks; gapped extension and traceback then run per
+query exactly as the per-query pipeline does (:func:`sweep_finish`).
 
 Why this is result-identical to per-query search (the conformance
 argument, enforced by the verify matrix's ``cublastp-batched`` variants
@@ -16,11 +21,13 @@ and the property suite):
 
 * hit detection — the sweep produces, per query, the same hit multiset as
   :func:`~repro.core.hit_detection.detect_hits`;
-* two-hit + ungapped extension — blocks split on sequence boundaries, and
-  :func:`~repro.core.two_hit.select_seeds_and_extend` groups by
-  ``(seq_id, diagonal)`` after a global ``seq_id``-major lexsort; since no
-  group straddles a block and blocks ascend in ``seq_id``, the per-block
-  extension columns concatenated in block order equal the one-shot
+* two-hit + ungapped extension — sorted keys are query-major, then
+  ``(seq_id, diagonal, subject_pos)``: per query exactly the order the
+  one-query stream has, and every phase-2 step groups by ``(query,
+  seq_id, diagonal)``, so a query's rows are what its own hits give.
+  Blocks split on sequence boundaries; since no group straddles a block
+  and blocks ascend in ``seq_id``, the per-block extension columns
+  concatenated in block order equal the one-shot
   :class:`~repro.core.results.ExtensionArray`;
 * gapped extension onward — runs on the accumulated extension columns
   with the same cutoffs (statistics are resolved against the *whole*
@@ -33,7 +40,7 @@ import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.pipeline import BlastpPipeline, PhaseCounts
+from repro.core.pipeline import BlastpPipeline, PhaseCounts, phase_ungapped_tagged
 from repro.core.results import ExtensionArray, SearchResult
 from repro.io.database import SequenceDatabase
 from repro.seeding.multi_query import MultiQueryIndex
@@ -44,7 +51,7 @@ if TYPE_CHECKING:
 
 #: Default residues per sweep block. Small enough that one block's tagged
 #: hits for a large batch stay tens of MB; large enough that the per-block
-#: fixed costs (word indexing setup, per-query untag) amortise.
+#: fixed costs (word indexing setup, PSSM stacking, the split) amortise.
 DEFAULT_BLOCK_RESIDUES = 50_000
 
 
@@ -69,34 +76,42 @@ def sweep_extend_block(
     ``{"hit_detection": ms, "ungapped_extension": ms}`` wall split —
     extension columns carry global sequence ids (``seq_id_base`` rebases
     the block-local ids in one vectorised add), so accumulating them
-    across blocks needs no further translation, and the wall split lets
-    a process-backend caller re-emit per-phase timing the parent never
-    saw first-hand.
+    across blocks needs no further translation, and the wall split is
+    what the caller's phase events carry (:func:`emit_block_phases`),
+    whether the block ran in this process or in a pool worker.
 
     Subject coordinates inside an extension are sequence-local, so only
     the sequence id needs rebasing.
     """
     t0 = time.perf_counter()
-    tagged = index.sweep_block(block)
+    tagged = index.sweep_block(block, pipelines[0].params.two_hit_window)
     t1 = time.perf_counter()
-    extensions: list[ExtensionArray] = []
-    num_hits: list[int] = []
-    num_seeds: list[int] = []
-    for q, pipe in enumerate(pipelines):
-        hits_q = int(tagged.per_query[q])
-        num_hits.append(hits_q)
-        if hits_q == 0:
-            extensions.append(ExtensionArray.empty())
-            num_seeds.append(0)
-            continue
-        exts, seeds = pipe.phase_ungapped_hits(index.untag(tagged, q), block, cutoffs[q])
-        extensions.append(exts.with_seq_offset(seq_id_base))
-        num_seeds.append(seeds)
+    stream, _, bounds, num_seeds = phase_ungapped_tagged(pipelines, tagged, block, cutoffs)
+    stream = stream.with_seq_offset(seq_id_base)
+    extensions = [index.untag(stream, bounds, q) for q in range(len(pipelines))]
     phase_wall = {
         "hit_detection": (t1 - t0) * 1e3,
         "ungapped_extension": (time.perf_counter() - t1) * 1e3,
     }
-    return extensions, num_hits, num_seeds, phase_wall
+    return extensions, tagged.per_query.tolist(), num_seeds.tolist(), phase_wall
+
+
+def emit_block_phases(
+    events: "EventLog",
+    engine_name: str,
+    phase_wall: dict[str, float],
+    num_hits: int,
+    num_extensions: int,
+) -> None:
+    """Record one swept block as closing ``hit_detection`` /
+    ``ungapped_extension`` events carrying :func:`sweep_extend_block`'s
+    measured walls — the same events whether the block ran in this
+    process or in a pool worker (``wall_breakdown`` sums the ``wall_ms``
+    meta directly; nobody saw the starts)."""
+    for phase, items in (("hit_detection", num_hits), ("ungapped_extension", num_extensions)):
+        events.emit(  # reprolint: disable=event-begin-end-pairing
+            engine_name, phase, "end", work_items=items, wall_ms=phase_wall[phase]
+        )
 
 
 def sweep_finish(
@@ -187,21 +202,15 @@ def search_batch_sweep(
     engine_name:
         Name phase events are emitted under (default: the pipelines').
     events:
-        Optional event log; the sweep emits ``hit_detection`` /
-        ``ungapped_extension`` pairs per block (batch-scoped, they sum in
-        ``wall_breakdown``) and per-query ``gapped_extension`` /
-        ``final_alignment`` pairs.
+        Optional event log; the sweep emits closing ``hit_detection`` /
+        ``ungapped_extension`` events per block (batch-scoped; their
+        ``wall_ms`` sums in ``wall_breakdown``) and per-query
+        ``gapped_extension`` / ``final_alignment`` pairs.
     """
     if not pipelines:
         return []
     index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
     name = engine_name or pipelines[0].name
-
-    def phase(phase_name: str, query_id: str | None = None):
-        if events is None:
-            return nullcontext({})
-        return events.phase(name, phase_name, query_id=query_id)
-
     cutoffs = [pipe.cutoffs(db) for pipe in pipelines]
     if blocks is None:
         blocks = db.blocks(num_sweep_blocks(db, block_residues))
@@ -216,23 +225,17 @@ def search_batch_sweep(
     db_start = getattr(db, "start", 0)
     for block in blocks:
         base = getattr(block, "start", db_start) - db_start
-        with phase("hit_detection") as ev:
-            tagged = index.sweep_block(block)
-            ev["work_items"] = len(tagged)
-        with phase("ungapped_extension") as ev:
-            block_ext = 0
-            for q, pipe in enumerate(pipelines):
-                hits_q = int(tagged.per_query[q])
-                total_hits[q] += hits_q
-                if hits_q == 0:
-                    continue
-                exts, seeds = pipe.phase_ungapped_hits(
-                    index.untag(tagged, q), block, cutoffs[q]
-                )
-                all_extensions[q].append(exts.with_seq_offset(base))
-                total_seeds[q] += seeds
-                block_ext += len(exts)
-            ev["work_items"] = block_ext
+        extensions, num_hits, num_seeds, phase_wall = sweep_extend_block(
+            index, pipelines, block, cutoffs, seq_id_base=base
+        )
+        for q in range(n_queries):
+            all_extensions[q].append(extensions[q])
+            total_hits[q] += num_hits[q]
+            total_seeds[q] += num_seeds[q]
+        if events is not None:
+            emit_block_phases(
+                events, name, phase_wall, sum(num_hits), sum(len(e) for e in extensions)
+            )
     return [
         sweep_finish(
             pipe,

@@ -1,9 +1,9 @@
-"""Phase 2 driver: two-hit seed selection + ungapped extension.
+"""Phase 2 on the query-tagged key stream: two-hit seeds + ungapped extension.
 
 Semantics (pinned for the whole library)
 ----------------------------------------
-Within each ``(sequence, diagonal)`` group, hits are visited in ascending
-subject position:
+Within each ``(query, sequence, diagonal)`` group, hits are visited in
+ascending subject position:
 
 1. a hit is a *seed* iff some earlier hit on the same diagonal lies within
    subject distance ``[word_length, two_hit_window]`` — the classic two-hit
@@ -23,58 +23,51 @@ construction*. The paper's Algorithm 1 writes the extension end back into
 position so rule 1 matches the filter kernel exactly — the difference only
 surfaces for hits that are already covered by an extension, which trigger
 nothing either way.
+
+Dataflow
+--------
+The input is a block's :class:`~repro.core.hits.TaggedHits` — every hit of
+every batch query as one sorted packed key, query-major and then
+diagonal-major — and everything here runs on that one stream for the
+whole batch: the two-hit filter on key differences (:func:`seed_mask`),
+one :func:`~repro.core.ungapped.batch_ungapped_extend` over every query's
+seeds against the column-stacked PSSM, one :func:`covered_seed_mask`.
+Only the survivors are decoded, and the caller cuts the result per query
+from the row bounds returned with it. A single query is the one-query
+stream (:meth:`TaggedHits.from_hits`), not another path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hits import HitArray
+from repro.core.hits import KeyLayout, TaggedHits
 from repro.core.results import ExtensionArray
 from repro.core.ungapped import batch_ungapped_extend
 from repro.io.database import SequenceDatabase
 
 
-def seed_mask(hits: HitArray, two_hit_window: int, word_length: int = 3) -> np.ndarray:
+def seed_mask(keys: np.ndarray, layout: KeyLayout, word_length: int = 3) -> np.ndarray:
     """Boolean mask of hits satisfying the two-hit rule (rule 1 above).
 
-    Fully vectorised. Hits are grouped by ``(seq_id, diagonal)`` and each
-    hit asks: does any earlier hit of my group lie within subject distance
-    ``[word_length, two_hit_window]``? Because in-group subject positions
-    are sorted, the candidate predecessor closest to the lower bound is
-    found with one global ``searchsorted`` on a composite ``group * K +
-    position`` key, and the window test is a single comparison. The
-    returned mask is aligned with ``hits`` in its *original* order.
+    ``keys`` is a *sorted* packed-key stream of distinct hits under
+    ``layout``, whose window (``layout.two_hit_window``) is the one
+    applied. Keys of one ``(query, seq_id, diagonal)`` group differ by
+    their subject distance; keys of different groups differ by more than
+    the window (the layout pads the position field by it), so the rule
+    is a test on plain key differences. In-group positions are distinct
+    and ascending, so the ``k``-th predecessor of a hit lies at distance
+    ``>= k``: the nearest predecessor at distance ``>= W`` is among the
+    previous ``W`` keys, and if *any* earlier hit is within ``[W,
+    window]`` that nearest one is too. Hence ``W`` shifted differences
+    decide every hit: ``seed[i] = any(W <= keys[i] - keys[i-k] <=
+    window for k in 1..W)``.
     """
-    n = len(hits)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    diag = hits.diagonal
-    order = np.lexsort((hits.subject_pos, diag, hits.seq_id))
-    seq_s = hits.seq_id[order]
-    diag_s = diag[order]
-    spos_s = hits.subject_pos[order]
-
-    # Composite sort key: (group, subject position) flattened into one int64.
-    # The position stride must exceed any subject position; diagonals are
-    # bounded by query_length + subject_length which is < 2**17 here, and
-    # subject positions by 36,805, so a 2**20 stride is safe and overflow-free.
-    stride = np.int64(1) << 20
-    group = seq_s * (np.int64(1) << 20) + diag_s  # unique per (seq, diag)
-    keyed = group * stride + spos_s
-    # For hit i, the latest predecessor with spos <= spos_i - word_length:
-    target = group * stride + (spos_s - word_length)
-    idx = np.searchsorted(keyed, target, side="right") - 1
-    valid = idx >= 0
-    # The predecessor must be in the same group and within the window.
-    pred_ok = np.zeros(n, dtype=bool)
-    vi = np.nonzero(valid)[0]
-    same = group[idx[vi]] == group[vi]
-    within = spos_s[idx[vi]] >= spos_s[vi] - two_hit_window
-    pred_ok[vi] = same & within
-
-    mask = np.zeros(n, dtype=bool)
-    mask[order] = pred_ok
+    span = np.uint64(layout.two_hit_window - word_length)
+    mask = np.zeros(keys.size, dtype=bool)
+    for k in range(1, min(word_length, keys.size - 1) + 1):
+        # One unsigned comparison tests both bounds: distances below W wrap.
+        mask[k:] |= (keys[k:] - keys[:-k] - word_length).view(np.uint64) <= span
     return mask
 
 
@@ -86,8 +79,9 @@ def covered_seed_mask(
 ) -> np.ndarray:
     """Vectorised coverage rule: which seeds trigger an extension (rule 2).
 
-    Inputs are ``(seq_id, diag, spos)``-lexsorted seed columns with
-    ``s_end`` the subject end each seed's extension reached. The scalar
+    Inputs are ``(seq_id, diag, spos)``-sorted seed columns with ``s_end``
+    the subject end each seed's extension reached; on a tagged stream
+    ``seq_id`` is the query-qualified id (the key above its diagonal). The scalar
     rule walks a group in ascending ``spos`` keeping a seed iff it starts
     beyond the previously *kept* extension's subject end. Because every
     kept extension contains its own seed word, its reach satisfies
@@ -95,8 +89,8 @@ def covered_seed_mask(
     group is exactly a pointer-jumping chase: from a kept seed, the next
     kept one is the first in-group seed with ``spos > s_end`` — found for
     *all* chains at once with one :func:`numpy.searchsorted` per wave on
-    the same composite ``group * stride + spos`` key :func:`seed_mask`
-    uses. Wave count is the longest kept chain, not the seed count.
+    a composite ``group * stride + spos`` key. Wave count is the longest
+    kept chain, not the seed count.
 
     Returns the kept mask aligned with the (sorted) inputs; kept rows in
     ascending index order are exactly the scalar loop's append order.
@@ -127,34 +121,35 @@ def covered_seed_mask(
 
 
 def select_seeds_and_extend(
-    hits: HitArray,
+    tagged: TaggedHits,
     db: SequenceDatabase,
     pssm: np.ndarray,
+    query_cols: np.ndarray,
     word_length: int,
-    two_hit_window: int,
-    x_drop: int,
-) -> tuple[ExtensionArray, int]:
-    """Apply both rules and run ungapped extension on every triggered seed.
+    x_drop: np.ndarray,
+) -> tuple[ExtensionArray, int, np.ndarray, np.ndarray]:
+    """Apply both rules and run ungapped extension on every triggered seed,
+    for every query of the stream at once.
+
+    ``pssm`` is the batch's PSSMs stacked column-wise; query ``q`` owns
+    columns ``[query_cols[q], query_cols[q + 1])`` and extends under
+    ``x_drop[q]``.
 
     Returns
     -------
-    (extensions, num_seeds):
-        An :class:`~repro.core.results.ExtensionArray` in ``(seq_id,
-        diagonal, subject_pos)`` seed order, and the number of hits that
-        passed the two-hit rule (the paper's "hits passed to ungapped
-        extension", 5-11 % of all hits).
+    (extensions, num_seeds, bounds, seeds_per_query):
+        One query-major :class:`~repro.core.results.ExtensionArray` — per
+        query in ``(seq_id, diagonal, subject_pos)`` seed order, with
+        query-local coordinates — whose rows ``bounds[q]:bounds[q + 1]``
+        belong to query ``q``; the number of hits that passed the two-hit
+        rule (the paper's "hits passed to ungapped extension", 5-11 % of
+        all hits) in total and per query.
     """
-    mask = seed_mask(hits, two_hit_window, word_length)
-    num_seeds = int(mask.sum())
-    if num_seeds == 0:
-        return ExtensionArray.empty(), 0
-
-    seq_id = hits.seq_id[mask]
-    qpos = hits.query_pos[mask]
-    spos = hits.subject_pos[mask]
-    diag = spos - qpos
-    order = np.lexsort((spos, diag, seq_id))
-    seq_id, qpos, spos, diag = seq_id[order], qpos[order], spos[order], diag[order]
+    layout = tagged.layout
+    seeds = tagged.keys[seed_mask(tagged.keys, layout, word_length)]
+    seed_bounds = np.searchsorted(seeds, layout.query_starts(query_cols.size - 1))
+    query, seq_id, diag, spos = layout.unpack(seeds)
+    lo, hi = query_cols[query], query_cols[query + 1]
 
     # Extend every seed in one vectorised batch (results for seeds that turn
     # out to be covered are simply discarded — recomputing eagerly is the
@@ -165,26 +160,26 @@ def select_seeds_and_extend(
         db.codes,
         db.offsets[seq_id],
         db.offsets[seq_id + 1],
-        seq_id,
-        qpos,
+        lo,
+        hi,
+        hi + spos - diag,  # lo + query_pos: diagonal = spos - qpos + qlen
         spos,
         word_length,
-        x_drop,
+        x_drop[query],
     )
 
-    # Coverage pass per (sequence, diagonal) group: keep a seed only when
-    # it starts beyond the previous kept extension's subject end. Fully
-    # vectorised (see covered_seed_mask); kept rows stay in seed order, so
-    # the columns below equal the retired scalar loop's append order.
-    kept = covered_seed_mask(seq_id, diag, spos, s_end)
-    return (
-        ExtensionArray(
-            seq_id=seq_id[kept],
-            query_start=q_start[kept],
-            query_end=q_end[kept],
-            subject_start=s_start[kept],
-            subject_end=s_end[kept],
-            score=score[kept],
-        ),
-        num_seeds,
+    # Coverage pass per (query, sequence, diagonal) group: keep a seed only
+    # when it starts beyond the previous kept extension's subject end. Fully
+    # vectorised (see covered_seed_mask); kept rows stay in seed order.
+    kept = covered_seed_mask(seeds >> layout.seq_shift, diag, spos, s_end)
+    lo = lo[kept]
+    extensions = ExtensionArray(
+        seq_id=seq_id[kept],
+        query_start=q_start[kept] - lo,
+        query_end=q_end[kept] - lo,
+        subject_start=s_start[kept],
+        subject_end=s_end[kept],
+        score=score[kept],
     )
+    bounds = np.concatenate(([0], np.cumsum(kept)))[seed_bounds]
+    return extensions, int(seeds.size), bounds, np.diff(seed_bounds)

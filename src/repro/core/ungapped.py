@@ -141,7 +141,7 @@ BATCH_WINDOW = 128
 
 
 def _batch_direction(
-    deltas: np.ndarray, x_drop: int
+    deltas: np.ndarray, x_drop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised :func:`_direction_gain` over many extensions at once.
 
@@ -151,7 +151,7 @@ def _batch_direction(
         ``(n, L)`` per-step contributions; exhausted positions must hold a
         large negative sentinel so the x-drop fires there.
     x_drop:
-        X-drop threshold.
+        X-drop threshold: one per row, or a scalar for all.
 
     Returns
     -------
@@ -167,7 +167,7 @@ def _batch_direction(
     cum = np.cumsum(deltas, axis=1, dtype=np.int64)
     # As in _direction_gain: the empty prefix's 0 floors the running best.
     run = np.maximum.accumulate(np.maximum(cum, 0), axis=1)
-    dropped = run - cum > x_drop
+    dropped = run - cum > np.reshape(x_drop, (-1, 1))
     any_drop = dropped.any(axis=1)
     limit = np.where(any_drop, np.argmax(dropped, axis=1), L - 1)
     # Mask positions beyond each row's stop point, then take the best prefix.
@@ -184,17 +184,25 @@ def _batch_direction(
 #: Sentinel well below any reachable score yet safe under int64 cumsum.
 NEG_SENTINEL = np.int64(-(2**40))
 
+#: Window cells (lanes x residues per direction) one windowed pass may hold.
+#: A pass keeps about ten ``int64`` temporaries of that shape, so this caps
+#: phase 2's working set near 5 MB (cache-sized) however many seeds a
+#: block's whole query batch brings; a walk longer than the budget still
+#: runs, alone.
+_CHUNK_CELL_BUDGET = 65_536
+
 
 def batch_ungapped_extend(
     pssm: np.ndarray,
     db_codes: np.ndarray,
     seq_starts: np.ndarray,
     seq_ends: np.ndarray,
-    seq_ids: np.ndarray,
+    query_lo: np.ndarray,
+    query_hi: np.ndarray,
     query_pos: np.ndarray,
     subject_pos: np.ndarray,
     word_length: int,
-    x_drop: int,
+    x_drop: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extend many seeds at once (the hot path of phase 2).
 
@@ -210,32 +218,39 @@ def batch_ungapped_extend(
     Parameters
     ----------
     pssm:
-        Query PSSM.
+        Query PSSM — or a whole batch's, stacked column-wise: each lane
+        walks only its own query's column range, under its own x-drop.
     db_codes:
         Packed residue codes of the whole database.
     seq_starts, seq_ends:
         Absolute [start, end) offsets of each seed's sequence in
         ``db_codes``.
-    seq_ids, query_pos, subject_pos:
-        Per-seed identity and word start positions (``subject_pos`` is
-        sequence-local).
-    word_length, x_drop:
-        As in :func:`ungapped_extend`.
+    query_lo, query_hi:
+        Per-seed [first, past-last) PSSM column of the seed's query
+        (``0`` and ``query_length`` when there is one query).
+    query_pos, subject_pos:
+        Per-seed word start: PSSM column and sequence-local position.
+    word_length:
+        Seed word length ``W``.
+    x_drop:
+        Per-seed raw-score X-drop. The lane arguments broadcast, so a
+        scalar serves every seed.
 
     Returns
     -------
     (query_start, query_end, subject_start, subject_end, score):
-        Aligned ``int64`` arrays, one entry per seed.
+        Aligned ``int64`` arrays, one entry per seed; query coordinates
+        are PSSM columns, like ``query_pos``.
     """
-    n = seq_ids.size
-    qlen = pssm.shape[1]
+    s0 = np.asarray(subject_pos, dtype=np.int64)
+    n = s0.size
     if n == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z.copy(), z.copy(), z.copy(), z.copy()
-    q0 = np.asarray(query_pos, dtype=np.int64)
-    s0 = np.asarray(subject_pos, dtype=np.int64)
-    starts = np.asarray(seq_starts, dtype=np.int64)
-    ends = np.asarray(seq_ends, dtype=np.int64)
+    q0, starts, ends, lo, hi, xd = (
+        np.broadcast_to(np.asarray(a, dtype=np.int64), (n,))
+        for a in (query_pos, seq_starts, seq_ends, query_lo, query_hi, x_drop)
+    )
     abs0 = starts + s0
 
     # Seed word score.
@@ -245,53 +260,45 @@ def batch_ungapped_extend(
 
     # Escalating windows: every seed gets a FIRST_WINDOW pass; the minority
     # whose walk overruns it (no drop, residues left) escalates to
-    # BATCH_WINDOW. A windowed result is exact whenever the drop fired or
-    # the sequence ran out inside the window, so each escalation simply
-    # recomputes the still-open rows at a larger width.
-    gain_l = np.zeros(n, dtype=np.int64)
-    steps_l = np.zeros(n, dtype=np.int64)
-    gain_r = np.zeros(n, dtype=np.int64)
-    steps_r = np.zeros(n, dtype=np.int64)
+    # BATCH_WINDOW, and the few that overrun that too are redone with a
+    # window one slot wider than the longest walk any of them could take
+    # (both directions are bounded by the query and the subject slack).
+    # A windowed result is exact whenever the drop fired or the sequence
+    # ran out inside the window — in the last pass the slot past a row's
+    # last in-range residue always holds the sentinel, so it degenerates
+    # to the exact (unwindowed) :func:`_direction_gain`, bit-identical to
+    # a scalar redo without the per-row Python loop.
+    gains = np.zeros((2, n), dtype=np.int64)
+    steps = np.zeros((2, n), dtype=np.int64)
     pending = np.arange(n)
-    for window in (FIRST_WINDOW, BATCH_WINDOW):
-        gl, sl, ol, gr, sr, orr = _windowed_directions(
-            pssm, db_codes, starts[pending], ends[pending],
-            q0[pending], abs0[pending], word_length, x_drop, window,
-        )
-        gain_l[pending], steps_l[pending] = gl, sl
-        gain_r[pending], steps_r[pending] = gr, sr
-        pending = pending[ol | orr]
+    for window in (FIRST_WINDOW, BATCH_WINDOW, None):
+        if window is None:
+            p = pending
+            window = 1 + max(
+                int(np.max(np.minimum(hi[p] - (q0[p] + word_length),
+                                      ends[p] - (abs0[p] + word_length)))),
+                int(np.max(np.minimum(q0[p] - lo[p], abs0[p] - starts[p]))),
+            )
+        open_rows = []
+        lanes = max(1, _CHUNK_CELL_BUDGET // window)
+        for at in range(0, pending.size, lanes):
+            p = pending[at : at + lanes]
+            gain, step, over = _windowed_directions(
+                pssm, db_codes, starts[p], ends[p], lo[p], hi[p],
+                q0[p], abs0[p], word_length, xd[p], window,
+            )
+            gains[:, p], steps[:, p] = gain, step
+            open_rows.append(p[over])
+        pending = np.concatenate(open_rows)
         if pending.size == 0:
             break
+    assert pending.size == 0, "the last window must cover every walk"
 
-    # Batched exact redo for the few BATCH_WINDOW-overrunning seeds: rerun
-    # them through the same windowed pass, with the window one slot wider
-    # than the longest walk any of them could take (both directions are
-    # bounded by the query and the subject slack). The slot past a row's
-    # last in-range residue then always holds the sentinel, the drop fires
-    # there, and the pass degenerates to the exact (unwindowed)
-    # :func:`_direction_gain` — bit-identical to a scalar redo, without
-    # the per-row Python loop.
-    if pending.size:
-        redo = pending
-        max_walk = max(
-            int(np.max(np.minimum(qlen - (q0[redo] + word_length),
-                                  ends[redo] - (abs0[redo] + word_length)))),
-            int(np.max(np.minimum(q0[redo], abs0[redo] - starts[redo]))),
-        )
-        gl, sl, ol, gr, sr, orr = _windowed_directions(
-            pssm, db_codes, starts[redo], ends[redo], q0[redo], abs0[redo],
-            word_length, x_drop, max_walk + 1,
-        )
-        assert not (ol.any() or orr.any()), "redo window must cover every walk"
-        gain_l[redo], steps_l[redo] = gl, sl
-        gain_r[redo], steps_r[redo] = gr, sr
-
-    q_start = q0 - steps_l
-    q_end = q0 + word_length - 1 + steps_r
-    s_start = s0 - steps_l
-    s_end = s0 + word_length - 1 + steps_r
-    score = word_score + gain_l + gain_r
+    q_start = q0 - steps[0]
+    q_end = q0 + word_length - 1 + steps[1]
+    s_start = s0 - steps[0]
+    s_end = s0 + word_length - 1 + steps[1]
+    score = word_score + gains[0] + gains[1]
     return q_start, q_end, s_start, s_end, score
 
 
@@ -300,19 +307,21 @@ def _windowed_directions(
     db_codes: np.ndarray,
     seq_starts: np.ndarray,
     seq_ends: np.ndarray,
+    query_lo: np.ndarray,
+    query_hi: np.ndarray,
     q0: np.ndarray,
     abs0: np.ndarray,
     word_length: int,
-    x_drop: int,
+    x_drop: np.ndarray,
     L: int,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both x-drop directions for a row subset, ``L`` residues per window.
 
-    Returns ``(gain_l, steps_l, over_l, gain_r, steps_r, over_r)``; the
-    ``over`` masks flag rows whose walk used the whole window without the
-    drop firing (their results are lower bounds, not exact).
+    Returns ``(gain, steps, over)``: the first two are ``(2, n)`` with
+    row 0 the left walk and row 1 the right; ``over`` flags rows of which
+    either walk used the whole window without the drop firing (their
+    results are lower bounds, not exact).
     """
-    qlen = pssm.shape[1]
     steps_arr = np.arange(1, L + 1, dtype=np.int64)
 
     # Right direction: pairs (q0 + W - 1 + t, s0 + W - 1 + t), t = 1..L.
@@ -321,10 +330,10 @@ def _windowed_directions(
     # nonzero + scatter pair on these mostly-valid windows.
     qr = q0[:, None] + word_length - 1 + steps_arr[None, :]
     ar = abs0[:, None] + word_length - 1 + steps_arr[None, :]
-    valid_r = (qr < qlen) & (ar < seq_ends[:, None])
+    valid_r = (qr < query_hi[:, None]) & (ar < seq_ends[:, None])
     dr = np.where(
         valid_r,
-        pssm[db_codes[np.minimum(ar, db_codes.size - 1)], np.minimum(qr, qlen - 1)],
+        pssm[db_codes[np.minimum(ar, db_codes.size - 1)], np.minimum(qr, pssm.shape[1] - 1)],
         NEG_SENTINEL,
     )
     gain_r, steps_r, over_r = _batch_direction(dr, x_drop)
@@ -334,7 +343,7 @@ def _windowed_directions(
     # Left direction: pairs (q0 - t, s0 - t), t = 1..L.
     ql = q0[:, None] - steps_arr[None, :]
     al = abs0[:, None] - steps_arr[None, :]
-    valid_l = (ql >= 0) & (al >= seq_starts[:, None])
+    valid_l = (ql >= query_lo[:, None]) & (al >= seq_starts[:, None])
     dl = np.where(
         valid_l,
         pssm[db_codes[np.maximum(al, 0)], np.maximum(ql, 0)],
@@ -342,7 +351,7 @@ def _windowed_directions(
     )
     gain_l, steps_l, over_l = _batch_direction(dl, x_drop)
     over_l &= valid_l[:, -1]
-    return gain_l, steps_l, over_l, gain_r, steps_r, over_r
+    return np.stack([gain_l, gain_r]), np.stack([steps_l, steps_r]), over_l | over_r
 
 
 def ungapped_extend_scalar(

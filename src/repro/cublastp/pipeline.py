@@ -275,8 +275,9 @@ def run_cublastp_batch(
     the way the Fig. 12 schedule streams blocks: a merged
     :class:`~repro.seeding.multi_query.MultiQueryIndex` sweeps each block
     once for the whole batch, block-local two-hit filtering + ungapped
-    extension untag the surviving seeds per query, and the CPU phases
-    finish each query as usual. Output is pinned identical to the
+    extension run on the query-tagged stream (only the surviving
+    extensions are split per query), and the CPU phases finish each
+    query as usual. Output is pinned identical to the
     per-query path (cuBLASTP's output equals the reference pipeline's by
     construction, and the sweep equals the reference pipeline's sweep).
 

@@ -396,7 +396,7 @@ class BatchExecutor:
         """
         from repro.core.pipeline import BlastpPipeline
         from repro.core.results import ExtensionArray
-        from repro.core.sweep import num_sweep_blocks, sweep_finish
+        from repro.core.sweep import emit_block_phases, num_sweep_blocks, sweep_finish
         from repro.verify.canonical import extensions_from_payload
         from repro.engine.procpool import (
             EngineSpec,
@@ -447,25 +447,12 @@ class BatchExecutor:
                     extensions[q].append(part)
                     block_items += len(part)
                 if self.events is not None:
-                    # Worker-timed sweep: the worker already timed the
-                    # phases; the parent records closing edges carrying
-                    # the measured walls, split by phase exactly like the
-                    # in-process sweep (wall_breakdown sums the wall_ms
-                    # meta directly — it never saw the starts).
-                    split = payload["phase_wall_ms"]
-                    self.events.emit(  # reprolint: disable=event-begin-end-pairing
+                    emit_block_phases(
+                        self.events,
                         engine_name,
-                        "hit_detection",
-                        "end",
-                        work_items=sum(payload["num_hits"]),
-                        wall_ms=split["hit_detection"],
-                    )
-                    self.events.emit(  # reprolint: disable=event-begin-end-pairing
-                        engine_name,
-                        "ungapped_extension",
-                        "end",
-                        work_items=block_items,
-                        wall_ms=split["ungapped_extension"],
+                        payload["phase_wall_ms"],
+                        sum(payload["num_hits"]),
+                        block_items,
                     )
         finally:
             pool.shutdown()

@@ -8,22 +8,23 @@ neighbourhoods of every compiled query in the batch, merged into one
 word → ``[(query_id, query_pos)]`` table. Chorus-style multi-query hashed
 seeding, restated over this repo's CSR neighbourhoods.
 
-Semantics are pinned by construction: for each query, the hits produced
-by :meth:`MultiQueryIndex.sweep_block` (after dropping the query tag) are
-exactly the hits :func:`~repro.core.hit_detection.detect_hits` finds for
-that query alone — same multiset, grouped per subject window in the same
-(query-insertion, ascending query-position) order. The property suite
+Semantics are pinned by construction: for each query, the keys
+:meth:`MultiQueryIndex.sweep_block` emits under that query's tag decode
+to exactly the hits :func:`~repro.core.hit_detection.detect_hits` finds
+for that query alone — the same multiset. The tag stays on through phase
+2 (:mod:`repro.core.two_hit`); :meth:`MultiQueryIndex.untag` drops it
+from the surviving extensions, at the block boundary. The property suite
 (``tests/property``) and the unit tests enforce the equivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.hits import HitArray
+from repro.core.hits import KeyLayout, TaggedHits
+from repro.core.results import ExtensionArray
 from repro.errors import ConfigError
 from repro.io.database import SequenceDatabase
 from repro.seeding.words import Neighborhood, num_words, word_indices
@@ -32,34 +33,12 @@ if TYPE_CHECKING:
     from repro.engine.compiled import CompiledQuery
 
 
-@dataclass
-class TaggedHits:
-    """Query-tagged hits of one database block, structure-of-arrays.
-
-    All arrays are aligned. ``seq_id`` / ``subject_pos`` are local to the
-    swept block (the caller rebases through
-    :meth:`~repro.io.database.SequenceDatabase.to_global`); ``query_id``
-    indexes the batch the owning :class:`MultiQueryIndex` was built from.
-    """
-
-    query_id: np.ndarray
-    seq_id: np.ndarray
-    query_pos: np.ndarray
-    subject_pos: np.ndarray
-    #: ``int64`` array: hits per batch query (length ``num_queries``).
-    per_query: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.seq_id.size)
-
-
 class MultiQueryIndex:
     """One word → ``[(query_id, query_pos)]`` table for a query batch.
 
     Built by merging the per-query CSR neighbourhoods: entries of one word
     are grouped by query (batch order) with query positions ascending
-    inside each group, so untagging a sweep recovers each query's own
-    neighbourhood order. Every query must share one word length — mixed
+    inside each group. Every query must share one word length — mixed
     seeding geometries cannot share a sweep (:class:`ConfigError`).
     """
 
@@ -76,6 +55,11 @@ class MultiQueryIndex:
         self.positions = positions
         self.query_ids = query_ids
         self.query_lengths = list(query_lengths)
+        #: Per entry, ``query_length - query_pos``: the entry's share of a
+        #: hit's diagonal number (the subject position is the other share).
+        self.diag_offsets = (
+            np.asarray(self.query_lengths, dtype=np.int64)[query_ids] - positions
+        )
 
     @property
     def num_queries(self) -> int:
@@ -137,22 +121,33 @@ class MultiQueryIndex:
 
     # -- the sweep ---------------------------------------------------------
 
-    def sweep_block(self, db: SequenceDatabase) -> TaggedHits:
+    def sweep_block(self, db: SequenceDatabase, two_hit_window: int) -> TaggedHits:
         """All hits of every batch query against one database block.
 
         The same vectorised pass as
         :func:`~repro.core.hit_detection.detect_hits` — word indices for
-        all subject windows, one CSR gather, ragged expansion — except the
-        gather also carries the query tag, so one walk of the block serves
-        the entire batch.
+        all subject windows, one CSR gather, ragged expansion — except
+        that each hit is emitted as one packed ``(query, seq_id, diagonal,
+        subject_pos)`` key, sized for this block and ``two_hit_window``
+        (:class:`~repro.core.hits.KeyLayout`). Packing is linear, so a key
+        is the sum of what the subject window knows (``seq_id`` and
+        ``subject_pos``, the latter also as its share of the diagonal) and
+        what the index entry knows (``query``, ``query_length -
+        query_pos``): one repeat, one gather and one add per hit. The
+        stream comes back sorted (:meth:`TaggedHits.from_keys`).
         """
         w = self.word_length
         offsets = db.offsets
-        codes = db.codes
+        max_slen = int(np.diff(offsets).max(initial=0))
+        layout = KeyLayout.fit(
+            self.num_queries,
+            max(len(db) - 1, 0),
+            max_slen + max(self.query_lengths),
+            max_slen,
+            two_hit_window,
+        )
 
-        widx_all = word_indices(codes, w)
-        if widx_all.size == 0:
-            return self._empty()
+        widx_all = word_indices(db.codes, w)
         window_global = np.arange(widx_all.size, dtype=np.int64)
         # Sequence owning each window start; a window is valid when it
         # ends within the same sequence.
@@ -163,49 +158,24 @@ class MultiQueryIndex:
         local_pos = window_global[valid] - offsets[owner]
 
         starts = self.offsets[widx]
-        counts = (self.offsets[widx + 1] - starts).astype(np.int64)
+        counts = self.offsets[widx + 1] - starts
         total = int(counts.sum())
-        if total == 0:
-            return self._empty()
-
         # Ragged expansion of the CSR slices (the WordLookupTable.scan
-        # trick), gathering query ids alongside query positions.
-        seq_id = np.repeat(owner, counts)
-        subject_pos = np.repeat(local_pos, counts)
-        cum = np.cumsum(counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        entry = np.repeat(starts, counts) + within
-        query_pos = self.positions[entry].astype(np.int64)
-        query_id = self.query_ids[entry]
-        per_query = np.bincount(query_id, minlength=self.num_queries).astype(np.int64)
-        return TaggedHits(
-            query_id=query_id,
-            seq_id=seq_id,
-            query_pos=query_pos,
-            subject_pos=subject_pos,
-            per_query=per_query,
-        )
+        # trick): hit ``k`` of a window reads index entry ``starts + k``.
+        first = np.cumsum(counts) - counts
+        entry = np.arange(total, dtype=np.int64) + np.repeat(starts - first, counts)
+        entry_keys = layout.pack(self.query_ids, 0, self.diag_offsets, 0)
+        keys = np.repeat(layout.pack(0, owner, local_pos, local_pos), counts)
+        keys += entry_keys[entry]
+        return TaggedHits.from_keys(keys, layout, self.num_queries)
 
-    def _empty(self) -> TaggedHits:
-        return TaggedHits(
-            query_id=np.zeros(0, dtype=np.int32),
-            seq_id=np.zeros(0, dtype=np.int64),
-            query_pos=np.zeros(0, dtype=np.int64),
-            subject_pos=np.zeros(0, dtype=np.int64),
-            per_query=np.zeros(self.num_queries, dtype=np.int64),
-        )
+    @staticmethod
+    def untag(stream: ExtensionArray, bounds: np.ndarray, query_index: int) -> ExtensionArray:
+        """One query's rows of a block's query-major extension stream.
 
-    def untag(self, tagged: TaggedHits, query_index: int) -> HitArray:
-        """One query's hits of a sweep, as a plain :class:`HitArray`.
-
-        The returned hits are exactly what per-query hit detection finds
-        for that query against the same block (same multiset; the
-        conformance argument the batched pipeline rests on).
+        The tag is dropped only here, at the block boundary, and only
+        from the few extensions that survive phase 2: ``bounds`` are the
+        stream's per-query row offsets (``Q + 1`` of them), so the split
+        is a zero-copy slice of the six columns.
         """
-        mask = tagged.query_id == query_index
-        return HitArray(
-            seq_id=tagged.seq_id[mask],
-            query_pos=tagged.query_pos[mask],
-            subject_pos=tagged.subject_pos[mask],
-            query_length=self.query_lengths[query_index],
-        )
+        return stream.take(slice(int(bounds[query_index]), int(bounds[query_index + 1])))

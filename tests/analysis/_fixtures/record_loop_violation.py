@@ -25,3 +25,22 @@ def phase_columnar_ok(extensions, order, idx):
     for _ in idx:
         pass
     return total
+
+
+def sweep_extend_block(index, pipelines, block, cutoffs):
+    # The retired Q x B un-batching: a per-query loop over hit columns.
+    tagged = index.sweep_block(block, 40)
+    extensions = []
+    for q, pipe in enumerate(pipelines):
+        mine = tagged.keys[tagged.query == q]
+        extensions.append(pipe.phase_ungapped(mine, block, cutoffs[q]))
+    counts = [int(tagged.per_query[q]) for q in range(len(pipelines))]
+    return extensions, counts
+
+
+def phase_ungapped_tagged(index, pipelines, tagged, stream, bounds):
+    # Per-query work that never touches the hits is the intended shape:
+    # stacking query-side tables, and splitting the *extension* stream.
+    window = tagged.layout.two_hit_window
+    stacked = [p.pssm for p in pipelines if p.params.two_hit_window == window]
+    return stacked, [index.untag(stream, bounds, q) for q in range(len(pipelines))]

@@ -67,6 +67,20 @@ class TestFixtures:
             assert finding.message
 
 
+class TestPerQueryHitLoop:
+    """The Q x B un-batching of phase 2 must not creep back."""
+
+    def test_flags_hit_loops_but_not_the_block_boundary_split(self):
+        module = ModuleSource.parse(FIXTURES / "record_loop_violation.py")
+        rule = rule_by_name("no-per-record-loop-in-phase")
+        per_query = [f for f in check_module(module, [rule]) if "per-query loop" in f.message]
+        # Both loops of the fixture's sweep_extend_block, and nothing in its
+        # phase_ungapped_tagged (PSSM stacking, the extension-stream split).
+        assert len(per_query) == 2
+        assert all("'sweep_extend_block'" in f.message for f in per_query)
+        assert {f.message.split("'")[1] for f in per_query} == {"keys", "tagged"}
+
+
 class TestSuppression:
     def test_inline_disable_drops_the_finding(self, tmp_path):
         src = FIXTURES / "bare_except_violation.py"

@@ -137,3 +137,25 @@ def alignment_keys(alignments):
         (a.seq_id, a.score, a.query_start, a.query_end, a.subject_start, a.subject_end)
         for a in alignments
     ]
+
+
+def seed_flags(hits, two_hit_window, word_length=3):
+    """Two-hit flags aligned with ``hits``' own order.
+
+    :func:`repro.core.two_hit.seed_mask` runs on the *sorted* packed-key
+    stream; this maps its survivors back onto the (unsorted) input by key.
+    """
+    from repro.core.hits import TaggedHits
+    from repro.core.two_hit import seed_mask
+
+    tagged = TaggedHits.from_hits(hits, two_hit_window)
+    seeds = tagged.keys[seed_mask(tagged.keys, tagged.layout, word_length)]
+    keys = tagged.layout.pack(0, hits.seq_id, hits.diagonal, hits.subject_pos)
+    return np.isin(keys, seeds)
+
+
+def tagged_columns(tagged, query_lengths):
+    """``(query, seq_id, query_pos, subject_pos)`` columns of a tagged hit
+    stream, decoded from its packed keys (a key is the whole record)."""
+    query, seq_id, diag, spos = tagged.layout.unpack(tagged.keys)
+    return query, seq_id, spos - diag + np.asarray(query_lengths)[query], spos

@@ -10,11 +10,10 @@ from repro.cublastp.hit_detection_kernel import run_hit_detection
 from repro.cublastp.session import DeviceSession
 from repro.cublastp.sort_kernel import run_assemble, run_segmented_sort
 from repro.cublastp.binning import unpack_hits
-from repro.core.two_hit import seed_mask
 from repro.errors import GpuSimError
 from repro.seeding import QueryDFA
 
-from tests.conftest import extension_keys
+from tests.conftest import extension_keys, seed_flags
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +131,7 @@ class TestSortFilter:
         self, gpu_stages, small_pipeline, small_db
     ):
         ref = small_pipeline.phase_hit_detection(small_db)
-        mask = seed_mask(
+        mask = seed_flags(
             ref.hits, small_pipeline.params.two_hit_window,
             small_pipeline.params.word_length,
         )

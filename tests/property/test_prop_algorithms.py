@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.alphabet import encode
 from repro.core.hits import HitArray
-from repro.core.two_hit import seed_mask
+from tests.conftest import seed_flags
 from repro.core.ungapped import (
     _direction_gain,
     batch_ungapped_extend,
@@ -97,7 +97,7 @@ class TestUngappedProperties:
         db = SequenceDatabase.from_strings([s])
         qs_, qe_, ss_, se_, sc_ = batch_ungapped_extend(
             pssm, db.codes, db.offsets[:1], db.offsets[1:],
-            np.array([0]), np.array([qp]), np.array([sp]), 3, x_drop,
+            0, pssm.shape[1], np.array([qp]), np.array([sp]), 3, x_drop,
         )
         assert (int(qs_[0]), int(qe_[0]), int(ss_[0]), int(se_[0]), int(sc_[0])) == (
             a.query_start, a.query_end, a.subject_start, a.subject_end, a.score,
@@ -142,7 +142,7 @@ class TestSeedMaskProperty:
     def test_matches_bruteforce(self, tuples, window):
         W = 3
         seq, qp, sp = (np.array(x, dtype=np.int64) for x in zip(*tuples))
-        mask = seed_mask(
+        mask = seed_flags(
             HitArray(seq_id=seq, query_pos=qp, subject_pos=sp, query_length=31),
             window,
             W,

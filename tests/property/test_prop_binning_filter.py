@@ -8,7 +8,8 @@ lose information:
   of packed hits after binning/assembly/sorting equals the multiset of
   raw hits from the reference hit detector;
 * **subset** — the filter's survivors are exactly the hits selected by
-  the reference two-hit rule (:func:`repro.core.two_hit.seed_mask`),
+  the reference two-hit rule (:func:`repro.core.two_hit.seed_mask` on the
+  packed-key stream, mapped back by ``tests.conftest.seed_flags``),
   regardless of ``num_bins``.
 
 Workloads are derived from a drawn integer seed, so a shrunk hypothesis
@@ -23,7 +24,6 @@ from repro.alphabet import decode
 from repro.core.hits import diagonal_of
 from repro.core.pipeline import BlastpPipeline
 from repro.core.statistics import SearchParams
-from repro.core.two_hit import seed_mask
 from repro.cublastp.binning import bin_of_diagonal, pack_hits, unpack_hits
 from repro.cublastp.config import CuBlastpConfig
 from repro.cublastp.filter_kernel import run_filter
@@ -33,6 +33,7 @@ from repro.cublastp.sort_kernel import run_assemble, run_segmented_sort
 from repro.io.database import SequenceDatabase
 from repro.io.workloads import sample_background
 from repro.seeding import QueryDFA
+from tests.conftest import seed_flags
 
 
 def _workload(seed: int):
@@ -94,7 +95,7 @@ class TestBinningSortFilterProperties:
         pipe, db = _workload(seed)
         _, _, seeds = _gpu_front_end(pipe, db, num_bins)
         _, hits = _reference_packed(pipe, db)
-        mask = seed_mask(hits, pipe.params.two_hit_window, pipe.params.word_length)
+        mask = seed_flags(hits, pipe.params.two_hit_window, pipe.params.word_length)
         expected = set(
             zip(
                 hits.seq_id[mask].tolist(),

@@ -1,8 +1,9 @@
 """Property: the batched sweep is the union of per-query hit detection.
 
 The db-sweep inversion rests on one claim — for every query in a batch,
-:meth:`MultiQueryIndex.sweep_block` followed by query-id untagging yields
-exactly the hits :func:`detect_hits` finds for that query alone. These
+:meth:`MultiQueryIndex.sweep_block` restricted to one query's tag yields
+exactly the hits :func:`detect_hits` finds for that query alone (the tag
+and the other three fields are decoded from the packed keys). These
 properties pin the claim over the verify subsystem's workload families
 (the same generators the pinned conformance corpus is drawn from), plus
 the block-decomposition corollary the sweep driver relies on: hits of a
@@ -17,6 +18,7 @@ from repro.engine.compiled import compile_query
 from repro.core.hit_detection import detect_hits
 from repro.seeding.multi_query import MultiQueryIndex
 from repro.verify.cases import FAMILIES, build_case
+from tests.conftest import tagged_columns
 
 # A workload case: one of the conformance families at an arbitrary seed.
 cases = st.tuples(
@@ -45,18 +47,25 @@ def _hit_set(hits):
     )
 
 
+def _tagged_hit_set(tagged, index, q):
+    query, seq_id, query_pos, subject_pos = tagged_columns(tagged, index.query_lengths)
+    mine = query == q
+    return sorted(
+        zip(seq_id[mine].tolist(), query_pos[mine].tolist(), subject_pos[mine].tolist())
+    )
+
+
 class TestSweepEqualsPerQueryUnion:
     @settings(max_examples=25, deadline=None)
     @given(batches)
     def test_untagged_sweep_equals_per_query_hits(self, draws):
         db, compiled = _build_batch(draws)
         index = MultiQueryIndex.from_compiled(compiled)
-        tagged = index.sweep_block(db)
+        tagged = index.sweep_block(db, compiled[0].params.two_hit_window)
         total = 0
         for q, c in enumerate(compiled):
-            mine = index.untag(tagged, q)
             solo = detect_hits(c.lookup, db).hits
-            assert _hit_set(mine) == _hit_set(solo)
+            assert _tagged_hit_set(tagged, index, q) == _hit_set(solo)
             assert int(tagged.per_query[q]) == len(solo.seq_id)
             total += len(solo.seq_id)
         assert len(tagged) == total
@@ -69,27 +78,23 @@ class TestSweepEqualsPerQueryUnion:
         ownership) is built on."""
         db, compiled = _build_batch(draws)
         index = MultiQueryIndex.from_compiled(compiled)
-        whole = index.sweep_block(db)
+        window = compiled[0].params.two_hit_window
+        whole = index.sweep_block(db, window)
         pieces = []
         for block in db.blocks(min(num_blocks, len(db))):
-            t = index.sweep_block(block)
+            query, seq_id, query_pos, subject_pos = tagged_columns(
+                index.sweep_block(block, window), index.query_lengths
+            )
             base = getattr(block, "start", 0)  # blocks(1) is db itself
             pieces.extend(
                 zip(
-                    t.query_id.tolist(),
-                    (t.seq_id + base).tolist(),
-                    t.query_pos.tolist(),
-                    t.subject_pos.tolist(),
+                    query.tolist(),
+                    (seq_id + base).tolist(),
+                    query_pos.tolist(),
+                    subject_pos.tolist(),
                 )
             )
-        whole_set = sorted(
-            zip(
-                whole.query_id.tolist(),
-                whole.seq_id.tolist(),
-                whole.query_pos.tolist(),
-                whole.subject_pos.tolist(),
-            )
-        )
+        whole_set = sorted(zip(*(col.tolist() for col in tagged_columns(whole, index.query_lengths))))
         assert sorted(pieces) == whole_set
 
     @settings(max_examples=10, deadline=None)
@@ -99,8 +104,8 @@ class TestSweepEqualsPerQueryUnion:
         case = build_case(*draw)
         compiled = [compile_query(case.query, case.params)]
         index = MultiQueryIndex.from_compiled(compiled)
-        tagged = index.sweep_block(case.db)
-        assert _hit_set(index.untag(tagged, 0)) == _hit_set(
+        tagged = index.sweep_block(case.db, case.params.two_hit_window)
+        assert _tagged_hit_set(tagged, index, 0) == _hit_set(
             detect_hits(compiled[0].lookup, case.db).hits
         )
-        assert np.all(tagged.query_id == 0)
+        assert np.all(tagged_columns(tagged, index.query_lengths)[0] == 0)

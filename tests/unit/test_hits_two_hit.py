@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import HitArray, diagonal_of
-from repro.core.two_hit import seed_mask, select_seeds_and_extend
+from repro.core.hits import KeyLayout, TaggedHits
+from repro.core.pipeline import phase_ungapped_tagged
+from repro.core.two_hit import seed_mask
+from repro.errors import ConfigError
 from repro.io import SequenceDatabase
+from tests.conftest import seed_flags
 
 
 def make_hits(tuples, qlen):
@@ -54,7 +58,7 @@ class TestSeedMask:
     WINDOW = 40
 
     def mask(self, tuples, qlen=50):
-        return seed_mask(make_hits(tuples, qlen), self.WINDOW, self.W).tolist()
+        return seed_flags(make_hits(tuples, qlen), self.WINDOW, self.W).tolist()
 
     def test_single_hit_never_seeds(self):
         assert self.mask([(0, 5, 10)]) == [False]
@@ -121,6 +125,63 @@ class TestSeedMask:
         assert got == expect
 
 
+class TestPackedKeys:
+    """The packed (query, seq, diagonal, subject_pos) key and its guards."""
+
+    def test_positions_beyond_2_to_20_do_not_alias_groups(self):
+        # Regression: the retired seed_mask flattened (seq, diag, spos) with
+        # hard-coded, unchecked 2**20 strides. A subject position >= 2**20
+        # carried into the diagonal field and a diagonal >= 2**20 into the
+        # sequence field, so these sequence-0 keys interleaved with
+        # sequence 1's, the binary search ran on an unsorted array, and the
+        # genuine pair at distance 6 on one diagonal was lost.
+        big = 1 << 20
+        tuples = [(0, 40, big + 27), (0, 46, big + 33), (1, 4, 58), (1, 43, 7)]
+        assert seed_flags(make_hits(tuples, 50), 40, 3).tolist() == [False, True, False, False]
+        # Neighbouring diagonals out there stay separate groups.
+        tuples = [(0, 0, big - 10), (0, 1, big + 20)]
+        assert seed_flags(make_hits(tuples, 50), 40, 3).tolist() == [False, False]
+
+    def test_widths_follow_the_stream_maxima(self):
+        layout = KeyLayout.fit(3, 199, 2136, 1082, 40)
+        assert (layout.seq_bits, layout.diag_bits, layout.pos_bits) == (8, 12, 11)
+        fields = (np.array([0, 2, 3]), np.array([0, 199, 0]),
+                  np.array([1, 2136, 0]), np.array([0, 1082, 0]))
+        keys = layout.pack(*fields)
+        assert np.all(np.diff(keys) > 0)  # query-major, then seq, diag, spos
+        assert [f.tolist() for f in layout.unpack(keys)] == [f.tolist() for f in fields]
+        assert layout.query_starts(3).tolist() == layout.pack([0, 1, 2, 3], 0, 0, 0).tolist()
+
+    def test_key_wider_than_63_bits_is_refused(self):
+        # 2**20 queries x 2**20 sequences x 2**12 diagonals x 2**12 positions.
+        with pytest.raises(ConfigError, match="needs 64 bits"):
+            KeyLayout.fit((1 << 20) - 1, (1 << 20) - 1, (1 << 12) - 1, (1 << 12) - 41, 40)
+        KeyLayout.fit((1 << 19) - 1, (1 << 20) - 1, (1 << 12) - 1, (1 << 12) - 41, 40)
+
+    def test_sweep_refuses_a_batch_whose_key_cannot_fit(self, tiny_pipeline):
+        from repro.seeding.multi_query import MultiQueryIndex
+
+        index = MultiQueryIndex.from_compiled([tiny_pipeline.compiled])
+        db = SequenceDatabase.from_strings(["ARNDCQEGH"])
+        with pytest.raises(ConfigError, match="> 63"):
+            index.sweep_block(db, two_hit_window=1 << 62)
+
+    def test_from_hits_sorts_and_counts(self):
+        hits = make_hits([(1, 0, 7), (0, 5, 3), (0, 1, 3)], 10)
+        tagged = TaggedHits.from_hits(hits, 40)
+        assert len(tagged) == 3 and tagged.per_query.tolist() == [3]
+        _, seq, diag, spos = tagged.layout.unpack(tagged.keys)
+        assert list(zip(seq.tolist(), diag.tolist(), spos.tolist())) == [
+            (0, 8, 3), (0, 12, 3), (1, 17, 7),
+        ]
+
+    def test_mismatched_window_is_refused(self, tiny_pipeline, tiny_db, tiny_cutoffs):
+        hits = tiny_pipeline.phase_hit_detection(tiny_db)
+        tagged = TaggedHits.from_hits(hits.hits, tiny_pipeline.params.two_hit_window + 1)
+        with pytest.raises(ConfigError, match="two-hit window"):
+            phase_ungapped_tagged([tiny_pipeline], tagged, tiny_db, [tiny_cutoffs])
+
+
 class TestSelectSeedsAndExtend:
     def test_coverage_skips_covered_seeds(self, tiny_pipeline, tiny_db, tiny_cutoffs):
         hits = tiny_pipeline.phase_hit_detection(tiny_db)
@@ -144,7 +205,9 @@ class TestSelectSeedsAndExtend:
     def test_no_hits_no_extensions(self, tiny_pipeline, tiny_cutoffs):
         db = SequenceDatabase.from_strings(["PPPP"])  # poly-proline: no hits vs query
         hits = tiny_pipeline.phase_hit_detection(db)
-        exts, seeds = select_seeds_and_extend(
-            hits.hits, db, tiny_pipeline.pssm, 3, 40, tiny_cutoffs.x_drop_ungapped
+        tagged = TaggedHits.from_hits(hits.hits, tiny_pipeline.params.two_hit_window)
+        exts, seeds, bounds, per_query = phase_ungapped_tagged(
+            [tiny_pipeline], tagged, db, [tiny_cutoffs]
         )
         assert seeds == 0 and len(exts) == 0
+        assert bounds.tolist() == [0, 0] and per_query.tolist() == [0]

@@ -10,6 +10,9 @@ from repro.errors import ConfigError
 from repro.io import generate_query
 from repro.seeding.multi_query import MultiQueryIndex
 from repro.seeding.words import build_neighborhood
+from tests.conftest import tagged_columns
+
+WINDOW = 40
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +50,7 @@ class TestBuild:
 
     def test_entries_grouped_by_query_then_position(self, batch, index):
         """Inside one word's slice: batch order, ascending position per
-        query — the order untagging relies on."""
+        query (the merge keeps each neighbourhood's own order)."""
         checked = 0
         for word in range(index.offsets.size - 1):
             qids, positions = index.entries_for_word(word)
@@ -78,29 +81,32 @@ class TestBuild:
 
 class TestSweep:
     def test_untagged_sweep_equals_detect_hits(self, batch, index, tiny_db):
-        tagged = index.sweep_block(tiny_db)
+        tagged = index.sweep_block(tiny_db, WINDOW)
+        query, seq_id, query_pos, subject_pos = tagged_columns(tagged, index.query_lengths)
         for q, c in enumerate(batch):
             solo = detect_hits(c.lookup, tiny_db).hits
-            mine = index.untag(tagged, q)
+            mine = query == q
             assert int(tagged.per_query[q]) == solo.seq_id.size
             # Same multiset of (seq, qpos, spos) triples.
-            a = sorted(zip(mine.seq_id.tolist(), mine.query_pos.tolist(), mine.subject_pos.tolist()))
+            a = sorted(zip(seq_id[mine].tolist(), query_pos[mine].tolist(), subject_pos[mine].tolist()))
             b = sorted(zip(solo.seq_id.tolist(), solo.query_pos.tolist(), solo.subject_pos.tolist()))
             assert a == b
-            assert mine.query_length == int(c.query_codes.size)
         assert len(tagged) == int(tagged.per_query.sum())
+        # The stream is the sorted key stream phase 2 consumes: query-major.
+        assert np.all(np.diff(tagged.keys) > 0)
+        assert np.all(np.diff(query) >= 0)
 
     def test_sweep_of_block_view_is_local(self, batch, index, tiny_db):
         block = tiny_db.view(3, 9)
-        tagged = index.sweep_block(block)
+        tagged = index.sweep_block(block, WINDOW)
         if len(tagged):
-            assert int(tagged.seq_id.max()) < len(block)
+            assert int(tagged_columns(tagged, index.query_lengths)[1].max()) < len(block)
 
     def test_empty_block_yields_empty_tagged(self, index):
         from repro.io.database import SequenceDatabase
 
         db = SequenceDatabase.from_strings(["AR"])  # shorter than W=3
-        tagged = index.sweep_block(db)
+        tagged = index.sweep_block(db, WINDOW)
         assert len(tagged) == 0
         assert tagged.per_query.tolist() == [0] * index.num_queries
 
@@ -111,3 +117,17 @@ class TestSweep:
         compiled = [compile_query(q, params)]
         index = MultiQueryIndex.from_compiled(compiled)
         assert index.word_length == 2
+
+
+class TestUntag:
+    def test_untag_is_a_zero_copy_slice_of_the_extension_stream(self, index):
+        from repro.core.results import ExtensionArray
+
+        n = np.arange(6, dtype=np.int64)
+        stream = ExtensionArray(n, n, n + 4, n + 10, n + 14, n * 7)
+        bounds = np.array([0, 2, 2, 6])
+        parts = [index.untag(stream, bounds, q) for q in range(index.num_queries)]
+        assert [p.score.tolist() for p in parts] == [[0, 7], [], [14, 21, 28, 35]]
+        assert all(np.shares_memory(p.score, stream.score) for p in parts if len(p))
+        with pytest.raises(IndexError):
+            index.untag(stream, bounds, index.num_queries)

@@ -111,7 +111,7 @@ class TestImplementationEquivalence:
         qpos = rng.integers(0, 68, n)
         qs, qe, ss, se, sc = batch_ungapped_extend(
             pssm, db.codes, db.offsets[sid], db.offsets[sid + 1],
-            sid, qpos, spos, 3, 15,
+            0, pssm.shape[1], qpos, spos, 3, 15,
         )
         for i in range(n):
             ref = ungapped_extend(
@@ -135,7 +135,7 @@ class TestImplementationEquivalence:
         mid = (3 * n) // 2
         qs, qe, ss, se, sc = batch_ungapped_extend(
             pssm, db.codes, db.offsets[:1], db.offsets[1:2],
-            np.array([0]), np.array([mid]), np.array([mid]), 3, 10,
+            0, pssm.shape[1], np.array([mid]), np.array([mid]), 3, 10,
         )
         assert (qs[0], qe[0]) == (0, 3 * n - 1)
         assert sc[0] == 5 * 3 * n
@@ -143,7 +143,7 @@ class TestImplementationEquivalence:
     def test_batch_empty(self):
         pssm = build_pssm(encode("MKTAY"), BLOSUM62)
         z = np.zeros(0, dtype=np.int64)
-        out = batch_ungapped_extend(pssm, np.zeros(1, np.uint8), z, z, z, z, z, 3, 10)
+        out = batch_ungapped_extend(pssm, np.zeros(1, np.uint8), z, z, z, z, z, z, 3, z)
         assert all(a.size == 0 for a in out)
 
 
