@@ -3,10 +3,15 @@
 Every BLASTP implementation in this repo needs the same query-side
 structures before it can touch the database: the encoded residues, the
 optional SEG mask, the T-threshold word neighbourhood, the lookup table /
-DFA over it, and the position-specific scoring matrix. Historically each
-engine rebuilt all of that in its constructor, so a multi-engine
-comparison — or a multi-node cluster search, or a repeated query in a
-service — paid the build once per engine per database block.
+DFA over it, and the position-specific scoring matrix. None of it depends
+on the engine or the database, so it is built in one place and shared
+across engines, database blocks and cluster nodes. The one costly step,
+the neighbourhood, is a gather from a process-lifetime word →
+neighbour-words table (:mod:`repro.seeding.words`): a fraction of a
+millisecond once the query's words are in the table, a few milliseconds
+per hundred residues for words no earlier query contained. The table is
+filled lazily, so importing this module or building an engine computes
+nothing; the first queries of a process pay for the rows they add.
 
 :func:`compile_query` performs the build exactly once and packages it as a
 :class:`CompiledQuery` that any engine can execute against any database

@@ -112,7 +112,13 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
         if not sep:
             raise _BadRequest(f"malformed header line: {raw!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        raise _BadRequest(f"malformed Content-Length: {raw_length!r}") from None
+    if length < 0:
+        raise _BadRequest(f"negative Content-Length: {length}")
     if length > MAX_BODY_BYTES:
         raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""
@@ -212,7 +218,9 @@ class SearchHttpServer:
         except ServiceClosedError as exc:
             return 503, _error_body(503, "ServiceClosed", str(exc)), None
         try:
-            outcome = await asyncio.wrap_future(future)
+            # A cache hit comes back already resolved: take it without a
+            # round trip through the loop's self-pipe.
+            outcome = future.result() if future.done() else await asyncio.wrap_future(future)
         except (WorkerCrashError, ServiceClosedError) as exc:
             return 503, _error_body(503, type(exc).__name__, str(exc)), None
         except RemoteTaskError as exc:

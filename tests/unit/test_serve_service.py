@@ -4,18 +4,25 @@ Thread-backend only (fast, deterministic — tier-1); the process-backend
 fault story lives in ``tests/integration/test_serve_faults.py``.
 """
 
+import asyncio
 import json
+import logging
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
+from concurrent.futures import Future
+
+from repro.engine.procpool import RemoteTaskError
 from repro.serve import (
     OverloadedError,
     SearchService,
     ServeHandle,
     ServiceClosedError,
 )
+from repro.serve.http import SearchHttpServer, _HttpRequest
 from repro.verify.canonical import payload_from_bytes, result_from_payload
 
 pytestmark = pytest.mark.serve
@@ -179,6 +186,49 @@ class TestHttpServer:
         # The body is the canonical payload: it parses back to a result.
         result = result_from_payload(payload_from_bytes(body))
         assert result.query_length == len(tiny_query)
+
+    def test_resolved_future_failures_keep_their_status(self):
+        # A future that is done before the handler looks at it (a cache
+        # hit is) is read without awaiting; a failure stored in one must
+        # map to the status an awaited failure maps to.
+        class Resolved:
+            def __init__(self, exc):
+                self.exc = exc
+
+            def submit(self, query_id, sequence):
+                future = Future()
+                future.set_exception(self.exc)
+                return future
+
+        request = _HttpRequest(
+            "POST", "/search", {}, json.dumps({"query_id": "q", "sequence": "MKT"}).encode()
+        )
+        for exc, expected in (
+            (RemoteTaskError("ValueError", "boom"), 500),
+            (ServiceClosedError("shut down"), 503),
+        ):
+            status, body, _ = asyncio.run(SearchHttpServer(Resolved(exc))._search(request))
+            assert status == expected
+            assert json.loads(body)["error"] == type(exc).__name__
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_hostile_content_length_400(self, server, length, caplog):
+        # Used to raise ValueError out of handle_connection: an empty reply
+        # and "Unhandled exception in client_connected_cb" in the log.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(
+                    f"POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert json.loads(body)["error"] == "BadRequest"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        # The listener survived the bad connection.
+        assert self._get(server, "/healthz")[0] == 200
 
     def test_healthz_and_stats(self, server):
         status, body = self._get(server, "/healthz")

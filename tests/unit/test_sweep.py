@@ -110,6 +110,24 @@ class TestExecutorSweepMode:
         assert [r.ok for r in records] == [True] * len(batch_queries)
         assert [r.result for r in records] == per_query_results
 
+    def test_spawned_workers_match_thread_backend(self, batch_queries, tiny_db, tiny_params):
+        """Spawned workers start with an empty neighbour table and fill
+        their own rows; forked ones inherit the parent's. Same results."""
+        engine = make_engine("cublastp", tiny_params)
+        threaded = BatchExecutor(engine, mode="db-sweep", block_residues=400)
+        spawned = BatchExecutor(
+            engine,
+            mode="db-sweep",
+            backend="process",
+            mp_context="spawn",
+            jobs=2,
+            block_residues=400,
+        )
+        expected = threaded.run(batch_queries, tiny_db).records
+        records = spawned.run(batch_queries, tiny_db).records
+        assert [r.ok for r in records] == [True] * len(batch_queries)
+        assert [r.result for r in records] == [r.result for r in expected]
+
     def test_compile_errors_stay_per_query(
         self, batch_queries, tiny_db, tiny_params, per_query_results
     ):

@@ -1,9 +1,14 @@
 """Unit tests for word enumeration and neighbourhood construction."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.alphabet import ALPHABET, ALPHABET_SIZE, encode
+from repro.engine.compiled import compile_query
 from repro.errors import SequenceError
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
 from repro.seeding import (
@@ -12,6 +17,7 @@ from repro.seeding import (
     num_words,
     word_indices,
 )
+from repro.seeding import words as words_module
 
 
 def widx(word: str) -> int:
@@ -122,6 +128,63 @@ class TestNeighborhood:
     def test_query_length_recorded(self):
         q = encode("MKTAYIAK")
         assert build_neighborhood(q, BLOSUM62).query_length == 8
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.positions, b.positions)
+
+
+class TestNeighbourTable:
+    def test_registry_is_bounded_and_rebuilds_evicted_tables(self):
+        q = encode("MKTAYIAKQRQISFVKSHFSRQ")
+        first = build_neighborhood(q, BLOSUM62, threshold=9)
+        for threshold in range(10, 10 + words_module._MAX_TABLES):
+            build_neighborhood(q, BLOSUM62, threshold=threshold)
+        assert len(words_module._TABLES) == words_module._MAX_TABLES
+        # T=9 was the least recently used: it is gone, and comes back equal.
+        assert same(build_neighborhood(q, BLOSUM62, threshold=9), first)
+        assert len(words_module._TABLES) == words_module._MAX_TABLES
+
+    def test_threads_filling_one_fresh_table_match_serial(self, monkeypatch, lock_witness):
+        rng = np.random.default_rng(7)
+        queries = [rng.integers(0, 20, 120).astype(np.uint8) for _ in range(8)]
+        monkeypatch.setattr(words_module, "_TABLES", words_module._TableRegistry())
+        serial = [build_neighborhood(q, BLOSUM62) for q in queries]
+        # A second fresh registry, built with the witness on: every row the
+        # threads need is cold and they race to fill it.
+        monkeypatch.setattr(words_module, "_TABLES", words_module._TableRegistry())
+        threaded = [None] * len(queries)
+        barrier = threading.Barrier(len(queries))
+
+        def compile_one(i):
+            barrier.wait(timeout=30)
+            threaded[i] = build_neighborhood(queries[i], BLOSUM62)
+
+        threads = [threading.Thread(target=compile_one, args=(i,)) for i in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(same(got, want) for got, want in zip(threaded, serial))
+
+    def test_warm_compile_allocates_no_score_table(self):
+        # The table this replaced was num_words x n_pos int32 (58 MB here).
+        # Deterministic: counts bytes, times nothing.
+        q = np.random.default_rng(3).integers(0, 20, 1054).astype(np.uint8)
+        compile_query(q)
+        tracemalloc.start()
+        try:
+            compile_query(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"warm compile peaked at {peak / 2**20:.1f} MB"
 
 
 def test_alphabet_letters_cover_examples():
