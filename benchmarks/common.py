@@ -13,33 +13,24 @@ both).
 
 from __future__ import annotations
 
-import atexit
 import os
-import tempfile
 from functools import lru_cache
-from pathlib import Path
 
 from repro.baselines import CudaBlastp, FsaBlast, GpuBlastp, NcbiBlast
 from repro.core import SearchParams
 from repro.cublastp import CuBlastp, CuBlastpConfig, ExtensionMode
-from repro.engine import QueryCache, compile_query
+from repro.engine import compile_query
 from repro.io import (
     DatabaseStore,
     generate_database,
     standard_queries,
     standard_workloads,
 )
-from repro.io.workloads import generate_query
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 
 QUERIES = ("query127", "query517", "query1054")
 DATABASES = ("swissprot_mini", "env_nr_mini")
-
-#: The paper's query-length mix (Table 1 query set), cycled through by
-#: :meth:`Lab.mixed_queries` so a batch exercises short, medium, and long
-#: compilations against the same database.
-MIXED_QUERY_LENGTHS = (127, 517, 1054)
 
 
 class Lab:
@@ -60,56 +51,9 @@ class Lab:
         # generation per workload, shared (read-only) by every engine.
         self.store = DatabaseStore(capacity=len(self.specs) + 2)
         self._queries = {}
-        # Binary-format spills for process-backend benches (db_path()).
-        self._db_paths: dict[str, Path] = {}
-        self._db_dir: str | None = None
-        # One compile per (db, query): every engine and configuration in
-        # the suite binds the same CompiledQuery (engine-layer sharing).
-        self._compile_cache = QueryCache(capacity=64)
 
     def db(self, name: str):
         return self.store.get(name, lambda: generate_database(self.specs[name]))
-
-    def db_path(self, name: str) -> Path:
-        """The workload saved in the binary format (one save per session).
-
-        This is what the process-backend benchmarks hand to workers: the
-        file is written once, every worker re-opens it with ``mmap``, and
-        the temp directory is removed at interpreter exit.
-        """
-        if name not in self._db_paths:
-            if self._db_dir is None:
-                self._db_dir = tempfile.mkdtemp(prefix="repro-bench-db-")
-                atexit.register(self._cleanup_db_dir)
-            path = Path(self._db_dir) / f"{name}.rpdb"
-            self.db(name).save(path)
-            self._db_paths[name] = path
-        return self._db_paths[name]
-
-    def _cleanup_db_dir(self) -> None:
-        import shutil
-
-        if self._db_dir is not None:
-            shutil.rmtree(self._db_dir, ignore_errors=True)
-            self._db_dir = None
-
-    def mixed_queries(
-        self, db_name: str, count: int, seed: int = 0
-    ) -> list[tuple[str, str]]:
-        """A ``(query_id, sequence)`` batch cycling the paper's length mix.
-
-        Deterministic in ``(db_name, count, seed)``; ids encode the length
-        so per-length throughput can be read off the batch results.
-        """
-        spec = self.specs[db_name]
-        lengths = MIXED_QUERY_LENGTHS
-        return [
-            (
-                f"q{i:03d}-len{lengths[i % len(lengths)]}",
-                generate_query(lengths[i % len(lengths)], spec, query_seed=seed + i),
-            )
-            for i in range(count)
-        ]
 
     def query(self, db_name: str, q_name: str) -> str:
         key = (db_name, q_name)
@@ -120,11 +64,11 @@ class Lab:
     def params(self, db_name: str) -> SearchParams:
         return SearchParams(**self.specs[db_name].search_params_kwargs)
 
+    @lru_cache(maxsize=None)
     def compiled(self, db_name: str, q_name: str):
-        """The (db, query) pair's CompiledQuery (one build, LRU-cached)."""
-        return compile_query(
-            self.query(db_name, q_name), self.params(db_name), cache=self._compile_cache
-        )
+        """The (db, query) pair's CompiledQuery: one build, bound by every
+        engine and configuration in the suite (engine-layer sharing)."""
+        return compile_query(self.query(db_name, q_name), self.params(db_name))
 
     # -- cached runs ---------------------------------------------------------
 

@@ -48,7 +48,6 @@ from repro.engine import (
     CompiledQuery,
     Engine,
     EventLog,
-    QueryCache,
     compile_query,
     make_engine,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "GpuBlastp",
     "K20C",
     "NcbiBlast",
-    "QueryCache",
     "SearchParams",
     "SearchResult",
     "SequenceDatabase",

@@ -6,11 +6,10 @@ every phase reduces them with array operations. A ``for`` loop over an
 extension-record stream inside a ``phase_*`` function quietly reverts
 that — one seemingly innocent loop re-inflates thousands of records per
 query. The rule flags loops (and comprehensions) inside functions whose
-name starts with ``phase_`` when they iterate ``.to_records()`` output
-or a name that conventionally holds an extension stream. Deliberately
-sequential cold loops (e.g. the gapped DP, whose per-item cost dwarfs
-record overhead) carry an inline ``reprolint: disable`` with their
-justification.
+name starts with ``phase_`` when they iterate a name that conventionally
+holds an extension stream. Deliberately sequential cold loops (e.g. the
+gapped DP, whose per-item cost dwarfs record overhead) carry an inline
+``reprolint: disable`` with their justification.
 
 The same goes one level up, for the query batch: phase 2 of the sweep
 consumes a block's query-tagged hit stream whole (one sort, one two-hit
@@ -56,12 +55,6 @@ def _record_stream(node: ast.expr) -> str | None:
         and node.args
     ):
         node = node.args[0]
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "to_records"
-    ):
-        return ".to_records()"
     name = dotted_name(node)
     if name is not None and name.split(".")[-1] in _RECORD_STREAM_NAMES:
         return name

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.core import SearchParams
 from repro.cublastp import CuBlastp, CuBlastpConfig, ExtensionMode
-from repro.engine import ENGINE_NAMES, BatchExecutor, Engine, QueryCache, make_engine
+from repro.engine import ENGINE_NAMES, BatchExecutor, Engine, make_engine
 from repro.io import (
     FastaRecord,
     SequenceDatabase,
@@ -60,7 +60,7 @@ from repro.io.workloads import WorkloadSpec
 
 def _load_database(arg: str) -> SequenceDatabase:
     """Resolve a database argument: binary store path or FASTA file."""
-    if storage.sniff_format(arg) in ("binary", "npz"):
+    if storage.sniff_format(arg) == "binary":
         return get_default_store().open(arg)
     return SequenceDatabase.from_records(read_fasta_file(arg))
 
@@ -110,16 +110,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     queries = _load_queries(args.query)
     db = _load_database(args.database)
     engine = _make_engine(args)
-    # The executor keeps the database resident, compiles each distinct
-    # query once, runs ``--jobs`` searches concurrently, and streams
-    # outcomes back in input order — so the printed report is identical
-    # for every jobs value.
+    # The executor keeps the database resident, runs ``--jobs`` searches
+    # concurrently, and streams outcomes back in input order — so the
+    # printed report is identical for every jobs value.
     executor = BatchExecutor(
         engine,
         jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
         mode="db-sweep" if getattr(args, "batch_mode", False) else "per-query",
-        cache=QueryCache(),
         collect_reports=False,
     )
     if executor.jobs_clamped:
@@ -163,8 +161,8 @@ def cmd_makedb(args: argparse.Namespace) -> int:
 
 
 def cmd_db_build(args: argparse.Namespace) -> int:
-    if storage.sniff_format(args.input) in ("binary", "npz"):
-        db = SequenceDatabase.load(args.input)  # migrate (e.g. legacy .npz)
+    if storage.sniff_format(args.input) == "binary":
+        db = SequenceDatabase.load(args.input)
     else:
         records = read_fasta_file(args.input)
         if not records:
@@ -181,22 +179,16 @@ def cmd_db_build(args: argparse.Namespace) -> int:
 
 
 def cmd_db_inspect(args: argparse.Namespace) -> int:
-    fmt = storage.sniff_format(args.database)
-    if fmt == "unknown":
+    if storage.sniff_format(args.database) != "binary":
         raise SystemExit(f"error: {args.database}: not a saved database")
-    if fmt == "npz":
-        print(f"{args.database}: legacy .npz archive (deprecated; re-save "
-              "with 'repro db build' to migrate)")
-        db = SequenceDatabase.load(args.database)
-    else:
-        head = storage.read_header(args.database)
-        print(f"{args.database}: repro binary database")
-        print(f"  format version  {head['version']}")
-        print(f"  db version      {head['db_version']}")
-        print(f"  file size       {head['file_bytes']:,} B")
-        print(f"  codes section   {head['codes_len']:,} B @ {head['off_codes']}")
-        print(f"  offsets section {(head['num_sequences'] + 1) * 8:,} B @ {head['off_offsets']}")
-        db = get_default_store().open(args.database)
+    head = storage.read_header(args.database)
+    print(f"{args.database}: repro binary database")
+    print(f"  format version  {head['version']}")
+    print(f"  db version      {head['db_version']}")
+    print(f"  file size       {head['file_bytes']:,} B")
+    print(f"  codes section   {head['codes_len']:,} B @ {head['off_codes']}")
+    print(f"  offsets section {(head['num_sequences'] + 1) * 8:,} B @ {head['off_offsets']}")
+    db = get_default_store().open(args.database)
     st = db.stats()
     print(f"  sequences       {st.num_sequences:,}")
     print(f"  residues        {st.total_residues:,}")
@@ -353,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_db = sub.add_parser("db", help="manage saved binary databases")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
     p_build = db_sub.add_parser(
-        "build", help="convert FASTA (or legacy .npz) to the binary format"
+        "build", help="convert FASTA to the binary format"
     )
-    p_build.add_argument("input", help="FASTA file or legacy .npz archive")
+    p_build.add_argument("input", help="FASTA file")
     p_build.add_argument("output", help="output binary database path")
     p_build.set_defaults(func=cmd_db_build)
     p_inspect = db_sub.add_parser("inspect", help="print a saved database's header and stats")

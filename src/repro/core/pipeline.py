@@ -19,12 +19,7 @@ from repro.core.gapped import GappedExtension, gapped_extend
 from repro.core.gapped_batch import batch_gapped_extend
 from repro.core.hit_detection import DatabaseHits, detect_hits
 from repro.core.hits import TaggedHits
-from repro.core.results import (
-    Alignment,
-    ExtensionArray,
-    SearchResult,
-    UngappedExtension,
-)
+from repro.core.results import Alignment, ExtensionArray, SearchResult
 from repro.core.statistics import (
     Cutoffs,
     SearchParams,
@@ -238,7 +233,7 @@ class BlastpPipeline:
 
     def phase_gapped(
         self,
-        extensions: ExtensionArray | list[UngappedExtension],
+        extensions: ExtensionArray,
         db: SequenceDatabase,
         cutoffs: Cutoffs,
     ) -> tuple[list[GappedExtension], int]:
@@ -266,8 +261,7 @@ class BlastpPipeline:
         -------
         (gapped_extensions, num_triggers)
         """
-        ext = ExtensionArray.coerce(extensions)
-        trig = ext.take(ext.score >= cutoffs.gap_trigger)
+        trig = extensions.take(extensions.score >= cutoffs.gap_trigger)
         num_triggers = len(trig)
         # Best-first per sequence; lexsort is stable, so full ties keep
         # the stream order exactly as the old list.sort(key=...) did.
@@ -467,7 +461,7 @@ class BlastpPipeline:
 
     def phase_ungapped_report(
         self,
-        extensions: ExtensionArray | list[UngappedExtension],
+        extensions: ExtensionArray,
         db: SequenceDatabase,
         cutoffs: Cutoffs,
     ) -> list[Alignment]:
@@ -481,7 +475,7 @@ class BlastpPipeline:
         """
         from repro.alphabet import decode
 
-        ext = ExtensionArray.coerce(extensions)
+        ext = extensions
         db_residues = cutoffs.effective_db_residues or int(db.codes.size)
         evalues = evalues_for_scores(
             cutoffs.ungapped, ext.score, self.query_length, db_residues

@@ -51,9 +51,9 @@ class ExtensionArray:
     columns, and every downstream consumer (gap-trigger filtering,
     containment seeding, e-value computation, sweep/process marshalling)
     reduces them with array operations. Records exist only at the edges —
-    :meth:`to_records` / :meth:`from_records` / iteration are the shims
-    for cold paths and tests, and they are deliberately the *only* places
-    a per-record Python loop survives.
+    :meth:`from_records` / iteration are the shims for cold paths and
+    tests, and they are deliberately the *only* places a per-record
+    Python loop survives.
 
     Row order is meaningful and preserved by every transform here: the
     coverage pass emits ``(seq_id, diagonal, subject_pos)`` seed order,
@@ -136,15 +136,6 @@ class ExtensionArray:
         ))
 
     @classmethod
-    def coerce(
-        cls, extensions: "ExtensionArray | Iterable[UngappedExtension]"
-    ) -> "ExtensionArray":
-        """``extensions`` as columns; record sequences are converted."""
-        if isinstance(extensions, cls):
-            return extensions
-        return cls.from_records(extensions)
-
-    @classmethod
     def concat(cls, parts: "Sequence[ExtensionArray]") -> "ExtensionArray":
         """Row-wise concatenation, order preserved (block accumulation)."""
         parts = [p for p in parts if len(p)]
@@ -158,10 +149,6 @@ class ExtensionArray:
         ))
 
     # -- transforms --------------------------------------------------------
-
-    def to_records(self) -> list[UngappedExtension]:
-        """All rows as record objects (compat shim for cold consumers)."""
-        return [self.record(k) for k in range(self.seq_id.size)]
 
     def take(self, which: np.ndarray) -> "ExtensionArray":
         """Rows selected by an index array or boolean mask, in order."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.gapped import GappedExtension
 from repro.core.pipeline import BlastpPipeline
-from repro.core.results import Alignment, ExtensionArray, UngappedExtension
+from repro.core.results import Alignment, ExtensionArray
 from repro.core.statistics import Cutoffs
 from repro.io.database import SequenceDatabase
 from repro.perfmodel.calibration import CostConstants, DEFAULT_COSTS
@@ -43,7 +43,7 @@ class CpuPhaseResult:
 
 def run_cpu_phases(
     pipe: BlastpPipeline,
-    extensions: ExtensionArray | list[UngappedExtension],
+    extensions: ExtensionArray,
     db: SequenceDatabase,
     cutoffs: Cutoffs,
     threads: int,
@@ -57,8 +57,7 @@ def run_cpu_phases(
         The reference pipeline for this query (provides PSSM and phases).
     extensions:
         Phase-2 output columns (from the GPU kernels or the CPU
-        reference — they are identical, which is the point); per-record
-        lists are accepted and coerced by the phases.
+        reference — they are identical, which is the point).
     threads:
         Modelled pthread count (the paper uses 1, 2, 4).
     costs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.results import ExtensionArray, UngappedExtension
+from repro.core.results import ExtensionArray
 from repro.cublastp.buffering import MatrixMode
 from repro.cublastp.session import DeviceSession
 from repro.gpusim.shared import SharedMemory
@@ -192,10 +192,6 @@ class ExtensionOutput:
             subject_end=self.subject_end[order],
             score=self.score[order],
         )
-
-    def to_extensions(self) -> list[UngappedExtension]:
-        """Record-object shim over :meth:`to_extension_array` (cold paths)."""
-        return self.to_extension_array().to_records()
 
 
 class WarpOutputBuffer:

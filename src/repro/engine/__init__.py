@@ -6,8 +6,7 @@ can be scheduled on the resource that suits it:
 
 * :mod:`~repro.engine.compiled` — :class:`CompiledQuery` (the query-side
   build: encode, SEG, neighbourhood, lookup/DFA, PSSM, built once and
-  shared across engines and database blocks) and the LRU
-  :class:`QueryCache` for repeated-query traffic;
+  shared across engines and database blocks);
 * :mod:`~repro.engine.protocol` — the :class:`Engine` protocol every
   implementation satisfies, and :func:`make_engine` for building engines
   by registry name;
@@ -23,9 +22,9 @@ can be scheduled on the resource that suits it:
   :class:`EventLog` stream all engines emit into.
 """
 
-from repro.engine.compiled import CompiledQuery, QueryCache, compile_query, compile_signature
+from repro.engine.compiled import CompiledQuery, compile_query, compile_signature
 from repro.engine.events import EventLog, PhaseEvent
-from repro.engine.executor import BatchExecutor, QueryOutcome
+from repro.engine.executor import BatchExecutor, BatchResult, QueryOutcome
 from repro.engine.procpool import (
     EngineSpec,
     ProcessPool,
@@ -49,13 +48,13 @@ __all__ = [
     "ENGINE_NAMES",
     "BatchEngine",
     "BatchExecutor",
+    "BatchResult",
     "CompiledQuery",
     "Engine",
     "EngineSpec",
     "EventLog",
     "PhaseEvent",
     "ProcessPool",
-    "QueryCache",
     "QueryOutcome",
     "RemoteTaskError",
     "ReportingEngine",

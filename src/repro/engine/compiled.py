@@ -16,19 +16,16 @@ nothing; the first queries of a process pay for the rows they add.
 :func:`compile_query` performs the build exactly once and packages it as a
 :class:`CompiledQuery` that any engine can execute against any database
 (the :class:`~repro.engine.protocol.Engine` protocol's currency).
-:class:`QueryCache` adds an LRU over compilations keyed on the sequence
-and the *compile-relevant* parameters, for repeated-query traffic.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 from repro.alphabet import encode
-from repro.analysis.witness import new_lock, thread_shared
+from repro.analysis.witness import new_lock
 from repro.matrices.pssm import build_pssm
 from repro.seeding.lookup import WordLookupTable
 from repro.seeding.words import build_neighborhood
@@ -136,14 +133,11 @@ class CompiledQuery:
 def compile_query(
     query: "str | np.ndarray | CompiledQuery",
     params: SearchParams | None = None,
-    cache: "QueryCache | None" = None,
 ) -> CompiledQuery:
     """Compile ``query`` under ``params`` (encode, SEG, neighbourhood, PSSM).
 
     Accepts a residue string, an encoded ``uint8`` array, or an existing
-    :class:`CompiledQuery` (rebound to ``params`` when given). With a
-    ``cache``, repeated compilations of the same (sequence, signature)
-    return the cached object.
+    :class:`CompiledQuery` (rebound to ``params`` when given).
     """
     if isinstance(query, CompiledQuery):
         return query if params is None else query.with_params(params)
@@ -151,13 +145,6 @@ def compile_query(
         from repro.core.statistics import SearchParams
 
         params = SearchParams()
-    if cache is not None:
-        compiled, _ = cache.get_or_compile(query, params)
-        return compiled
-    return _compile(query, params)
-
-
-def _compile(query: "str | np.ndarray", params: SearchParams) -> CompiledQuery:
     query_codes = encode(query) if isinstance(query, str) else np.asarray(query, dtype=np.uint8)
     if query_codes.size < params.word_length:
         raise ValueError("query shorter than the word length")
@@ -178,61 +165,3 @@ def _compile(query: "str | np.ndarray", params: SearchParams) -> CompiledQuery:
     )
     return CompiledQuery(params, query_codes, mask, lookup, pssm)
 
-
-@thread_shared
-class QueryCache:
-    """Thread-safe LRU cache of compiled queries.
-
-    Keyed on (sequence, compile signature): two requests for the same
-    sequence under parameter sets that differ only in execution-side
-    settings share one entry (:meth:`get_or_compile` rebinds the cached
-    structures to the requested params). :attr:`hits` / :attr:`misses`
-    count lookups for cache-efficacy reporting.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0  # guarded-by: self._lock
-        self.misses = 0  # guarded-by: self._lock
-        self._lock = new_lock("QueryCache._lock")
-        self._entries: OrderedDict[tuple, CompiledQuery] = OrderedDict()  # guarded-by: self._lock
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @staticmethod
-    def _key(query: "str | np.ndarray", params: SearchParams) -> tuple:
-        seq = query if isinstance(query, str) else np.asarray(query, dtype=np.uint8).tobytes()
-        return (seq, compile_signature(params))
-
-    def get_or_compile(
-        self, query: "str | np.ndarray", params: SearchParams
-    ) -> tuple[CompiledQuery, bool]:
-        """Return ``(compiled, was_hit)`` for the query under ``params``."""
-        key = self._key(query, params)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        if cached is not None:
-            return cached.with_params(params), True
-        # Compile outside the lock: builds are the expensive part and two
-        # racing threads at worst duplicate one build.
-        compiled = _compile(query, params)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = compiled
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return compiled, False
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0

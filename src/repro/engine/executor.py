@@ -2,11 +2,10 @@
 
 Real deployments stream many queries against one resident database.
 :class:`BatchExecutor` replaces the serial loop every caller used to
-hand-roll: it compiles each query once (through an optional
-:class:`~repro.engine.compiled.QueryCache` for repeated-query traffic),
-schedules searches on a bounded thread pool, isolates per-query failures,
-and yields outcomes in input order — streamed, so a consumer can render
-query *k*'s result while query *k+N* is still in flight.
+hand-roll: it compiles each query once, schedules searches on a bounded
+thread pool, isolates per-query failures, and yields outcomes in input
+order — streamed, so a consumer can render query *k*'s result while
+query *k+N* is still in flight.
 
 The database stays resident for the whole batch (it is shared read-only
 by every worker), mirroring how the paper's evaluation amortises database
@@ -35,18 +34,17 @@ bounded in-flight work, per-query error isolation):
 
 from __future__ import annotations
 
-import inspect
+import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Union
 
-from repro.engine.compiled import CompiledQuery, QueryCache
+from repro.engine.compiled import CompiledQuery
 from repro.engine.events import EventLog
 from repro.engine.protocol import Engine, make_engine
 
 if TYPE_CHECKING:
-    from repro.batch import BatchResult
     from repro.core.results import SearchResult
     from repro.io.database import SequenceDatabase
     from repro.io.store import DatabaseStore
@@ -67,22 +65,70 @@ class QueryOutcome:
     result: "SearchResult | None" = None
     report: Any | None = None
     error: Exception | None = None
-    cache_hit: bool = False
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-def _accepts_config(factory: Any) -> bool:
-    """Whether a legacy engine factory can take a ``config`` argument."""
-    try:
-        params = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return any(
-        p.name == "config" or p.kind is inspect.Parameter.VAR_KEYWORD for p in params
-    )
+class BatchResult:
+    """Outcome of a multi-query batch.
+
+    Wraps the per-query :class:`QueryOutcome` records (input order).
+    Failed queries keep their error record in :attr:`errors` /
+    :attr:`records` without aborting the batch; successful ones appear in
+    :attr:`results` and :attr:`reports`.
+    """
+
+    def __init__(self, records: list[QueryOutcome] | None = None) -> None:
+        self.records: list[QueryOutcome] = list(records or [])
+        # Query-id index for O(1) result_for (first occurrence wins).
+        self._by_id: dict[str, QueryOutcome] = {}
+        for rec in self.records:
+            self._by_id.setdefault(rec.query_id, rec)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def results(self) -> "list[tuple[str, SearchResult]]":
+        """``(query_id, result)`` pairs of the successful queries."""
+        return [(r.query_id, r.result) for r in self.records if r.result is not None]
+
+    @property
+    def reports(self) -> list[tuple[str, Any]]:
+        """``(query_id, report)`` pairs for queries whose engine reported."""
+        return [(r.query_id, r.report) for r in self.records if r.report is not None]
+
+    @property
+    def errors(self) -> list[tuple[str, Exception]]:
+        """``(query_id, error)`` pairs of the failed queries."""
+        return [(r.query_id, r.error) for r in self.records if r.error is not None]
+
+    @property
+    def total_modelled_ms(self) -> float:
+        """Summed modelled end-to-end time over the reporting engines."""
+        return float(sum(getattr(report, "overall_ms", 0.0) for _, report in self.reports))
+
+    @property
+    def total_reported(self) -> int:
+        return sum(r.num_reported for _, r in self.results)
+
+    def result_for(self, query_id: str) -> "SearchResult":
+        """The result of ``query_id`` (O(1); raises the query's error if
+        it failed, :class:`KeyError` if it was never in the batch)."""
+        rec = self._by_id.get(query_id)
+        if rec is None:
+            raise KeyError(query_id)
+        if rec.error is not None:
+            raise rec.error
+        assert rec.result is not None  # QueryOutcome sets exactly one of the two
+        return rec.result
+
+    def summary(self) -> str:
+        from repro.io.report import summary_table
+
+        return summary_table(self.results)
 
 
 class BatchExecutor:
@@ -96,26 +142,17 @@ class BatchExecutor:
     jobs:
         Worker threads (or processes). Under the thread backend ``1``
         runs inline (no pool); results are in input order and
-        byte-identical regardless of ``jobs`` and backend.
+        byte-identical regardless of ``jobs`` and backend. The process
+        backend caps it at ``os.cpu_count()`` — extra worker processes on
+        an oversubscribed host only multiply engine builds and database
+        mappings; the requested value stays readable as
+        :attr:`requested_jobs`.
     backend:
         ``"thread"`` (default) or ``"process"`` — see the module
         docstring for the tradeoff.
-    max_in_flight:
-        Bound on submitted-but-unconsumed queries (defaults to
-        ``2 * jobs``) — backpressure for unbounded query streams. The
-        process backend applies it in units of chunks.
-    chunk_size:
-        Queries per dispatch message (process backend only; default 1).
-        Raise it when queries are very cheap relative to IPC.
     mp_context:
         ``multiprocessing`` start method for the process backend
         (defaults to ``fork`` where available, else ``spawn``).
-    spec:
-        Explicit :class:`~repro.engine.procpool.EngineSpec` for the
-        process backend; by default it is derived from ``engine``.
-    cache:
-        Optional :class:`~repro.engine.compiled.QueryCache`; repeated
-        sequences skip recompilation and outcomes flag ``cache_hit``.
     collect_reports:
         Attach the engine's timing report to each outcome when the engine
         supports ``run_with_report``.
@@ -133,17 +170,11 @@ class BatchExecutor:
         the database through a merged
         :class:`~repro.seeding.multi_query.MultiQueryIndex`, and under
         the process backend workers own database *blocks* instead of
-        queries (query-tagged extension streams merge across chunks
+        queries (query-tagged extension streams merge across blocks
         before gapped extension). Results are identical to per-query
         mode, outcome for outcome; error isolation is coarser — a
         failure during the shared sweep fails the whole batch (compile
         errors stay per-query).
-    clamp_jobs:
-        Cap process-backend ``jobs`` at ``os.cpu_count()`` (default on).
-        Extra worker processes on an oversubscribed host only multiply
-        engine builds and database mappings; the requested value stays
-        readable as :attr:`requested_jobs` and benchmarks record the
-        clamp.
     block_residues:
         Target residues per sweep block (db-sweep mode; default
         :data:`~repro.core.sweep.DEFAULT_BLOCK_RESIDUES`).
@@ -172,16 +203,11 @@ class BatchExecutor:
         *,
         jobs: int = 1,
         backend: str = "thread",
-        max_in_flight: int | None = None,
-        cache: QueryCache | None = None,
         collect_reports: bool = True,
         events: EventLog | None = None,
         store: "DatabaseStore | None" = None,
-        chunk_size: int | None = None,
         mp_context: str | None = None,
-        spec: Any | None = None,
         mode: str = "per-query",
-        clamp_jobs: bool = True,
         block_residues: int | None = None,
         keep_pool: bool = False,
         max_respawns: int = 2,
@@ -199,27 +225,17 @@ class BatchExecutor:
         if block_residues is not None and block_residues < 1:
             raise ValueError("block_residues must be positive")
         self.requested_jobs = jobs
-        if backend == "process" and clamp_jobs:
-            import os
-
+        if backend == "process":
             jobs = max(1, min(jobs, os.cpu_count() or 1))
-        if max_in_flight is not None and max_in_flight < jobs:
-            raise ValueError("max_in_flight must be >= jobs")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         self.engine = engine if engine is not None else make_engine("cublastp", events=events)
         self.jobs = jobs
         self.backend = backend
         self.mode = mode
         self.block_residues = block_residues
-        self.max_in_flight = max_in_flight if max_in_flight is not None else 2 * jobs
-        self.cache = cache
         self.collect_reports = collect_reports
         self.events = events
         self.store = store
-        self.chunk_size = chunk_size if chunk_size is not None else 1
         self.mp_context = mp_context
-        self.spec = spec
         self.keep_pool = keep_pool
         self.max_respawns = max_respawns
         # Pool residency is dispatcher-owned: exactly one thread drives
@@ -247,24 +263,15 @@ class BatchExecutor:
 
     # -- per-query work ----------------------------------------------------
 
-    def _compile(self, sequence: str) -> tuple[CompiledQuery | Any, bool]:
-        if self.cache is not None:
-            params = getattr(self.engine, "params", None)
-            if params is not None:
-                return self.cache.get_or_compile(sequence, params)
-        return self.engine.compile(sequence), False
-
     def _execute(self, index: int, query_id: str, sequence: str, db: "SequenceDatabase") -> QueryOutcome:
         try:
-            compiled, cache_hit = self._compile(sequence)
+            compiled = self.engine.compile(sequence)
             runner = getattr(self.engine, "run_with_report", None)
             if self.collect_reports and runner is not None:
                 result, report = runner(compiled, db, query_id=query_id)
             else:
                 result, report = self.engine.run(compiled, db, query_id=query_id), None
-            return QueryOutcome(
-                index, query_id, result=result, report=report, cache_hit=cache_hit
-            )
+            return QueryOutcome(index, query_id, result=result, report=report)
         except Exception as exc:  # per-query isolation: record, don't abort
             return QueryOutcome(index, query_id, error=exc)
 
@@ -277,8 +284,8 @@ class BatchExecutor:
 
         ``db`` may be a resident :class:`~repro.io.database.SequenceDatabase`
         or a path to a saved one (store-resolved). Consumption drives
-        submission: at most :attr:`max_in_flight` queries are in flight
-        ahead of the consumer.
+        submission: at most ``2 * jobs`` queries are in flight ahead of
+        the consumer.
         """
         if self.mode == "db-sweep":
             if self.backend == "process":
@@ -297,11 +304,12 @@ class BatchExecutor:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=self.jobs, thread_name_prefix="repro-batch")
+        max_in_flight = 2 * self.jobs
         try:
             pending: deque = deque()
             for index, (query_id, sequence) in enumerate(queries):
                 pending.append(pool.submit(self._execute, index, query_id, sequence, db))
-                while len(pending) >= self.max_in_flight:
+                while len(pending) >= max_in_flight:
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
@@ -312,24 +320,24 @@ class BatchExecutor:
 
     def _compile_batch(
         self, queries: Iterable[tuple[str, str]]
-    ) -> tuple[list[tuple[int, str, str, CompiledQuery, bool]], list[QueryOutcome]]:
+    ) -> tuple[list[tuple[int, str, str, CompiledQuery]], list[QueryOutcome]]:
         """Compile the whole batch up front, isolating per-query failures.
 
         Sweep modes share one database pass, so a query that cannot even
         compile must be excluded *before* the sweep (under the process
         backend it would otherwise crash every worker's ``setup``).
-        Returns the good ``(index, query_id, sequence, compiled,
-        cache_hit)`` entries plus ready-made error outcomes for the rest.
+        Returns the good ``(index, query_id, sequence, compiled)`` entries
+        plus ready-made error outcomes for the rest.
         """
-        good: list[tuple[int, str, str, CompiledQuery, bool]] = []
+        good: list[tuple[int, str, str, CompiledQuery]] = []
         failed: list[QueryOutcome] = []
         for index, (query_id, sequence) in enumerate(queries):
             try:
-                compiled, cache_hit = self._compile(sequence)
+                compiled = self.engine.compile(sequence)
             except Exception as exc:
                 failed.append(QueryOutcome(index, query_id, error=exc))
                 continue
-            good.append((index, query_id, sequence, compiled, cache_hit))
+            good.append((index, query_id, sequence, compiled))
         return good, failed
 
     def _sweep_blocks(
@@ -363,21 +371,19 @@ class BatchExecutor:
             try:
                 results = run_search_batch(
                     self.engine,
-                    [compiled for _, _, _, compiled, _ in good],
+                    [compiled for _, _, _, compiled in good],
                     resolved,
-                    [query_id for _, query_id, _, _, _ in good],
+                    [query_id for _, query_id, _, _ in good],
                     blocks=blocks,
                 )
             except Exception as exc:
                 # Coarse isolation: the pass is shared, so a sweep failure
                 # is every query's failure.
-                for index, query_id, _, _, _ in good:
+                for index, query_id, _, _ in good:
                     outcomes[index] = QueryOutcome(index, query_id, error=exc)
             else:
-                for (index, query_id, _, _, cache_hit), result in zip(good, results):
-                    outcomes[index] = QueryOutcome(
-                        index, query_id, result=result, cache_hit=cache_hit
-                    )
+                for (index, query_id, _, _), result in zip(good, results):
+                    outcomes[index] = QueryOutcome(index, query_id, result=result)
         for index in sorted(outcomes):
             yield outcomes[index]
 
@@ -411,17 +417,22 @@ class BatchExecutor:
             for index in sorted(outcomes):
                 yield outcomes[index]
             return
-        engine_spec = self.spec or EngineSpec.from_engine(self.engine)
+        engine_spec = EngineSpec.from_engine(self.engine)
         resolved = self._resolve_db(db)
         num_blocks = num_sweep_blocks(resolved, self.block_residues)
         db_path, cleanup = database_path_for_workers(db, store=self.store)
         task_spec = SweepBlockSpec(
             engine=engine_spec,
             db_path=str(db_path),
-            queries=tuple((query_id, sequence) for _, query_id, sequence, _, _ in good),
+            queries=tuple((query_id, sequence) for _, query_id, sequence, _ in good),
             num_blocks=num_blocks,
         )
-        pool = ProcessPool(task_spec, jobs=self.jobs, mp_context=self.mp_context)
+        pool = ProcessPool(
+            task_spec,
+            jobs=self.jobs,
+            mp_context=self.mp_context,
+            max_respawns=self.max_respawns,
+        )
         n = len(good)
         extensions: list[list[ExtensionArray]] = [[] for _ in range(n)]
         total_hits = [0] * n
@@ -429,11 +440,7 @@ class BatchExecutor:
         sweep_error: Exception | None = None
         engine_name = getattr(self.engine, "name", engine_spec.name)
         try:
-            for _block, payload, error in pool.run(
-                range(num_blocks),
-                chunk_size=self.chunk_size,
-                max_in_flight_chunks=max(self.max_in_flight, self.jobs),
-            ):
+            for _block, payload, error in pool.run(range(num_blocks)):
                 if error is not None:
                     # One lost block loses every query's hits in it: the
                     # whole batch fails rather than silently under-report.
@@ -459,10 +466,10 @@ class BatchExecutor:
             if cleanup is not None:
                 cleanup()
         if sweep_error is not None:
-            for index, query_id, _, _, _ in good:
+            for index, query_id, _, _ in good:
                 outcomes[index] = QueryOutcome(index, query_id, error=sweep_error)
         else:
-            for q, (index, query_id, _, compiled, cache_hit) in enumerate(good):
+            for q, (index, query_id, _, compiled) in enumerate(good):
                 try:
                     pipe = BlastpPipeline(compiled, query_id=query_id)
                     result, _counts = sweep_finish(
@@ -478,9 +485,7 @@ class BatchExecutor:
                 except Exception as exc:
                     outcomes[index] = QueryOutcome(index, query_id, error=exc)
                 else:
-                    outcomes[index] = QueryOutcome(
-                        index, query_id, result=result, cache_hit=cache_hit
-                    )
+                    outcomes[index] = QueryOutcome(index, query_id, result=result)
         for index in sorted(outcomes):
             yield outcomes[index]
 
@@ -495,7 +500,7 @@ class BatchExecutor:
         )
         from repro.verify.canonical import result_from_payload
 
-        engine_spec = self.spec or EngineSpec.from_engine(self.engine)
+        engine_spec = EngineSpec.from_engine(self.engine)
         db_path, cleanup = database_path_for_workers(db, store=self.store)
         task_spec = QueryTaskSpec(
             engine=engine_spec,
@@ -513,11 +518,7 @@ class BatchExecutor:
                 yield query_id, sequence
 
         try:
-            for index, payload, error in pool.run(
-                tasks(),
-                chunk_size=self.chunk_size,
-                max_in_flight_chunks=max(self.max_in_flight, self.jobs),
-            ):
+            for index, payload, error in pool.run(tasks()):
                 query_id = ids.pop(index, f"query-{index}")
                 if error is not None:
                     yield QueryOutcome(index, query_id, error=error)
@@ -619,6 +620,4 @@ class BatchExecutor:
 
     def run(self, queries: Iterable[tuple[str, str]], db: "DatabaseLike") -> "BatchResult":
         """Run the whole batch and aggregate it into a :class:`BatchResult`."""
-        from repro.batch import BatchResult
-
         return BatchResult(list(self.stream(queries, db)))

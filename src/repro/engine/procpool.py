@@ -19,8 +19,8 @@ binary format re-opens in a *worker process* for the cost of a
 Layers
 ------
 :class:`ProcessPool`
-    Generic persistent-worker pool: chunked dispatch with bounded
-    in-flight chunks, input-order streaming, worker-crash isolation (a
+    Generic persistent-worker pool: one task per message with a bounded
+    number in flight, input-order streaming, worker-crash isolation (a
     dead worker fails only its in-flight tasks and is respawned), and a
     respawn budget so a deterministically-crashing setup cannot spin.
 :class:`EngineSpec`
@@ -122,8 +122,7 @@ class EngineSpec:
         """Derive the spec of a live engine instance.
 
         Works for every registry engine; hand-built engine objects that
-        are not registry types cannot cross the process boundary — pass
-        an explicit :class:`EngineSpec` to the executor instead.
+        are not registry types cannot cross the process boundary.
         """
         from repro.baselines.cuda_blastp import CudaBlastp
         from repro.baselines.fsa_blast import FsaBlast
@@ -150,8 +149,8 @@ class EngineSpec:
         if isinstance(engine, BlastpPipeline):
             return cls("reference", engine.params)
         raise TypeError(
-            f"cannot derive a process-boundary spec for {type(engine).__name__}; "
-            "pass an explicit EngineSpec to BatchExecutor(spec=...)"
+            f"cannot derive a process-boundary spec for {type(engine).__name__}: "
+            "only registry engines (make_engine) run on the process backend"
         )
 
 
@@ -164,10 +163,10 @@ def database_path_for_workers(
     """A binary-format path workers can ``mmap``, spilling when needed.
 
     A path to a saved binary database passes straight through. Anything
-    else — an in-memory database, a store-registered name, or a legacy
-    ``.npz`` archive — is resolved and written to a temporary ``.rpdb``
-    file. Returns ``(path, cleanup)``; call ``cleanup`` (when not
-    ``None``) after the workers are done with the file.
+    else — an in-memory database or a store-registered name — is
+    resolved and written to a temporary ``.rpdb`` file. Returns
+    ``(path, cleanup)``; call ``cleanup`` (when not ``None``) after the
+    workers are done with the file.
     """
     from repro.io import storage
 
@@ -264,7 +263,7 @@ class SweepBlockSpec:
     block-local two-hit + ungapped extension per query, and returns only
     the surviving extensions — plain int lists, a few KB per block,
     instead of the block's millions of raw hits. The parent merges the
-    tagged streams across chunks in block order and finishes gapped
+    tagged streams across blocks in block order and finishes gapped
     extension + traceback per query.
 
     Every field is a picklable builtin or a registry dataclass — the
@@ -393,16 +392,16 @@ def _worker_main(
         message = task_queue.get()
         if message is None:
             return
-        for index, item in message:
-            # Announce the task before touching it: on a crash the parent
-            # can tell truly-in-flight tasks (fail) from ones still queued
-            # behind the corpse (safe to requeue on a sibling).
-            result_queue.put(("begin", worker_id, (index, None)))
-            try:
-                payload = spec.run(state, item)
-                result_queue.put(("ok", worker_id, (index, payload)))
-            except BaseException as exc:  # noqa: BLE001  # reprolint: disable=no-bare-except
-                result_queue.put(("err", worker_id, (index, _encode_error(exc))))
+        index, item = message
+        # Announce the task before touching it: on a crash the parent
+        # can tell truly-in-flight tasks (fail) from ones still queued
+        # behind the corpse (safe to requeue on a sibling).
+        result_queue.put(("begin", worker_id, (index, None)))
+        try:
+            payload = spec.run(state, item)
+            result_queue.put(("ok", worker_id, (index, payload)))
+        except BaseException as exc:  # noqa: BLE001  # reprolint: disable=no-bare-except
+            result_queue.put(("err", worker_id, (index, _encode_error(exc))))
 
 
 # -- parent side -----------------------------------------------------------
@@ -419,8 +418,6 @@ class _WorkerSlot:
     #: indices the worker has announced it started executing; on a crash
     #: exactly these fail — pending-but-unstarted tasks are requeued.
     started: set = field(default_factory=set)
-    #: chunk ids currently assigned (bounds in-flight chunk dispatch).
-    chunks: set = field(default_factory=set)
     respawns_left: int = 2
     dead: bool = False
 
@@ -449,12 +446,6 @@ class ProcessPool:
         Crash budget per worker slot; past it the slot stays dead (and if
         every slot dies, remaining tasks fail with
         :class:`WorkerCrashError` instead of hanging).
-    clamp_jobs:
-        Cap ``jobs`` at ``os.cpu_count()``. Worker processes beyond the
-        core count cannot run concurrently — they only multiply engine
-        builds and database mappings (the jobs=4-on-1-core regression the
-        throughput benchmark recorded). The requested value stays
-        readable as :attr:`requested_jobs`.
     persistent:
         Keep the workers warm across :meth:`run` calls instead of
         shutting them down when each task stream ends — the always-on
@@ -472,15 +463,11 @@ class ProcessPool:
         *,
         mp_context: str | None = None,
         max_respawns: int = 2,
-        clamp_jobs: bool = False,
         persistent: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
         self.spec = spec
-        self.requested_jobs = jobs
-        if clamp_jobs:
-            jobs = max(1, min(jobs, os.cpu_count() or 1))
         self.jobs = jobs
         self.ctx = multiprocessing.get_context(mp_context or default_start_method())
         self.max_respawns = max_respawns
@@ -501,14 +488,10 @@ class ProcessPool:
         self._slots = [  # owned-by: dispatcher
             _WorkerSlot(slot=i, respawns_left=max_respawns) for i in range(jobs)
         ]
-        #: chunk id -> set of task indices still outstanding from it.
-        self._chunk_members: dict[int, set[int]] = {}  # owned-by: dispatcher
-        #: task index -> chunk id (to release the chunk as tasks finish).
-        self._chunk_of: dict[int, int] = {}  # owned-by: dispatcher
-        #: task index -> original item, kept while in flight so a task
-        #: queued behind a crashed worker can be requeued on a sibling.
+        #: task index -> original item for every dispatched, unanswered
+        #: task: its size is the in-flight bound, and a task queued behind
+        #: a crashed worker is requeued on a sibling from here.
         self._items: dict[int, Any] = {}  # owned-by: dispatcher
-        self._next_chunk_id = 0  # owned-by: dispatcher
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -571,24 +554,9 @@ class ProcessPool:
                 self._items.pop(index, None)
             else:
                 requeue.append((index, self._items[index]))
-            self._release(index)
         slot.pending.clear()
         slot.started.clear()
-        slot.chunks.clear()
         return requeue
-
-    def _release(self, index: int) -> None:
-        """Drop a finished/failed task from its chunk's outstanding set."""
-        chunk_id = self._chunk_of.pop(index, None)
-        if chunk_id is None:
-            return
-        members = self._chunk_members.get(chunk_id)
-        if members is not None:
-            members.discard(index)
-            if not members:
-                del self._chunk_members[chunk_id]
-                for slot in self._slots:
-                    slot.chunks.discard(chunk_id)
 
     def _reap_dead(self, buffered: dict) -> None:
         for slot in self._slots:
@@ -606,18 +574,12 @@ class ProcessPool:
     def _alive_slots(self) -> list[_WorkerSlot]:
         return [s for s in self._slots if not s.dead]
 
-    def _dispatch_chunk(self, slot: _WorkerSlot, chunk: list[tuple[int, Any]]) -> None:
-        chunk_id = self._next_chunk_id
-        self._next_chunk_id += 1
-        members = set()
-        for index, item in chunk:
-            slot.pending[index] = True
-            members.add(index)
-            self._chunk_of[index] = chunk_id
-            self._items[index] = item
-        self._chunk_members[chunk_id] = members
-        slot.chunks.add(chunk_id)
-        slot.task_queue.put(chunk)
+    def _dispatch(self, live: list[_WorkerSlot], index: int, item: Any) -> None:
+        """Send one task to the least-loaded live worker."""
+        slot = min(live, key=lambda s: len(s.pending))
+        slot.pending[index] = True
+        self._items[index] = item
+        slot.task_queue.put((index, item))
 
     def _redispatch(
         self, requeue: list[tuple[int, Any]], buffered: dict
@@ -637,43 +599,22 @@ class ProcessPool:
                 )
                 self._items.pop(index, None)
             return
-        slot = min(live, key=lambda s: (len(s.chunks), len(s.pending)))
-        self._dispatch_chunk(slot, requeue)
+        for index, item in requeue:
+            self._dispatch(live, index, item)
 
     # -- scheduling --------------------------------------------------------
 
-    @staticmethod
-    def _chunked(tasks: Iterable[Any], chunk_size: int, start: int = 0) -> Iterator[list]:
-        chunk: list = []
-        for indexed in enumerate(tasks, start=start):
-            chunk.append(indexed)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
     def run(  # runs-on: dispatcher
-        self,
-        tasks: Iterable[Any],
-        *,
-        chunk_size: int = 1,
-        max_in_flight_chunks: int | None = None,
+        self, tasks: Iterable[Any]
     ) -> Iterator[tuple[int, Any, Exception | None]]:
         """Yield ``(index, payload, error)`` per task, in input order.
 
-        Tasks are consumed lazily, grouped into chunks of ``chunk_size``,
-        and dispatched to the least-loaded live worker; at most
-        ``max_in_flight_chunks`` (default ``2 * jobs``) chunks are
-        outstanding, so an unbounded task stream gets backpressure.
-        Indexes yielded are relative to this call's task stream (0-based)
-        even on a persistent pool, whose internal indexes are global.
+        Tasks are consumed lazily and dispatched one per message to the
+        least-loaded live worker; at most ``2 * jobs`` are outstanding,
+        so an unbounded task stream gets backpressure. Indexes yielded
+        are relative to this call's task stream (0-based) even on a
+        persistent pool, whose internal indexes are global.
         """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        cap = max_in_flight_chunks if max_in_flight_chunks is not None else 2 * self.jobs
-        if cap < self.jobs:
-            raise ValueError("max_in_flight_chunks must be >= jobs")
         self.ensure_started()
         if self.persistent:
             # A previous stream abandoned mid-flight (consumer stopped
@@ -684,45 +625,40 @@ class ProcessPool:
             for slot in self._slots:
                 slot.pending.clear()
                 slot.started.clear()
-                slot.chunks.clear()
-            self._chunk_members.clear()
-            self._chunk_of.clear()
             self._items.clear()
         base = self._task_base
-        chunk_iter = self._chunked(tasks, chunk_size, start=base)
+        task_iter = enumerate(tasks, start=base)
         dispatched_all = False
         dispatched = 0
         buffered: dict[int, tuple[Any, Exception | None]] = {}
         emit = base
         try:
             while True:
-                # Top up: assign chunks while under the in-flight bound.
+                # Top up: assign tasks while under the in-flight bound.
                 while not dispatched_all:
                     live = self._alive_slots()
                     if not live:
                         # Every slot exhausted its respawn budget: fail
                         # the rest of the stream instead of hanging.
-                        for chunk in chunk_iter:
-                            for index, _ in chunk:
-                                buffered[index] = (
-                                    None,
-                                    WorkerCrashError(
-                                        "no live workers left for query "
-                                        f"#{index - base} (respawn budget spent)"
-                                    ),
-                                )
-                                dispatched += 1
+                        for index, _ in task_iter:
+                            buffered[index] = (
+                                None,
+                                WorkerCrashError(
+                                    "no live workers left for query "
+                                    f"#{index - base} (respawn budget spent)"
+                                ),
+                            )
+                            dispatched += 1
                         dispatched_all = True
                         break
-                    if len(self._chunk_members) >= cap:
+                    if len(self._items) >= 2 * self.jobs:
                         break
-                    chunk = next(chunk_iter, None)
-                    if chunk is None:
+                    task = next(task_iter, None)
+                    if task is None:
                         dispatched_all = True
                         break
-                    slot = min(live, key=lambda s: (len(s.chunks), len(s.pending)))
-                    self._dispatch_chunk(slot, chunk)
-                    dispatched += len(chunk)
+                    self._dispatch(live, *task)
+                    dispatched += 1
                 while emit in buffered:
                     payload, error = buffered.pop(emit)
                     yield emit - base, payload, error
@@ -767,7 +703,6 @@ class ProcessPool:
                 slot.pending.pop(index, None)
                 slot.started.discard(index)
                 self._items.pop(index, None)
-                self._release(index)
         finally:
             self._task_base = base + dispatched
             if not self.persistent:

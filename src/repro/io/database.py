@@ -16,8 +16,7 @@ length sorting) materialise a copy through one vectorised gather; the
 explicit.
 
 Persistence goes through :mod:`repro.io.storage` — a versioned binary
-format that reloads via ``mmap`` without any pickling (legacy ``.npz``
-archives are still readable behind a :class:`DeprecationWarning`).
+format that reloads via ``mmap`` without any pickling.
 """
 
 from __future__ import annotations
@@ -312,8 +311,6 @@ class SequenceDatabase:
 
         The current binary format maps the ``codes``/``offsets`` sections
         directly from disk (read-only, no copy) when ``mmap`` is true.
-        Legacy ``.npz`` archives are still read, behind a
-        :class:`DeprecationWarning`.
         """
         from repro.io import storage
 

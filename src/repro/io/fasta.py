@@ -84,8 +84,15 @@ def read_fasta(lines: Iterable[str], validate: bool = True) -> Iterator[FastaRec
 
 def read_fasta_file(path: str | Path, validate: bool = True) -> list[FastaRecord]:
     """Read every record from a FASTA file into a list."""
-    with open(path, encoding="ascii") as fh:
-        return list(read_fasta(fh, validate=validate))
+    try:
+        with open(path, encoding="ascii") as fh:
+            return list(read_fasta(fh, validate=validate))
+    except UnicodeDecodeError:
+        # The decoder's own offset is relative to its read buffer, not the file.
+        offset = next(i for i, byte in enumerate(Path(path).read_bytes()) if byte >= 0x80)
+        raise FastaFormatError(
+            f"{path}: not a FASTA file (undecodable byte at offset {offset})"
+        ) from None
 
 
 def write_fasta(records: Iterable[FastaRecord], path: str | Path, width: int = 60) -> None:

@@ -12,8 +12,7 @@ The header records every section size, so readers never scan. ``codes``
 and ``offsets`` are raw array dumps: :func:`load_database` maps them
 straight from the file (``np.memmap``, mode ``"r"``) — a reload touches
 no residue bytes until a kernel actually scans them, and the arrays come
-back read-only. Nothing in the format is pickled, unlike the legacy
-``.npz`` archives (still readable, behind a :class:`DeprecationWarning`).
+back read-only. Nothing in the format is pickled.
 
 Versioning: :data:`FORMAT_VERSION` is bumped on any layout change; a
 reader refuses files from the future rather than misparsing them.
@@ -32,7 +31,6 @@ read back as stamp 0.
 from __future__ import annotations
 
 import struct
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -47,8 +45,6 @@ if TYPE_CHECKING:
 MAGIC = b"RPDB"
 #: Current format version (bumped on any layout change).
 FORMAT_VERSION = 1
-#: Zip local-file magic — how legacy ``.npz`` archives are recognised.
-_ZIP_MAGIC = b"PK\x03\x04"
 
 #: magic, version, flags, num_sequences, codes_len, ident_blob_len,
 #: db_version (the content stamp; 0 on files written before it existed).
@@ -159,37 +155,26 @@ def stamp_db_version(path, db_version: int | None = None) -> int:
 
 
 def sniff_format(path) -> str:
-    """Classify ``path``: ``"binary"``, ``"npz"`` (legacy) or ``"unknown"``."""
+    """Classify ``path``: ``"binary"`` or ``"unknown"``."""
     try:
         with open(path, "rb") as f:
             head = f.read(4)
     except OSError:
         return "unknown"
-    if head == MAGIC:
-        return "binary"
-    if head == _ZIP_MAGIC:
-        return "npz"
-    return "unknown"
+    return "binary" if head == MAGIC else "unknown"
 
 
 def load_database(path, *, mmap: bool = True) -> "SequenceDatabase":
-    """Load a database, dispatching on the file's magic.
+    """Load a binary-format database.
 
-    Binary files map their ``codes``/``offsets`` sections from disk when
-    ``mmap`` is true (read-only, zero-copy); legacy ``.npz`` archives go
-    through the deprecated pickle-enabled reader.
+    The ``codes``/``offsets`` sections are mapped from disk when ``mmap``
+    is true (read-only, zero-copy). Any other file is a
+    :class:`~repro.errors.SequenceError`.
     """
-    fmt = sniff_format(path)
-    if fmt == "binary":
-        return _load_binary(path, mmap=mmap)
-    if fmt == "npz":
-        return load_legacy_npz(path)
-    raise SequenceError(f"{path}: not a database file (unknown magic)")
-
-
-def _load_binary(path, *, mmap: bool) -> "SequenceDatabase":
     from repro.io.database import SequenceDatabase
 
+    if sniff_format(path) != "binary":
+        raise SequenceError(f"{path}: not a database file (unknown magic)")
     path = Path(path)
     head = read_header(path)
     n = head["num_sequences"]
@@ -226,25 +211,3 @@ def _load_binary(path, *, mmap: bool) -> "SequenceDatabase":
     ]
     return SequenceDatabase(codes, offsets, identifiers)
 
-
-def load_legacy_npz(path) -> "SequenceDatabase":
-    """Read a pre-format-1 ``.npz`` archive (deprecated).
-
-    The archive stores identifiers as a pickled object array, so loading
-    requires ``allow_pickle`` — one of the reasons the binary format
-    replaced it. Re-save with :meth:`SequenceDatabase.save` to migrate.
-    """
-    from repro.io.database import SequenceDatabase
-
-    warnings.warn(
-        "legacy .npz database archives are deprecated; re-save with "
-        "SequenceDatabase.save() to migrate to the mmap-able binary format",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with np.load(path, allow_pickle=True) as data:
-        return SequenceDatabase(
-            data["codes"],
-            data["offsets"],
-            [str(x) for x in data["identifiers"]],
-        )

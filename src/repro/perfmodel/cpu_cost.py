@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.gapped import GappedExtension
-from repro.core.results import ExtensionArray, UngappedExtension
+from repro.core.results import ExtensionArray
 from repro.perfmodel.calibration import CPU_CLOCK_GHZ, CostConstants
 
 
@@ -23,9 +23,7 @@ def _cycles_to_ms(cycles: float, clock_ghz: float = CPU_CLOCK_GHZ) -> float:
     return cycles / (clock_ghz * 1e9) * 1e3
 
 
-def ungapped_cells(
-    extensions: "ExtensionArray | Sequence[UngappedExtension]", x_drop: int
-) -> int:
+def ungapped_cells(extensions: ExtensionArray, x_drop: int) -> int:
     """Residues examined across all ungapped extensions.
 
     Each walk overshoots its best prefix until the x-drop fires, by up to
@@ -33,9 +31,7 @@ def ungapped_cells(
     charges the returned segment length plus that overshoot — the honest
     approximation DESIGN.md documents for cost accounting.
     """
-    if isinstance(extensions, ExtensionArray):
-        return int(np.sum(extensions.lengths)) + 2 * x_drop * len(extensions)
-    return sum(e.length + 2 * x_drop for e in extensions)
+    return int(np.sum(extensions.lengths)) + 2 * x_drop * len(extensions)
 
 
 def critical_phase_ms(

@@ -126,7 +126,7 @@ def alignments_from_payload(payload: list[dict]) -> list:
     ]
 
 
-def extensions_to_payload(extensions) -> list[list[int]]:
+def extensions_to_payload(extensions: "ExtensionArray") -> list[list[int]]:
     """Extension stream as six aligned plain-int columns.
 
     The sweep workers ship phase-2 survivors back to the parent in
@@ -136,9 +136,7 @@ def extensions_to_payload(extensions) -> list[list[int]]:
     inverse (the conformance matrix's batched-process variants prove it
     row for row).
     """
-    from repro.core.results import ExtensionArray
-
-    return ExtensionArray.coerce(extensions).to_columns()
+    return extensions.to_columns()
 
 
 def extensions_from_payload(columns: list[list[int]]) -> "ExtensionArray":

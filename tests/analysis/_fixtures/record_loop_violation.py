@@ -7,8 +7,6 @@ def phase_gapped(extensions, cutoff):
         if e.score >= cutoff:
             out.append(e)
     scores = [e.score for e in sorted(extensions)]  # comprehension too
-    for e in extensions.to_records():  # the shim is also a record loop
-        out.append(e)
     return out, scores
 
 

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.baselines import FsaBlast
-from repro.batch import BatchResult, batch_search
-from repro.engine import BatchExecutor, make_engine
+from repro.engine import BatchExecutor, BatchResult, make_engine
 from repro.errors import SequenceError
 from repro.io import generate_query
 from repro.io.database import SequenceDatabase
@@ -23,20 +21,24 @@ def _witnessed(lock_witness):
     """Executor tests run under the runtime lock witness."""
 
 
+def run_batch(queries, db, params, jobs=1) -> BatchResult:
+    return BatchExecutor(make_engine("cublastp", params), jobs=jobs).run(queries, db)
+
+
 class TestBatchSearch:
     def test_results_in_input_order(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         assert [qid for qid, _ in batch.results] == ["q0", "q1", "q2"]
         assert len(batch) == 3
 
     def test_accumulates_modelled_time(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         assert batch.total_modelled_ms > 0
 
     def test_matches_individual_searches(self, queries, tiny_db, tiny_params):
         from repro.cublastp import CuBlastp
 
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         for qid, seq in queries:
             solo = CuBlastp(seq, tiny_params).search(tiny_db)
             got = batch.result_for(qid)
@@ -44,37 +46,31 @@ class TestBatchSearch:
                 (a.seq_id, a.score) for a in solo.alignments
             ]
 
-    def test_engine_factory_baseline(self, queries, tiny_db, tiny_params):
-        batch = batch_search(
-            queries, tiny_db, tiny_params, engine_factory=FsaBlast
-        )
-        assert len(batch) == 3
-
     def test_result_for_missing(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries[:1], tiny_db, tiny_params)
+        batch = run_batch(queries[:1], tiny_db, tiny_params)
         with pytest.raises(KeyError):
             batch.result_for("nope")
 
     def test_summary_lines(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         text = batch.summary()
         assert len(text.splitlines()) == 4  # header + one per query
         assert "q2" in text
 
     def test_total_reported(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         assert batch.total_reported == sum(
             r.num_reported for _, r in batch.results
         )
 
     def test_empty_batch(self, tiny_db, tiny_params):
-        batch = batch_search([], tiny_db, tiny_params)
+        batch = run_batch([], tiny_db, tiny_params)
         assert len(batch) == 0
         assert isinstance(batch, BatchResult)
 
     def test_jobs_match_serial(self, queries, tiny_db, tiny_params):
-        serial = batch_search(queries, tiny_db, tiny_params)
-        threaded = batch_search(queries, tiny_db, tiny_params, jobs=4)
+        serial = run_batch(queries, tiny_db, tiny_params)
+        threaded = run_batch(queries, tiny_db, tiny_params, jobs=4)
         assert [qid for qid, _ in threaded.results] == [
             qid for qid, _ in serial.results
         ]
@@ -85,52 +81,21 @@ class TestBatchSearch:
         assert threaded.total_modelled_ms == pytest.approx(serial.total_modelled_ms)
 
     def test_reports_are_kept(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         assert [qid for qid, _ in batch.reports] == [qid for qid, _ in queries]
         assert all(r.overall_ms > 0 for _, r in batch.reports)
         assert batch.total_modelled_ms == pytest.approx(
             sum(r.overall_ms for _, r in batch.reports)
         )
 
-    def test_engine_factory_receives_config(self, queries, tiny_db, tiny_params):
-        from repro.cublastp import CuBlastpConfig
-
-        captured = []
-
-        def factory(seq, params, config=None):
-            captured.append(config)
-            from repro.cublastp import CuBlastp
-
-            return CuBlastp(seq, params, config)
-
-        cfg = CuBlastpConfig(cpu_threads=2)
-        batch_search(queries[:1], tiny_db, tiny_params, config=cfg, engine_factory=factory)
-        assert captured == [cfg]
-
-    def test_engine_factory_without_config_param(self, queries, tiny_db, tiny_params):
-        from repro.cublastp import CuBlastpConfig
-
-        # A two-argument factory must still work when a config is supplied
-        # (the old code dropped it; the new one only passes it to
-        # factories that can accept it).
-        batch = batch_search(
-            queries[:1],
-            tiny_db,
-            tiny_params,
-            config=CuBlastpConfig(cpu_threads=2),
-            engine_factory=FsaBlast,
-        )
-        assert len(batch) == 1
-        assert not batch.errors
-
     def test_bad_query_isolated(self, queries, tiny_db, tiny_params):
         bad = [("broken", "MK")] + list(queries)
-        batch = batch_search(bad, tiny_db, tiny_params)
+        batch = run_batch(bad, tiny_db, tiny_params)
         assert [qid for qid, _ in batch.errors] == ["broken"]
         assert [qid for qid, _ in batch.results] == [qid for qid, _ in queries]
 
     def test_result_for_uses_index(self, queries, tiny_db, tiny_params):
-        batch = batch_search(queries, tiny_db, tiny_params)
+        batch = run_batch(queries, tiny_db, tiny_params)
         assert "q1" in batch._by_id
         assert batch.result_for("q1") is batch._by_id["q1"].result
 

@@ -151,7 +151,7 @@ class TestSearch:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         r0 = sorted(l.split("\t", 1)[1] for l in lines if l.startswith("r0"))
         r1 = sorted(l.split("\t", 1)[1] for l in lines if l.startswith("r1"))
-        assert r0 == r1  # identical rows for the identical (cached) query
+        assert r0 == r1  # identical rows for the identical query
 
 
 class TestProfile:
@@ -215,23 +215,18 @@ class TestDbCommands:
         assert rc == 0
         assert "pipelined end-to-end" in capsys.readouterr().out
 
-    def test_build_migrates_legacy_npz(self, workspace, capsys):
+    def test_npz_archive_is_not_a_database(self, workspace):
+        """A pickled-identifier ``.npz`` is neither format: every command
+        names the path and nothing unpickles it."""
         import numpy as np
 
-        from repro.io import SequenceDatabase, storage
+        from repro.errors import FastaFormatError
 
-        db = SequenceDatabase.from_records(read_fasta_file(workspace["db"]))
         legacy = workspace["dir"] / "legacy.npz"
-        np.savez_compressed(
-            legacy,
-            codes=db.codes,
-            offsets=db.offsets,
-            identifiers=np.array(db.identifiers, dtype=object),
-        )
-        migrated = workspace["dir"] / "migrated.rpdb"
-        with pytest.deprecated_call():
-            rc = main(["db", "build", str(legacy), str(migrated)])
-        assert rc == 0
-        assert storage.sniff_format(migrated) == "binary"
-        back = SequenceDatabase.load(migrated)
-        assert back.identifiers == db.identifiers
+        np.savez_compressed(legacy, identifiers=np.array(["a", "b"], dtype=object))
+        with pytest.raises(FastaFormatError, match="legacy.npz: not a FASTA file"):
+            main(["db", "build", str(legacy), str(workspace["dir"] / "out.rpdb")])
+        with pytest.raises(FastaFormatError, match="legacy.npz: not a FASTA file"):
+            main(["search", workspace["query"], str(legacy)])
+        with pytest.raises(SystemExit, match="legacy.npz: not a saved database"):
+            main(["db", "inspect", str(legacy)])

@@ -11,7 +11,6 @@ from repro.engine import (
     CompiledQuery,
     Engine,
     EventLog,
-    QueryCache,
     ReportingEngine,
     compile_query,
     compile_signature,
@@ -82,44 +81,6 @@ class TestCompiledQuery:
         assert compile_signature(changed) != compile_signature(tiny_params)
         rebound = compiled.with_params(changed)
         assert rebound.lookup is not compiled.lookup
-
-
-class TestQueryCache:
-    def test_hit_and_miss_counting(self, tiny_query, tiny_params):
-        cache = QueryCache()
-        a, hit_a = cache.get_or_compile(tiny_query, tiny_params)
-        b, hit_b = cache.get_or_compile(tiny_query, tiny_params)
-        assert (hit_a, hit_b) == (False, True)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert b.lookup is a.lookup
-
-    def test_execution_params_share_entry(self, tiny_query, tiny_params):
-        import dataclasses
-
-        cache = QueryCache()
-        cache.get_or_compile(tiny_query, tiny_params)
-        rebound, hit = cache.get_or_compile(
-            tiny_query, dataclasses.replace(tiny_params, evalue=0.5)
-        )
-        assert hit
-        assert rebound.params.evalue == 0.5  # reprolint: disable=no-float-equality-on-scores
-        assert len(cache) == 1
-
-    def test_lru_eviction(self, tiny_spec, tiny_params):
-        cache = QueryCache(capacity=2)
-        seqs = [generate_query(100, tiny_spec, query_seed=s) for s in range(3)]
-        for s in seqs:
-            cache.get_or_compile(s, tiny_params)
-        assert len(cache) == 2
-        _, hit = cache.get_or_compile(seqs[0], tiny_params)
-        assert not hit  # evicted
-
-    def test_compile_query_uses_cache(self, tiny_query, tiny_params):
-        cache = QueryCache()
-        first = compile_query(tiny_query, tiny_params, cache=cache)
-        second = compile_query(tiny_query, tiny_params, cache=cache)
-        assert second.lookup is first.lookup
-        assert cache.hits == 1
 
 
 ENGINE_SPECS = ["reference", "fsa", "ncbi", "cublastp", "cuda-blastp", "gpu-blastp"]
@@ -195,7 +156,7 @@ class TestBatchExecutor:
 
     def test_streaming_preserves_input_order(self, queries, tiny_db, tiny_params):
         engine = make_engine("fsa", tiny_params)
-        executor = BatchExecutor(engine, jobs=2, max_in_flight=2)
+        executor = BatchExecutor(engine, jobs=2)
         seen = [o.query_id for o in executor.stream(queries, tiny_db)]
         assert seen == [qid for qid, _ in queries]
 
@@ -210,20 +171,6 @@ class TestBatchExecutor:
         with pytest.raises(ValueError):
             batch.result_for("broken")
 
-    def test_query_cache_hits(self, queries, tiny_db, tiny_params):
-        cache = QueryCache()
-        engine = make_engine("cublastp", tiny_params)
-        doubled = list(queries) + [(f"{qid}-again", seq) for qid, seq in queries]
-        batch = BatchExecutor(engine, cache=cache).run(doubled, tiny_db)
-        assert cache.hits == len(queries)
-        hits = [r.cache_hit for r in batch.records]
-        assert hits == [False] * len(queries) + [True] * len(queries)
-        # Cached compilations still produce identical results.
-        for qid, seq in queries:
-            assert alignment_keys(
-                batch.result_for(qid).alignments
-            ) == alignment_keys(batch.result_for(f"{qid}-again").alignments)
-
     def test_reports_collected(self, queries, tiny_db, tiny_params):
         engine = make_engine("cublastp", tiny_params)
         batch = BatchExecutor(engine).run(queries, tiny_db)
@@ -233,8 +180,6 @@ class TestBatchExecutor:
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
             BatchExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            BatchExecutor(jobs=4, max_in_flight=2)
 
 
 class TestEventLog:

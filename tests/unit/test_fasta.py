@@ -83,3 +83,15 @@ class TestRoundtrip:
     def test_invalid_width_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_fasta([], tmp_path / "z.fasta", width=0)
+
+    def test_non_text_file_is_a_format_error(self, tmp_path):
+        """Binary input is a FastaFormatError naming the path and the file
+        offset of the first undecodable byte — not a raw codec error."""
+        path = tmp_path / "junk.bin"
+        # Past the text reader's first buffer, so a buffer-relative
+        # offset would be wrong.
+        path.write_bytes(b">a\n" + b"MKTAY\n" * 3000 + b"\xbd\x00\xff")
+        with pytest.raises(
+            FastaFormatError, match=r"junk\.bin: not a FASTA file \(undecodable byte at offset 18003\)"
+        ):
+            read_fasta_file(path)

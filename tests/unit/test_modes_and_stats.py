@@ -114,7 +114,7 @@ class TestLengthAdjustment:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tiny_db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.rpdb"
         tiny_db.save(path)
         back = SequenceDatabase.load(path)
         assert np.array_equal(back.codes, tiny_db.codes)
@@ -122,7 +122,7 @@ class TestPersistence:
         assert back.identifiers == tiny_db.identifiers
 
     def test_loaded_db_searchable(self, tiny_db, tiny_query, tiny_params, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.rpdb"
         tiny_db.save(path)
         back = SequenceDatabase.load(path)
         a = BlastpPipeline(tiny_query, tiny_params).search(tiny_db)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gapped import GappedExtension
-from repro.core.results import UngappedExtension
+from repro.core.results import ExtensionArray, UngappedExtension
 from repro.perfmodel import (
     DEFAULT_COSTS,
     NCBI_COSTS,
@@ -41,10 +41,10 @@ class TestCriticalPhase:
         assert 1.1 < ncbi / fsa < 1.5
 
     def test_ungapped_cells_counts_overshoot(self):
-        exts = [
+        exts = ExtensionArray.from_records([
             UngappedExtension(0, 0, 9, 0, 9, 30),
             UngappedExtension(0, 0, 4, 5, 9, 20),
-        ]
+        ])
         assert ungapped_cells(exts, x_drop=15) == (10 + 30) + (5 + 30)
 
 

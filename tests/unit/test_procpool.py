@@ -54,7 +54,26 @@ class BadSetupSpec:
         return item
 
 
+class DelaySpec:
+    """``(seconds, dies)`` tasks: sleep, then answer ``(seconds, pid)`` —
+    or hard-kill the worker instead."""
+
+    def setup(self):
+        return {}
+
+    def run(self, state, item):
+        seconds, dies = item
+        time.sleep(seconds)
+        if dies:
+            os._exit(37)
+        return seconds, os.getpid()
+
+
 class TestProcessPool:
+    @pytest.fixture(autouse=True)
+    def _witnessed(self, lock_witness):
+        """Pool tests run under the runtime lock witness."""
+
     def test_results_in_input_order(self):
         pool = ProcessPool(EchoSpec(), jobs=2)
         out = list(pool.run(iter(["a", "b", "c", "d", "e"])))
@@ -108,10 +127,68 @@ class TestProcessPool:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ProcessPool(EchoSpec(), jobs=0)
-        pool = ProcessPool(EchoSpec(), jobs=1)
-        with pytest.raises(ValueError):
-            list(pool.run(iter([]), chunk_size=0))
-        pool.shutdown()
+
+    def test_backpressure_bounds_tasks_in_flight(self):
+        """Never more than ``2 * jobs`` tasks are dispatched-unanswered,
+        and a stalled consumer pulls nothing further from the stream."""
+        jobs = 2
+        pool = ProcessPool(DelaySpec(), jobs=jobs)
+        in_flight_at_pull = []
+
+        def tasks():
+            for _ in range(12):
+                in_flight_at_pull.append(len(pool._items))
+                yield (0.02, False)
+
+        stream = pool.run(tasks())
+        assert next(stream)[0] == 0
+        pulled = len(in_flight_at_pull)
+        time.sleep(0.3)  # the consumer stalls; workers drain what they hold
+        assert len(in_flight_at_pull) == pulled < 12
+        assert len(pool._items) <= 2 * jobs
+        assert [i for i, _, _ in stream] == list(range(1, 12))
+        # One more is pulled only while under the cap, and the cap is reached.
+        assert max(in_flight_at_pull) == 2 * jobs - 1
+
+    def test_crash_fails_the_started_task_and_requeues_each_queued_one(self):
+        """A worker killed with one task started and two queued behind it
+        fails exactly the started one; each queued task is re-sent on its
+        own to the surviving sibling, and emission stays in input order."""
+        tasks = [
+            (0.8, True),   # 0 -> slot 0: started, dies late
+            (1.2, False),  # 1 -> slot 1: keeps the sibling loaded
+            (0.1, True),   # 2 -> slot 2: dies first ...
+            (0.0, False),  # 3 -> slot 0, queued
+            (0.0, False),  # 4 -> slot 1, queued
+            (0.0, False),  # 5 -> slot 2: ... so this requeues onto slot 0
+        ]
+        pool = ProcessPool(DelaySpec(), jobs=3, max_respawns=0)
+        out = list(pool.run(iter(tasks)))
+        assert [i for i, _, _ in out] == list(range(6))
+        for index in (0, 2):
+            assert isinstance(out[index][2], WorkerCrashError)
+            assert f"query #{index} in flight" in str(out[index][2])
+        survivors = [out[i] for i in (1, 3, 4, 5)]
+        assert all(error is None for _, _, error in survivors)
+        assert {pid for _, (_, pid), _ in survivors} == {out[1][1][1]}
+        assert pool.alive_workers == 1
+
+    def test_abandoned_stream_leaves_nothing_for_the_next_run(self):
+        """A persistent pool's stream dropped mid-flight: the next run
+        discards the stragglers' answers and starts from clean state."""
+        pool = ProcessPool(DelaySpec(), jobs=2, persistent=True)
+        try:
+            stream = pool.run(iter([(0.2, False)] * 4))
+            assert next(stream)[0] == 0
+            stream.close()  # three tasks still dispatched-unanswered
+            assert pool._items
+            out = list(pool.run(iter([(0.0, False)] * 3)))
+            assert [i for i, _, _ in out] == [0, 1, 2]
+            assert [payload[0] for _, payload, _ in out] == [0.0, 0.0, 0.0]
+            assert not pool._items
+            assert not any(slot.pending or slot.started for slot in pool._slots)
+        finally:
+            pool.shutdown()
 
 
 @pytest.fixture(scope="module")

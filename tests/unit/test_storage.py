@@ -150,27 +150,41 @@ class TestDbVersionStamp:
 
 
 class TestLegacyNpz:
-    def _write_legacy(self, db, path):
-        np.savez_compressed(
-            path,
-            codes=db.codes,
-            offsets=db.offsets,
-            identifiers=np.array(db.identifiers, dtype=object),
-        )
+    @pytest.mark.parametrize("kind", ["npz", "random"])
+    def test_non_database_rejected_without_unpickling(self, db, tmp_path, monkeypatch, kind):
+        import pickle
 
-    def test_legacy_reader_behind_deprecation(self, db, tmp_path):
-        path = tmp_path / "db.npz"
-        self._write_legacy(db, path)
-        with pytest.deprecated_call():
-            back = SequenceDatabase.load(path)
-        assert back.identifiers == db.identifiers
-        assert np.array_equal(back.codes, db.codes)
+        from repro.errors import FastaFormatError
+        from repro.io import read_fasta_file
+
+        path = tmp_path / f"db.{kind}"
+        if kind == "npz":
+            np.savez(
+                path,
+                codes=db.codes,
+                offsets=db.offsets,
+                identifiers=np.array(db.identifiers, dtype=object),
+            )
+        else:
+            path.write_bytes(np.random.default_rng(7).bytes(4096))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a non-database file must never be unpickled")
+
+        monkeypatch.setattr(np, "load", forbidden)
+        monkeypatch.setattr(pickle, "load", forbidden)
+        monkeypatch.setattr(pickle, "loads", forbidden)
+        assert storage.sniff_format(path) == "unknown"
+        with pytest.raises(SequenceError, match=f"db.{kind}: not a database file"):
+            SequenceDatabase.load(path)
+        with pytest.raises(FastaFormatError, match=f"db.{kind}: not a FASTA file"):
+            read_fasta_file(path)
 
     def test_save_no_longer_writes_npz(self, db, tmp_path):
         path = tmp_path / "db.npz"  # suffix is irrelevant to the writer
         db.save(path)
         assert storage.sniff_format(path) == "binary"
-        back = SequenceDatabase.load(path)  # no deprecation path taken
+        back = SequenceDatabase.load(path)
         assert np.array_equal(back.codes, db.codes)
 
 

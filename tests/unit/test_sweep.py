@@ -152,13 +152,35 @@ class TestExecutorSweepMode:
         assert ex.requested_jobs == 8
         assert ex.jobs_clamped
 
-    def test_clamp_opt_out_and_thread_backend_unclamped(self, monkeypatch):
+    def test_thread_backend_unclamped(self, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert BatchExecutor(backend="process", jobs=8, clamp_jobs=False).jobs == 8
         ex = BatchExecutor(backend="thread", jobs=8)
         assert ex.jobs == 8 and not ex.jobs_clamped
+
+    def test_process_sweep_hands_its_respawn_budget_to_the_pool(
+        self, batch_queries, tiny_db, tiny_params, monkeypatch
+    ):
+        import repro.engine.procpool as procpool
+
+        budgets = []
+
+        class RecordingPool(procpool.ProcessPool):
+            def __init__(self, spec, jobs, **kwargs):
+                budgets.append(kwargs.get("max_respawns"))
+                super().__init__(spec, jobs, **kwargs)
+
+        monkeypatch.setattr(procpool, "ProcessPool", RecordingPool)
+        ex = BatchExecutor(
+            make_engine("cublastp", tiny_params),
+            mode="db-sweep",
+            backend="process",
+            block_residues=400,
+            max_respawns=0,
+        )
+        assert all(r.ok for r in ex.run(batch_queries[:1], tiny_db).records)
+        assert budgets == [0]
 
 
 class TestStoreBlocks:
