@@ -1,12 +1,15 @@
 """Static analysis for the repro tree: the ``reprolint`` framework.
 
 The type system cannot see the invariants this package enforces —
-seed-pinned randomness, deterministic kernels, picklable worker specs,
-phase-event pairing. Each is written as an AST :class:`Rule` over the
-source tree, run continuously by ``repro lint`` (and the test suite), so
-the properties hold by construction instead of by review.
+seed-pinned randomness, kernel time from counted cycles, picklable
+worker specs, the columnar phase dataflow, locked writes to shared
+serving state. Each is written as an AST :class:`Rule` over the source
+tree, run continuously by ``repro lint`` (and the test suite), so the
+properties hold by construction instead of by review. Generic hygiene
+(bare ``except:``, ``__all__`` names) is ruff's job, not a rule here.
 
-See docs/ANALYSIS.md for the rule catalogue and how to add a rule.
+See docs/ANALYSIS.md for the rule catalogue, why each rule is kept, and
+how to add one.
 """
 
 from repro.analysis.base import (

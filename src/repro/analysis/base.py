@@ -58,15 +58,6 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def __str__(self) -> str:
         return f"{self.location}: {self.rule}: {self.message}"
 

@@ -12,7 +12,6 @@ Exit protocol (mirrors ``repro verify``):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -43,29 +42,16 @@ def add_lint_parser(sub: "argparse._SubParsersAction[argparse.ArgumentParser]") 
         help="run only this rule (repeatable); default: all rules",
     )
     p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as a JSON report on stdout",
-    )
-    p.add_argument(
         "--list",
         action="store_true",
         help="list the available rules and exit",
     )
     p.add_argument(
-        "--concurrency",
-        action="store_true",
-        help=(
-            "run the concurrency contract checkers only "
-            "(thread-ownership + whole-corpus lock-order)"
-        ),
-    )
-    p.add_argument(
         "--selftest",
         action="store_true",
         help=(
-            "inject a lock-order inversion and an unguarded write and "
-            "require the concurrency checkers to catch both"
+            "inject unguarded writes, a lock inversion and a wait under a "
+            "foreign lock, and require the concurrency checkers to catch all"
         ),
     )
     p.set_defaults(func=cmd_lint)
@@ -83,9 +69,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
         return run_selftest()
 
-    if args.concurrency:
-        rules = [rule_by_name("thread-ownership")]
-    elif args.rules:
+    if args.rules:
         try:
             rules = [rule_by_name(name) for name in args.rules]
         except KeyError as exc:
@@ -101,35 +85,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
 
     findings, errors = run_lint(paths, rules)
-    rule_names = [r.name for r in rules]
-    lock_graph: "list[dict[str, object]] | None" = None
-    if args.concurrency:
-        from repro.analysis.concurrency import run_lock_order
-
-        order_findings, lock_graph, order_errors = run_lock_order(paths)
-        findings = sorted(
-            findings + order_findings,
-            key=lambda f: (f.path, f.line, f.col, f.rule),
-        )
-        errors.extend(order_errors)
-        rule_names.append("lock-order")
-
-    if args.json:
-        report: dict[str, object] = {
-            "rules": rule_names,
-            "paths": [str(p) for p in paths],
-            "findings": [f.to_dict() for f in findings],
-            "errors": errors,
-        }
-        if lock_graph is not None:
-            report["lock_graph"] = lock_graph
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    else:
-        for finding in findings:
-            print(str(finding))
-        if findings:
-            print(f"\n{len(findings)} finding(s)", file=sys.stderr)
+    for finding in findings:
+        print(str(finding))
+    if findings:
+        print(f"\n{len(findings)} finding(s)", file=sys.stderr)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
 

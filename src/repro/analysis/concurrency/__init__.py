@@ -1,19 +1,16 @@
-"""Concurrency contract checkers (static half of the lock witness).
+"""Concurrency contract checker (static half of the lock witness).
 
-Two analyzers built on the reprolint ModuleSource framework:
+:class:`~repro.analysis.concurrency.ownership.ThreadOwnershipRule` is a
+per-module, annotation-driven reprolint rule: writes to ``# guarded-by:``
+attributes must happen under the named lock (interprocedurally within
+the class), and ``# owned-by:`` state must never be touched off its
+owner role. Plain ``repro lint`` runs it with the other rules.
 
-* :class:`~repro.analysis.concurrency.ownership.ThreadOwnershipRule` —
-  per-module, annotation-driven: writes to ``# guarded-by:`` attributes
-  must happen under the named lock (interprocedurally within the class),
-  and ``# owned-by:`` state must never be touched off its owner role.
-* :class:`~repro.analysis.concurrency.lockorder.LockOrderAnalyzer` —
-  whole-corpus: builds the static lock-acquisition graph (nested
-  ``with``-lock scopes plus calls into acquiring methods) and fails on
-  cycles, printing the witness path.
-
-``repro lint --concurrency`` runs both; ``--selftest`` injects a real
-lock inversion and an unguarded write and requires both caught. The
-runtime counterpart lives in :mod:`repro.analysis.witness`.
+Lock *order* is checked where it actually happens: the runtime witness
+in :mod:`repro.analysis.witness` records the acquisition graph of every
+test run under it. ``repro lint --selftest`` injects an unguarded write,
+a lock inversion and a wait under a foreign lock, and requires the rule
+and the witness to catch all of them.
 """
 
 from __future__ import annotations
@@ -23,16 +20,13 @@ from repro.analysis.concurrency.contracts import (
     LockInfo,
     collect_contracts,
 )
-from repro.analysis.concurrency.lockorder import LockOrderAnalyzer, run_lock_order
 from repro.analysis.concurrency.ownership import ThreadOwnershipRule
 from repro.analysis.concurrency.selftest import run_selftest
 
 __all__ = [
     "ClassContracts",
     "LockInfo",
-    "LockOrderAnalyzer",
     "ThreadOwnershipRule",
     "collect_contracts",
-    "run_lock_order",
     "run_selftest",
 ]

@@ -23,8 +23,7 @@ docs/ANALYSIS.md "Concurrency contracts"):
     a class opts into checking when it carries no other annotations yet.
 
 Everything here is syntactic — contracts are read off source lines, not
-evaluated — so the parser is shared verbatim by the ownership rule (per
-module) and the lock-order analyzer (whole corpus).
+evaluated.
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ _LOCK_CTORS = frozenset(
     {"Lock", "RLock", "Condition", "new_lock", "new_condition",
      "WitnessLock", "WitnessCondition"}
 )
-#: Lock constructors that produce re-entrant primitives; a static
-#: self-edge through one of these is legal, through a plain Lock it is
-#: a guaranteed self-deadlock.
-_REENTRANT_CTORS = frozenset(
-    {"RLock", "Condition", "new_condition", "WitnessCondition"}
-)
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class LockInfo:
     #: Attribute / global name the lock is stored under.
     attr: str
     lineno: int
-    reentrant: bool
 
 
 @dataclass
@@ -89,8 +81,6 @@ class ClassContracts:
     runs_on: dict[str, str] = field(default_factory=dict)
     #: lock attr -> LockInfo for locks constructed on ``self``.
     locks: dict[str, LockInfo] = field(default_factory=dict)
-    #: attr -> class name, from ``self.x = SomeClass(...)`` in __init__.
-    attr_types: dict[str, str] = field(default_factory=dict)
     #: method name -> its def node (functions directly in the class body).
     methods: dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"] = field(
         default_factory=dict
@@ -111,21 +101,14 @@ class ModuleContracts:
     classes: list[ClassContracts] = field(default_factory=list)
     #: module-level locks: global name -> LockInfo.
     module_locks: dict[str, LockInfo] = field(default_factory=dict)
-    #: module-level functions by name.
-    functions: dict[str, "ast.FunctionDef | ast.AsyncFunctionDef"] = field(
-        default_factory=dict
-    )
 
 
-def _lock_ctor(node: ast.AST) -> tuple[bool, bool]:
-    """``(is_lock_ctor, reentrant)`` for the RHS of an assignment."""
+def _is_lock_ctor(node: ast.AST) -> bool:
+    """Whether the RHS of an assignment constructs a lock."""
     if not isinstance(node, ast.Call):
-        return False, False
+        return False
     name = dotted_name(node.func)
-    if name is None:
-        return False, False
-    last = name.rsplit(".", 1)[-1]
-    return last in _LOCK_CTORS, last in _REENTRANT_CTORS
+    return name is not None and name.rsplit(".", 1)[-1] in _LOCK_CTORS
 
 
 def _self_attr_target(node: ast.AST) -> str | None:
@@ -180,22 +163,12 @@ def _scan_method_decls(
                 if m:
                     cls.owned[attr] = m.group(1)
                     cls.contract_lines[attr] = node.lineno
-                is_lock, reentrant = _lock_ctor(value)
-                if is_lock and attr not in cls.locks:
+                if _is_lock_ctor(value) and attr not in cls.locks:
                     cls.locks[attr] = LockInfo(
                         qualname=f"{class_name}.{attr}",
                         attr=attr,
                         lineno=node.lineno,
-                        reentrant=reentrant,
                     )
-                if (
-                    meth.name in ("__init__", "__post_init__")
-                    and isinstance(value, ast.Call)
-                    and attr not in cls.attr_types
-                ):
-                    ctor = dotted_name(value.func)
-                    if ctor is not None:
-                        cls.attr_types[attr] = ctor.rsplit(".", 1)[-1]
 
 
 def _collect_class(node: ast.ClassDef, module: ModuleSource) -> ClassContracts:
@@ -229,24 +202,18 @@ def _collect_class(node: ast.ClassDef, module: ModuleSource) -> ClassContracts:
 
 
 def collect_contracts(module: ModuleSource) -> ModuleContracts:
-    """Parse every class's contracts plus module-level locks/functions."""
+    """Parse every class's contracts plus module-level locks."""
     out = ModuleContracts(module=module)
     stem = module.path.stem
     for node in module.tree.body:
         if isinstance(node, ast.ClassDef):
             out.classes.append(_collect_class(node, module))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            is_lock, reentrant = _lock_ctor(node.value)
-            if not is_lock:
-                continue
+        elif isinstance(node, ast.Assign) and _is_lock_ctor(node.value):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
                     out.module_locks[tgt.id] = LockInfo(
                         qualname=f"{stem}.{tgt.id}",
                         attr=tgt.id,
                         lineno=node.lineno,
-                        reentrant=reentrant,
                     )
     return out

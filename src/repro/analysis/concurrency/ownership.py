@@ -3,14 +3,14 @@
 Two contract families, both declared next to the state they protect
 (grammar in :mod:`repro.analysis.concurrency.contracts`):
 
-* ``# guarded-by: self._lock`` — every write to the attribute (plain or
-  augmented assignment, ``del``, subscript store, or a mutating method
-  call such as ``.append``) must execute inside a ``with self._lock:``
-  scope. The check is interprocedural within the class: a private
-  helper may write nakedly when every intra-class call site holds the
-  lock — the requirement floats up the call graph and only becomes a
-  finding when it escapes through a public entry point or a helper no
-  one provably locks for.
+* ``# guarded-by: self._lock`` — every write to the attribute (plain,
+  unpacking or augmented assignment, ``del``, subscript store, or a
+  mutating method call such as ``.append``) must execute inside a
+  ``with self._lock:`` scope. The check is interprocedural within the
+  class: a private helper may write nakedly when every intra-class call
+  site holds the lock — the requirement floats up the call graph and
+  only becomes a finding when it escapes through a public entry point
+  or a helper no one provably locks for.
 * ``# owned-by: dispatcher`` — the attribute belongs to one logical
   thread. Any access from a method not declared (or inferred, for
   private helpers whose callers agree) to run on that role is a
@@ -163,6 +163,14 @@ class _MethodScanner:
     def _record_write(
         self, target: ast.AST, node: ast.AST, held: frozenset[str]
     ) -> None:
+        # ``a, self.x = ...`` / ``[*self.x] = ...``: every element is a write.
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self._record_write(elt, node, held)
+            return
+        if isinstance(target, ast.Starred):
+            self._record_write(target.value, node, held)
+            return
         attr = _root_self_attr(target)
         if attr is None:
             return

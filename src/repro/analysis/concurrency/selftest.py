@@ -2,18 +2,19 @@
 
 Mirrors ``repro verify --selftest`` (engine bug injection) and the
 gpusim hazard-injection tests: a checker that has never been seen to
-fail is not evidence of anything. Three injections:
+fail is not evidence of anything. Two families of injection:
 
-1. a **lock-order inversion** (A→B in one method, B→A in another) that
-   the static :class:`LockOrderAnalyzer` must report as a cycle;
-2. an **unguarded write** to a ``# guarded-by:`` attribute that the
+1. an **unguarded write** to a ``# guarded-by:`` attribute that the
    static :class:`ThreadOwnershipRule` must flag — including the
    interprocedural variant where the naked write hides in a private
    helper reached from an unlocked public entry;
-3. the same inversion executed for real on instrumented locks, which
-   the runtime :class:`~repro.analysis.witness.LockWitnessRegistry`
-   must record as an observed cycle, plus a blocking call made under a
-   held witness lock.
+2. bugs executed for real on instrumented locks, through the same
+   :class:`~repro.analysis.witness.WitnessLock` /
+   :class:`~repro.analysis.witness.WitnessCondition` code the serving
+   stack runs under ``REPRO_LOCK_WITNESS=1``: an A→B / B→A inversion
+   the :class:`~repro.analysis.witness.LockWitnessRegistry` must record
+   as an observed cycle, and a ``Condition.wait`` entered while another
+   witnessed lock is held.
 
 Exit 0 only when every injection is caught.
 """
@@ -24,33 +25,14 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis.base import ModuleSource
-from repro.analysis.concurrency.lockorder import LockOrderAnalyzer
 from repro.analysis.concurrency.ownership import ThreadOwnershipRule
-from repro.analysis.witness import LockWitnessRegistry, WitnessLock
+from repro.analysis.witness import (
+    LockWitnessRegistry,
+    WitnessCondition,
+    WitnessLock,
+)
 
 __all__ = ["run_selftest"]
-
-_INVERSION_SRC = '''\
-import threading
-
-
-class Inverted:
-    """Acquires a->b on the forward path and b->a on the backward one."""
-
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def forward(self):
-        with self._a:
-            with self._b:
-                return 1
-
-    def backward(self):
-        with self._b:
-            with self._a:
-                return 2
-'''
 
 _UNGUARDED_SRC = '''\
 import threading
@@ -78,24 +60,15 @@ def _check(label: str, ok: bool, detail: str, emit: Callable[[str], None]) -> bo
     return ok
 
 
+def _violations(registry: LockWitnessRegistry, kind: str) -> list[str]:
+    return [v.detail for v in registry.violations if v.kind == kind]
+
+
 def run_selftest(emit: Callable[[str], None] = print) -> int:
     """Run every injection; return 0 iff all were caught."""
     ok = True
 
-    # 1. static lock-order inversion -----------------------------------
-    inv = ModuleSource.parse(
-        Path("selftest_inversion.py"), text=_INVERSION_SRC
-    )
-    findings, _edges = LockOrderAnalyzer().analyze([inv])
-    cycles = [f for f in findings if "cycle" in f.message]
-    ok &= _check(
-        "lock-order inversion",
-        bool(cycles),
-        cycles[0].message if cycles else "injected A->B/B->A cycle missed",
-        emit,
-    )
-
-    # 2. static unguarded writes ----------------------------------------
+    # 1. static unguarded writes ----------------------------------------
     ung = ModuleSource.parse(
         Path("selftest_unguarded.py"), text=_UNGUARDED_SRC
     )
@@ -117,7 +90,7 @@ def run_selftest(emit: Callable[[str], None] = print) -> int:
         emit,
     )
 
-    # 3. runtime witness ------------------------------------------------
+    # 2. runtime witness ------------------------------------------------
     registry = LockWitnessRegistry(enabled=True)
     lock_a = WitnessLock("selftest.a", registry)
     lock_b = WitnessLock("selftest.b", registry)
@@ -127,32 +100,24 @@ def run_selftest(emit: Callable[[str], None] = print) -> int:
     with lock_b:
         with lock_a:
             pass
-    runtime_cycles = [
-        v for v in registry.violations if v.kind == "lock-order-cycle"
-    ]
+    cycles = _violations(registry, "lock-order-cycle")
     ok &= _check(
         "runtime witness inversion",
-        bool(runtime_cycles),
-        runtime_cycles[0].detail
-        if runtime_cycles
-        else "executed inversion not recorded",
+        bool(cycles),
+        cycles[0] if cycles else "executed inversion not recorded",
         emit,
     )
 
     registry.reset()
+    cond = WitnessCondition("selftest.cond", registry)
     with lock_a:
-        registry.note_blocking("selftest.Future.result()")
-    blocking = [
-        v
-        for v in registry.violations
-        if v.kind == "blocking-call-under-lock"
-    ]
+        with cond:
+            cond.wait(timeout=0)
+    blocking = _violations(registry, "blocking-call-under-lock")
     ok &= _check(
-        "blocking call under lock",
+        "wait holding another lock",
         bool(blocking),
-        blocking[0].detail
-        if blocking
-        else "blocking call under a held lock not recorded",
+        blocking[0] if blocking else "Condition.wait under a held lock not recorded",
         emit,
     )
 

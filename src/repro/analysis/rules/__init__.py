@@ -4,26 +4,16 @@ from __future__ import annotations
 
 from repro.analysis.base import Rule
 from repro.analysis.concurrency.ownership import ThreadOwnershipRule
-from repro.analysis.rules.api import PublicApiAllRule
-from repro.analysis.rules.events import EventPairingRule
-from repro.analysis.rules.excepts import BareExceptRule
-from repro.analysis.rules.floats import FloatEqualityRule
 from repro.analysis.rules.picklable import PicklableSpecRule
 from repro.analysis.rules.record_loops import PerRecordLoopRule
 from repro.analysis.rules.rng import UnseededRngRule
-from repro.analysis.rules.shared_alloc import SharedAllocRule
 from repro.analysis.rules.wallclock import WallClockRule
 
 #: Every shipped rule, in catalogue order.
 ALL_RULES: tuple[Rule, ...] = (
     UnseededRngRule(),
-    FloatEqualityRule(),
     WallClockRule(),
     PicklableSpecRule(),
-    SharedAllocRule(),
-    EventPairingRule(),
-    BareExceptRule(),
-    PublicApiAllRule(),
     PerRecordLoopRule(),
     ThreadOwnershipRule(),
 )

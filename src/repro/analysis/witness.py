@@ -1,9 +1,9 @@
 """Runtime lock witness: the dynamic half of the concurrency contracts.
 
-The static analyzers in :mod:`repro.analysis.concurrency` prove properties
-of the *source*: declared guards are held at write sites, the static
-lock-acquisition graph is acyclic. This module validates the same model
-against *executions* — the sanitizer-vs-racecheck pairing the gpusim
+The ``thread-ownership`` rule in :mod:`repro.analysis.concurrency`
+proves a property of the *source*: declared guards are held at write
+sites. Lock *order* is a property of executions, and this module checks
+it where it happens — the sanitizer-vs-racecheck pairing the gpusim
 layer already has, applied to host threading:
 
 * :class:`WitnessLock` / :class:`WitnessCondition` are drop-in
@@ -15,10 +15,10 @@ layer already has, applied to host threading:
   violation the moment an edge closes a cycle — a real interleaving away
   from deadlock, caught even when the test run happened not to deadlock;
 * :meth:`LockWitnessRegistry.note_blocking` records a violation when a
-  thread enters a blocking call (``Future.result()``, a process-pool
-  dispatch) while holding any witnessed lock — the serving layer's
-  latency/deadlock contract is that locks bound *state updates*, never
-  *work*.
+  thread enters a blocking call while holding any witnessed lock —
+  :meth:`WitnessCondition.wait` reports itself this way when other
+  witnessed locks are still held. The serving layer's latency/deadlock
+  contract is that locks bound *state updates*, never *work*.
 
 Instrumentation is off by default and costs one branch per construction:
 :func:`new_lock` / :func:`new_condition` return plain ``threading``
@@ -41,7 +41,7 @@ import os
 import threading
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Callable, Iterator, Protocol, TypeVar
+from typing import Any, Protocol, TypeVar
 
 __all__ = [
     "ENV_FLAG",
@@ -55,8 +55,6 @@ __all__ = [
     "new_lock",
     "thread_shared",
     "witness_env_enabled",
-    "wrap_blocking",
-    "wrap_blocking_iter",
 ]
 
 #: Environment variable that turns the witness on for a whole process.
@@ -436,48 +434,3 @@ def new_condition(name: str) -> threading.Condition:
     if _REGISTRY.enabled:
         return WitnessCondition(name)
     return threading.Condition()
-
-
-def wrap_blocking(
-    func: Callable[..., _T],
-    label: str,
-    registry: LockWitnessRegistry | None = None,
-) -> Callable[..., _T]:
-    """Wrap a blocking callable to report held-lock violations on entry.
-
-    The test fixtures patch ``Future.result`` (and friends) with this so
-    a lock held across a blocking wait is caught at the call, not as a
-    mystery hang.
-    """
-    reg = registry if registry is not None else _REGISTRY
-
-    def wrapper(*args: Any, **kwargs: Any) -> _T:
-        reg.note_blocking(label)
-        return func(*args, **kwargs)
-
-    return wrapper
-
-
-def wrap_blocking_iter(
-    func: Callable[..., Iterator[_T]],
-    label: str,
-    registry: LockWitnessRegistry | None = None,
-) -> Callable[..., Iterator[_T]]:
-    """Like :func:`wrap_blocking` for generators (e.g. pool dispatch).
-
-    A generator blocks at each resume, not at the call — the check runs
-    before every ``next()`` so a lock taken mid-iteration is still seen.
-    """
-    reg = registry if registry is not None else _REGISTRY
-
-    def wrapper(*args: Any, **kwargs: Any) -> Iterator[_T]:
-        it = func(*args, **kwargs)
-        while True:
-            reg.note_blocking(label)
-            try:
-                item = next(it)
-            except StopIteration:
-                return
-            yield item
-
-    return wrapper

@@ -109,7 +109,7 @@ def emit_block_phases(
     process or in a pool worker (``wall_breakdown`` sums the ``wall_ms``
     meta directly; nobody saw the starts)."""
     for phase, items in (("hit_detection", num_hits), ("ungapped_extension", num_extensions)):
-        events.emit(  # reprolint: disable=event-begin-end-pairing
+        events.emit(
             engine_name, phase, "end", work_items=items, wall_ms=phase_wall[phase]
         )
 

@@ -529,7 +529,7 @@ class BatchExecutor:
                         # Re-emission of worker-timed phases: the worker
                         # already paired start/end; the parent log records
                         # only the closing edge with the measured duration.
-                        self.events.emit(  # reprolint: disable=event-begin-end-pairing
+                        self.events.emit(
                             engine_name,
                             phase,
                             "end",

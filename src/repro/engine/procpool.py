@@ -385,7 +385,7 @@ def _worker_main(
     """Worker entry point: one setup, then a task loop until the sentinel."""
     try:
         state = spec.setup()
-    except BaseException as exc:  # noqa: BLE001  # reprolint: disable=no-bare-except
+    except BaseException as exc:  # noqa: BLE001
         result_queue.put(("init_error", worker_id, _encode_error(exc)))
         return
     while True:
@@ -400,7 +400,7 @@ def _worker_main(
         try:
             payload = spec.run(state, item)
             result_queue.put(("ok", worker_id, (index, payload)))
-        except BaseException as exc:  # noqa: BLE001  # reprolint: disable=no-bare-except
+        except BaseException as exc:  # noqa: BLE001
             result_queue.put(("err", worker_id, (index, _encode_error(exc))))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GpuSimError
 from repro.gpusim.cache import ReadOnlyCache
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import DeviceMemory
@@ -108,6 +108,13 @@ def launch(
 ) -> KernelProfile:
     """Execute ``kernel`` and return its accumulated profile.
 
+    Occupancy is derived from the shared memory that block 0's
+    ``setup_block`` reserves, so every block's footprint is fixed when
+    its ``setup_block`` returns: a ``SharedMemory.alloc`` reached from
+    ``run_warp`` — through any alias — would be memory the occupancy
+    figure never paid for, and raises :class:`GpuSimError` naming the
+    kernel once the block's warps have run.
+
     Parameters
     ----------
     grid_blocks:
@@ -155,6 +162,7 @@ def launch(
         else:
             shared = SharedMemory(device, sanitizer=san)
             init_bytes = kernel.setup_block(ctx, shared, block_id)
+        setup_shared_bytes = shared.used_bytes
         if init_bytes:
             tx = -(-init_bytes // line)
             profile.global_transactions += tx
@@ -175,6 +183,13 @@ def launch(
             )
             profile.warps_executed += 1
             kernel.run_warp(ctx, warp, block_id, w)
+        if shared.used_bytes != setup_shared_bytes:
+            raise GpuSimError(
+                f"kernel {kernel.name!r}: block {block_id} allocated shared "
+                f"memory after setup_block ({setup_shared_bytes} -> "
+                f"{shared.used_bytes} bytes); occupancy only pays for what "
+                "setup_block reserves"
+            )
         if san is not None:
             san.finish_block(kernel.name, block_id)
     if san is not None:

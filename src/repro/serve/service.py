@@ -110,11 +110,12 @@ class ServiceStats:
 class SearchService:
     """Coalescing, caching search service over one resident database.
 
-    Thread contract (checked by ``repro lint --concurrency``): request
-    threads enter through :meth:`submit`; one dispatcher thread owns
-    batch execution; the *lifecycle* role — the single logical thread
-    that drives :meth:`start`/:meth:`close` — owns the dispatcher
-    handle. Everything the roles share is guarded by ``self._cond``.
+    Thread contract (checked by ``repro lint``'s ``thread-ownership``
+    rule): request threads enter through :meth:`submit`; one dispatcher
+    thread owns batch execution; the *lifecycle* role — the single
+    logical thread that drives :meth:`start`/:meth:`close` — owns the
+    dispatcher handle. Everything the roles share is guarded by
+    ``self._cond``.
 
     Parameters
     ----------

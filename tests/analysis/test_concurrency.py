@@ -1,20 +1,20 @@
-"""Concurrency contract analyzers: ownership, lock order, contracts.
+"""Concurrency contract checker: the thread-ownership rule and its contracts.
 
 Each test parses a small inline module (``ModuleSource.parse`` with
 ``text=``) so the property under test is visible in the test itself. The
-tree-wide guarantees (``src/`` is ownership-clean and its lock graph is
-acyclic) are asserted at the bottom against the real repository.
+tree-wide guarantees (the shipped coalescer is ownership-clean, the
+selftest bites) are asserted at the bottom against the real repository.
 """
 
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import ModuleSource
 from repro.analysis.concurrency import (
-    LockOrderAnalyzer,
     ThreadOwnershipRule,
     collect_contracts,
-    run_lock_order,
     run_selftest,
 )
 
@@ -27,12 +27,6 @@ def parse(src, name="mod.py"):
 
 def ownership(src):
     return list(ThreadOwnershipRule().check(parse(src)))
-
-
-def lockorder(*srcs):
-    modules = [parse(s, name=f"m{i}.py") for i, s in enumerate(srcs)]
-    findings, edges = LockOrderAnalyzer().analyze(modules)
-    return findings, edges
 
 
 class TestContracts:
@@ -64,8 +58,6 @@ class TestContracts:
         assert cls.owned == {"cursor": "dispatcher"}
         assert cls.runs_on == {"drain": "dispatcher"}
         assert set(cls.locks) == {"_lock", "_cond"}
-        assert not cls.locks["_lock"].reentrant
-        assert cls.locks["_cond"].reentrant
 
     def test_module_level_locks_are_collected(self):
         module = parse(
@@ -182,6 +174,22 @@ class TestThreadOwnership:
         (f,) = findings
         assert "reachable from public entry 'bump'" in f.message
 
+    @pytest.mark.parametrize(
+        "write",
+        ["self.hits, spare = 1, 2", "[first, *self.hits] = (1, 2)"],
+        ids=["tuple", "starred-list"],
+    )
+    def test_unpacking_write_outside_lock_is_flagged(self, write):
+        findings = ownership(
+            self.GUARDED_HEADER
+            + f"""
+            def swap(self):
+                {write}
+            """
+        )
+        (f,) = findings
+        assert "Stats.hits" in f.message
+
     def test_owned_access_off_role_is_flagged(self):
         findings = ownership(
             """
@@ -245,230 +253,28 @@ class TestThreadOwnership:
         assert findings == []
 
 
-class TestLockOrder:
-    def test_consistent_nesting_is_clean(self):
-        findings, edges = lockorder(
-            """
-            import threading
-
-
-            class A:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """
-        )
-        assert findings == []
-        assert {(e["src"], e["dst"]) for e in edges} == {("A._a", "A._b")}
-
-    def test_inversion_is_a_cycle_with_witness_path(self):
-        findings, _ = lockorder(
-            """
-            import threading
-
-
-            class A:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def forward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def backward(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """
-        )
-        (f,) = findings
-        assert "lock-order cycle" in f.message
-        assert "A._a -> A._b" in f.message and "A._b -> A._a" in f.message
-        assert "forward" in f.message and "backward" in f.message
-
-    def test_call_mediated_edge_crosses_classes(self):
-        findings, edges = lockorder(
-            """
-            import threading
-
-
-            class Inner:
-                def __init__(self):
-                    self._il = threading.Lock()
-
-                def touch(self):
-                    with self._il:
-                        pass
-
-
-            class Outer:
-                def __init__(self):
-                    self._ol = threading.Lock()
-                    self.inner = Inner()
-
-                def poke(self):
-                    with self._ol:
-                        self.inner.touch()
-            """
-        )
-        assert findings == []
-        assert ("Outer._ol", "Inner._il") in {
-            (e["src"], e["dst"]) for e in edges
-        }
-
-    def test_call_mediated_inversion_across_classes(self):
-        findings, _ = lockorder(
-            """
-            import threading
-
-
-            class Left:
-                def __init__(self):
-                    self._ll = threading.Lock()
-                    self.right = None
-
-                def hold_then_cross(self):
-                    with self._ll:
-                        self.right.grab()
-
-                def grab(self):
-                    with self._ll:
-                        pass
-
-
-            class Right:
-                def __init__(self):
-                    self._rl = threading.Lock()
-                    self.left = Left()
-
-                def hold_then_cross(self):
-                    with self._rl:
-                        self.left.grab()
-
-                def grab(self):
-                    with self._rl:
-                        pass
-            """
-        )
-        assert any("lock-order cycle" in f.message for f in findings)
-
-    def test_direct_self_nesting_of_plain_lock_is_flagged(self):
-        findings, _ = lockorder(
-            """
-            import threading
-
-
-            class A:
-                def __init__(self):
-                    self._a = threading.Lock()
-
-                def oops(self):
-                    with self._a:
-                        with self._a:
-                            pass
-            """
-        )
-        assert len(findings) == 1
-        assert "A._a" in findings[0].message
-
-    def test_reentrant_lock_self_nesting_is_clean(self):
-        findings, _ = lockorder(
-            """
-            import threading
-
-
-            class A:
-                def __init__(self):
-                    self._a = threading.RLock()
-
-                def fine(self):
-                    with self._a:
-                        with self._a:
-                            pass
-            """
-        )
-        assert findings == []
-
-    def test_run_lock_order_over_files(self, tmp_path):
-        (tmp_path / "inv.py").write_text(
-            textwrap.dedent(
-                """
-                import threading
-
-
-                class A:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def forward(self):
-                        with self._a:
-                            with self._b:
-                                pass
-
-                    def backward(self):
-                        with self._b:
-                            with self._a:
-                                pass
-                """
-            )
-        )
-        findings, edges, errors = run_lock_order([tmp_path])
-        assert not errors
-        assert len(findings) == 1
-        assert len(edges) == 2
-
-    def test_file_level_suppression(self, tmp_path):
-        (tmp_path / "inv.py").write_text(
-            "# reprolint: disable-file=lock-order\n"
-            + textwrap.dedent(
-                """
-                import threading
-
-
-                class A:
-                    def __init__(self):
-                        self._a = threading.Lock()
-                        self._b = threading.Lock()
-
-                    def forward(self):
-                        with self._a:
-                            with self._b:
-                                pass
-
-                    def backward(self):
-                        with self._b:
-                            with self._a:
-                                pass
-                """
-            )
-        )
-        findings, _, _ = run_lock_order([tmp_path])
-        assert findings == []
-
-
 class TestTreeContracts:
-    def test_src_lock_graph_is_acyclic(self):
-        findings, edges, errors = run_lock_order([REPO / "src"])
-        assert not errors
-        assert findings == [], "\n".join(f.message for f in findings)
-        # The serving stack must actually be under contract: the graph
-        # is non-trivial, not vacuously empty.
-        assert edges, "expected at least one witnessed lock-order edge"
+    COALESCER = REPO / "src" / "repro" / "serve" / "coalescer.py"
+
+    def test_coalescer_close_from_unlocked_entry_is_flagged(self):
+        # As shipped, both callers of _close (add, flush) hold the lock, so
+        # its ``batch, self._pending = self._pending, []`` swap is proven.
+        rule = ThreadOwnershipRule()
+        assert list(rule.check(ModuleSource.parse(self.COALESCER))) == []
+        anchor = "    def _close(self) -> list[T]:\n"
+        src = self.COALESCER.read_text()
+        assert src.count(anchor) == 1
+        leaky = src.replace(
+            anchor, "    def drain(self):\n        return self._close()\n\n" + anchor
+        )
+        module = ModuleSource.parse(Path("coalescer_copy.py"), text=leaky)
+        pending = [f for f in rule.check(module) if "Coalescer._pending" in f.message]
+        (f,) = pending
+        assert "reachable from public entry 'drain'" in f.message
 
     def test_selftest_catches_all_injections(self):
         lines = []
         assert run_selftest(emit=lines.append) == 0
+        passes = [line for line in lines if line.startswith("PASS")]
+        assert len(passes) == 4
         assert all(line.startswith(("PASS", "concurrency")) for line in lines)

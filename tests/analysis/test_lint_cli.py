@@ -1,12 +1,10 @@
-"""``repro lint`` CLI: the 0/1/2 exit protocol and the ``--json`` schema.
+"""``repro lint`` CLI: the 0/1/2 exit protocol and the flag surface.
 
 The protocol is what CI scripts key on: 0 = scanned clean, 1 = findings,
 2 = the run itself failed (infrastructure error, not a lint failure).
-``--concurrency`` and ``--selftest`` must speak the same protocol, and
-the JSON report is a stable schema — these tests pin both.
+``--selftest`` must speak the same protocol — these tests pin both.
 """
 
-import json
 import textwrap
 from pathlib import Path
 
@@ -16,7 +14,7 @@ from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 
-INVERSION = textwrap.dedent(
+UNGUARDED = textwrap.dedent(
     """
     import threading
 
@@ -24,18 +22,10 @@ INVERSION = textwrap.dedent(
     class A:
         def __init__(self):
             self._a = threading.Lock()
-            self._b = threading.Lock()
             self.n = 0  # guarded-by: self._a
 
-        def forward(self):
-            with self._a:
-                with self._b:
-                    self.n += 1
-
-        def backward(self):
-            with self._b:
-                with self._a:
-                    pass
+        def bump(self):
+            self.n += 1
     """
 )
 
@@ -57,9 +47,9 @@ CLEAN = textwrap.dedent(
 
 
 @pytest.fixture()
-def inversion_file(tmp_path):
-    path = tmp_path / "inversion.py"
-    path.write_text(INVERSION)
+def unguarded_file(tmp_path):
+    path = tmp_path / "unguarded.py"
+    path.write_text(UNGUARDED)
     return path
 
 
@@ -72,76 +62,34 @@ def clean_file(tmp_path):
 
 class TestExitProtocol:
     def test_clean_scan_exits_zero(self, clean_file):
-        assert main(["lint", "--concurrency", str(clean_file)]) == 0
+        assert main(["lint", str(clean_file)]) == 0
 
-    def test_findings_exit_one(self, inversion_file, capsys):
-        assert main(["lint", "--concurrency", str(inversion_file)]) == 1
+    def test_findings_exit_one(self, unguarded_file, capsys):
+        assert main(["lint", str(unguarded_file)]) == 1
         out = capsys.readouterr().out
-        assert "lock-order cycle" in out
+        assert "thread-ownership" in out and "A.n" in out
 
     def test_missing_path_exits_two(self, capsys):
-        assert main(["lint", "--concurrency", "no/such/dir"]) == 2
+        assert main(["lint", "no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"
         bad.write_text("class Broken(:\n")
-        assert main(["lint", "--concurrency", str(bad)]) == 2
+        assert main(["lint", str(bad)]) == 2
         assert "broken.py" in capsys.readouterr().err
 
     def test_selftest_exits_zero_when_injections_are_caught(self, capsys):
         assert main(["lint", "--selftest"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_shipped_tree_is_concurrency_clean(self):
-        assert main(["lint", "--concurrency", str(REPO / "src")]) == 0
+        assert main(["lint", "--rule", "thread-ownership", str(REPO / "src")]) == 0
 
-
-class TestJsonSchema:
-    def test_concurrency_report_schema(self, inversion_file, capsys):
-        assert main(["lint", "--concurrency", "--json", str(inversion_file)]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert set(report) == {"rules", "paths", "findings", "errors", "lock_graph"}
-        assert report["rules"] == ["thread-ownership", "lock-order"]
-        assert report["errors"] == []
-        rules_fired = {f["rule"] for f in report["findings"]}
-        assert "lock-order" in rules_fired
-        for f in report["findings"]:
-            assert {"rule", "path", "line", "col", "message"} <= set(f)
-            assert f["line"] >= 1
-        for edge in report["lock_graph"]:
-            assert set(edge) == {"src", "dst", "path", "line", "function", "via"}
-        assert {(e["src"], e["dst"]) for e in report["lock_graph"]} == {
-            ("A._a", "A._b"),
-            ("A._b", "A._a"),
-        }
-
-    def test_plain_report_has_no_lock_graph(self, clean_file, capsys):
-        assert main(["lint", "--json", str(clean_file)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "lock_graph" not in report
-        assert report["findings"] == []
-
-    def test_findings_are_sorted_and_merged(self, inversion_file, capsys):
-        # An unguarded write added to the inversion file lands in the
-        # same report as the lock-order finding, in (path, line) order.
-        extra = inversion_file.read_text() + textwrap.dedent(
-            """
-
-            class B:
-                def __init__(self):
-                    self._l = threading.Lock()
-                    self.x = 0  # guarded-by: self._l
-
-                def bump(self):
-                    self.x += 1
-            """
-        )
-        inversion_file.write_text(extra)
-        assert main(["lint", "--concurrency", "--json", str(inversion_file)]) == 1
-        report = json.loads(capsys.readouterr().out)
-        fired = [f["rule"] for f in report["findings"]]
-        assert "thread-ownership" in fired and "lock-order" in fired
-        keys = [(f["path"], f["line"], f["col"], f["rule"]) for f in report["findings"]]
-        assert keys == sorted(keys)
+    @pytest.mark.parametrize("flag", ["--concurrency", "--json"])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", flag, "src"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

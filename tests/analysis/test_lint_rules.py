@@ -4,32 +4,38 @@ Each file in ``_fixtures/`` violates exactly one rule; running the *full*
 rule set over it must report that rule and nothing else (cross-firing
 would make findings unactionable). The inverse property — ``repro lint``
 exits 0 on ``src/`` — is asserted here too, so a rule that starts
-false-positiving on the real tree fails this suite, not just CI.
+false-positiving on the real tree fails this suite, not just CI. So is
+the suppression audit: every ``reprolint: disable`` comment in the
+linted roots names a live rule that really fires on its line.
 """
 
-import json
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import ModuleSource, Rule, iter_python_files, run_lint
-from repro.analysis.base import check_module
+from repro.analysis.base import (
+    _FILE_SUPPRESS,
+    _FILE_SUPPRESS_WINDOW,
+    _INLINE_SUPPRESS,
+    check_module,
+)
 from repro.analysis.rules import ALL_RULES, RULE_NAMES, rule_by_name
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "_fixtures"
 
+#: The roots CI lints.
+LINTED_ROOTS = ("src", "tests", "benchmarks", "examples")
+
 #: fixture file -> the one rule it must trigger.
 FIXTURE_RULES = {
     "rng_violation.py": "no-unseeded-rng",
-    "float_eq_violation.py": "no-float-equality-on-scores",
     "wallclock_violation.py": "no-wall-clock-in-kernels",
     "picklable_violation.py": "picklable-spec-fields",
-    "shared_alloc_violation.py": "shared-alloc-in-setup-only",
-    "event_pairing_violation.py": "event-begin-end-pairing",
-    "bare_except_violation.py": "no-bare-except",
-    "api_all_violation.py": "public-api-all",
     "record_loop_violation.py": "no-per-record-loop-in-phase",
     "thread_ownership_violation.py": "thread-ownership",
 }
@@ -81,15 +87,30 @@ class TestPerQueryHitLoop:
         assert {f.message.split("'")[1] for f in per_query} == {"keys", "tagged"}
 
 
+def _suppression_comments(module):
+    """``(line, rules, whole_file)`` for every real disable comment.
+
+    Tokenized, so a marker quoted inside a string (docstring examples,
+    inline test sources) is not a suppression.
+    """
+    tokens = tokenize.generate_tokens(io.StringIO(module.text).readline)
+    for tok in tokens:
+        if tok.type != tokenize.COMMENT:
+            continue
+        for pattern, whole_file in ((_INLINE_SUPPRESS, False), (_FILE_SUPPRESS, True)):
+            m = pattern.search(tok.string)
+            if m:
+                rules = [r.strip() for r in m.group(1).split(",")]
+                yield tok.start[0], rules, whole_file
+
+
 class TestSuppression:
     def test_inline_disable_drops_the_finding(self, tmp_path):
-        src = FIXTURES / "bare_except_violation.py"
-        patched = src.read_text().replace(
-            "    except:  # noqa: E722",
-            "    except:  # noqa: E722  # reprolint: disable=no-bare-except",
-        )
         target = tmp_path / "suppressed.py"
-        target.write_text(patched)
+        target.write_text(
+            "import numpy as np\n"
+            "rng = np.random.default_rng()  # reprolint: disable=no-unseeded-rng\n"
+        )
         findings, errors = run_lint([target], ALL_RULES)
         assert not errors
         assert findings == []
@@ -108,10 +129,32 @@ class TestSuppression:
         target = tmp_path / "wrong_rule.py"
         target.write_text(
             "import numpy as np\n"
-            "rng = np.random.default_rng()  # reprolint: disable=no-bare-except\n"
+            "rng = np.random.default_rng()  # reprolint: disable=thread-ownership\n"
         )
         findings, _ = run_lint([target], ALL_RULES)
         assert [f.rule for f in findings] == ["no-unseeded-rng"]
+
+    def test_every_suppression_names_a_rule_that_fires_there(self):
+        roots = [REPO / root for root in LINTED_ROOTS if (REPO / root).exists()]
+        stale = []
+        count = 0
+        for path in iter_python_files(roots):
+            module = ModuleSource.parse(path)
+            for line, rules, whole_file in _suppression_comments(module):
+                for name in rules:
+                    count += 1
+                    where = f"{path.relative_to(REPO)}:{line} disable={name}"
+                    if name not in RULE_NAMES:
+                        stale.append(f"{where}: no such rule")
+                        continue
+                    if whole_file and line > _FILE_SUPPRESS_WINDOW:
+                        stale.append(f"{where}: past the disable-file window")
+                        continue
+                    fired = {f.line for f in rule_by_name(name).check(module)}
+                    if not (fired if whole_file else line in fired):
+                        stale.append(f"{where}: suppresses nothing")
+        assert stale == [], "dead suppressions:\n" + "\n".join(stale)
+        assert count == 4  # three thread-ownership, one no-per-record-loop-in-phase
 
 
 class TestTreeIsClean:
@@ -142,7 +185,7 @@ class TestCli:
     def test_rule_filter(self):
         # The rng fixture is clean under an unrelated rule.
         assert (
-            main(["lint", "--rule", "no-bare-except", str(FIXTURES / "rng_violation.py")])
+            main(["lint", "--rule", "thread-ownership", str(FIXTURES / "rng_violation.py")])
             == 0
         )
 
@@ -161,14 +204,11 @@ class TestCli:
 
     def test_list_exits_zero_and_names_all_rules(self, capsys):
         assert main(["lint", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in RULE_NAMES:
-            assert name in out
-
-    def test_json_report(self, capsys):
-        code = main(["lint", "--json", str(FIXTURES / "api_all_violation.py")])
-        assert code == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["errors"] == []
-        assert {f["rule"] for f in report["findings"]} == {"public-api-all"}
-        assert all({"rule", "path", "line", "col", "message"} <= set(f) for f in report["findings"])
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "no-unseeded-rng",
+            "no-wall-clock-in-kernels",
+            "picklable-spec-fields",
+            "no-per-record-loop-in-phase",
+            "thread-ownership",
+        ]

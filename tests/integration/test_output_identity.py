@@ -43,8 +43,8 @@ class TestOutputIdentity:
             assert a.midline == b.midline
             # Bit-exact identity IS this file's contract: both sides ran the
             # same statistics code, so even the last ulp must agree.
-            assert a.evalue == b.evalue  # reprolint: disable=no-float-equality-on-scores
-            assert a.bit_score == b.bit_score  # reprolint: disable=no-float-equality-on-scores
+            assert a.evalue == b.evalue
+            assert a.bit_score == b.bit_score
 
     def test_cuda_blastp_identical(self, oracle, small_query, small_params, small_db):
         res = CudaBlastp(small_query, small_params).search(small_db)

@@ -67,7 +67,7 @@ class TestCompiledQuery:
         assert rebound.lookup is compiled.lookup
         assert rebound.pssm is compiled.pssm
         # evalue here is the configured cutoff, compared to its own literal.
-        assert rebound.params.evalue == 1e-3  # reprolint: disable=no-float-equality-on-scores
+        assert rebound.params.evalue == 1e-3
         # The DFA cache is shared across rebindings.
         assert rebound.dfa is compiled.dfa
 
@@ -224,7 +224,7 @@ class TestEventLog:
         def spam():
             for _ in range(200):
                 # Thread-stress on the log itself; pairing is irrelevant here.
-                events.emit("t", "p", "end", modelled_ms=1.0)  # reprolint: disable=event-begin-end-pairing
+                events.emit("t", "p", "end", modelled_ms=1.0)
 
         threads = [threading.Thread(target=spam) for _ in range(4)]
         for t in threads:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GpuSimError
 from repro.gpusim import (
     K20C,
     Kernel,
@@ -72,6 +72,17 @@ class _CopyKernel(Kernel):
             i = i + stride * warp.active
 
 
+class _LateAllocKernel(Kernel):
+    """Reserves shared memory from the warp body, past occupancy's measure."""
+
+    name = "late-alloc"
+    block_threads = 32
+
+    def run_warp(self, ctx, warp, block_id, warp_in_block):
+        scratch = warp.shared  # an alias no name-based check would follow
+        scratch.alloc("late", 64, np.int32)
+
+
 class TestLaunch:
     def make_ctx(self, n=1000):
         ctx = KernelContext(device=K20C)
@@ -111,6 +122,10 @@ class TestLaunch:
         prof = launch(_CopyKernel(), self.make_ctx(), grid_blocks=1)
         assert 0 < prof.occupancy <= 1.0
         assert "occupancy_limited_by" in prof.extra
+
+    def test_shared_alloc_outside_setup_block_raises(self):
+        with pytest.raises(GpuSimError, match="'late-alloc'.*after setup_block"):
+            launch(_LateAllocKernel(), KernelContext(device=K20C), grid_blocks=2)
 
 
 class TestTransferModel:

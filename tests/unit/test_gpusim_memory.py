@@ -99,7 +99,7 @@ class TestReadOnlyCache:
         c = ReadOnlyCache(K20C)
         assert c.access_lines([5]) == (0, 1)
         assert c.access_lines([5]) == (1, 0)
-        assert c.hit_ratio == 0.5  # exact: 1/2 of 2  # reprolint: disable=no-float-equality-on-scores
+        assert c.hit_ratio == 0.5  # exact: 1/2 of 2
 
     def test_capacity_eviction(self):
         c = ReadOnlyCache(K20C, ways=2)

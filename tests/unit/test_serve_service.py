@@ -98,6 +98,18 @@ class TestSearchService:
         with pytest.raises(ServiceClosedError):
             svc.submit("late", tiny_query)
 
+    def test_close_pending_orders_cond_before_coalescer(
+        self, tiny_db, tiny_query, lock_witness
+    ):
+        # A long window keeps the request in the coalescer until close()
+        # flushes it while holding the service condition.
+        with SearchService(tiny_db, backend="thread", window_ms=5000) as svc:
+            fut = svc.submit("pending", tiny_query)
+        assert fut.result(timeout=120).query_id == "pending"
+        edges = {(e["src"], e["dst"]) for e in lock_witness.snapshot()["edges"]}
+        assert ("SearchService._cond", "Coalescer._lock") in edges
+        assert lock_witness.cycles() == []
+
     def test_close_fails_undispatched_requests(self, tiny_db, queries):
         svc = SearchService(tiny_db, backend="thread", window_ms=5000)
         fut = svc.submit("stranded", queries[0])

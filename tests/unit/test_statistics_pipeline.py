@@ -15,7 +15,7 @@ class TestSearchParams:
         assert (p.word_length, p.threshold, p.two_hit_window) == (3, 11, 40)
         assert (p.gap_open, p.gap_extend) == (11, 1)
         # The configured cutoff round-trips exactly; not a computed statistic.
-        assert p.evalue == 10.0  # reprolint: disable=no-float-equality-on-scores
+        assert p.evalue == 10.0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -198,7 +198,7 @@ class TestDatabaseStore:
         assert first is again
         assert store.stats.misses == 1
         assert store.stats.hits == 1
-        assert store.stats.hit_rate == 0.5  # exact: 1/2  # reprolint: disable=no-float-equality-on-scores
+        assert store.stats.hit_rate == 0.5  # exact: 1/2
 
     def test_lru_eviction(self, db, tmp_path):
         store = DatabaseStore(capacity=2)

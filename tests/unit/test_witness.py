@@ -19,8 +19,6 @@ from repro.analysis.witness import (
     new_lock,
     thread_shared,
     witness_env_enabled,
-    wrap_blocking,
-    wrap_blocking_iter,
 )
 
 
@@ -159,28 +157,6 @@ class TestBlockingCalls:
         reg = make()
         reg.note_blocking("Future.result()")
         assert reg.violations == []
-
-    def test_wrap_blocking_checks_at_the_call(self):
-        reg = make()
-        lock = WitnessLock("l", reg)
-        wrapped = wrap_blocking(lambda x: x + 1, "slow()", reg)
-        assert wrapped(1) == 2
-        assert reg.violations == []
-        with lock:
-            assert wrapped(2) == 3
-        assert [v.kind for v in reg.violations] == ["blocking-call-under-lock"]
-
-    def test_wrap_blocking_iter_checks_each_resume(self):
-        reg = make()
-        lock = WitnessLock("l", reg)
-        wrapped = wrap_blocking_iter(lambda: iter([1, 2, 3]), "stream()", reg)
-        it = wrapped()
-        assert next(it) == 1  # no lock held: clean
-        assert reg.violations == []
-        with lock:
-            assert next(it) == 2  # lock taken mid-iteration: caught
-        assert len(reg.violations) == 1
-        assert list(it) == [3]
 
 
 class TestWitnessCondition:
