@@ -399,14 +399,15 @@ class BlastpPipeline:
 
         The score-surviving boxes are re-solved as one lanes-stacked
         batched fill (:func:`~repro.core.traceback.batch_traceback_align`
-        — the same lanes x band shape as the gapped phase); only the
-        walk-back and rendering stay per-alignment, which is cold
-        (reported alignments number in the tens).
+        — the same lanes x band shape as the gapped phase, storing one
+        direction byte per cell); the walk-back and rendering run per
+        alignment over those bytes. On homolog-rich databases this phase
+        handles hundreds of boxes per query and is not cold.
         """
         seen: set[tuple[int, int, int, int, int]] = set()
         out: list[Alignment] = []
         db_residues = cutoffs.effective_db_residues or int(db.codes.size)
-        # Cold filter: gapped extensions number in the tens here, and the
+        # One comparison per gapped extension (hundreds at most); the
         # survivors feed one batched fill below.
         survivors = [  # reprolint: disable=no-per-record-loop-in-phase
             g for g in gapped if g.score >= cutoffs.report_cutoff

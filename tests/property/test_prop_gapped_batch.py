@@ -17,6 +17,8 @@ Plus the phase-4 rider: batched box fills
 :func:`~repro.core.traceback.traceback_align`.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,10 @@ from repro.core.gapped import _half_extend, gapped_extend
 from repro.core.gapped_batch import batch_gapped_extend, batch_half_extend
 from repro.core.pipeline import BlastpPipeline
 from repro.core.statistics import SearchParams
+from repro.core import traceback as tb_module
 from repro.core.traceback import batch_traceback_align, traceback_align
 from repro.io.database import SequenceDatabase
-from repro.matrices import BLOSUM62, build_pssm
+from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
 
 RESIDUES = "ARNDCQEGHILKMFPSTWYV"
 
@@ -193,6 +196,65 @@ class TestWaveEqualsSerial:
         assert got.num_reported == want.num_reported
 
 
+def _runs(rng, letters, length):
+    """A sequence of homopolymer runs over ``letters``."""
+    out = ""
+    while len(out) < length:
+        out += letters[int(rng.integers(0, len(letters)))] * int(rng.integers(1, 9))
+    return out[:length]
+
+
+def _edited(rng, text):
+    """``text`` with a few short insertions and deletions, most of them
+    inside homopolymer runs, where a gap's placement is ambiguous."""
+    out = list(text)
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(out) + 1))
+        span = int(rng.integers(1, 4))
+        if rng.integers(0, 2) and len(out) > span:
+            del out[at : at + span]
+        else:
+            out[at:at] = out[max(at - 1, 0)] * span
+    return "".join(out)
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    """Boxes built for ties: a match/mismatch matrix, homopolymer runs over
+    a small alphabet, subjects that are edited copies of the query,
+    ``gap_open`` a multiple of ``gap_extend``, 1-row and 1-column boxes, a
+    last box that scores negative everywhere, and a chunk budget small
+    enough to cut at least two chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    match, mismatch = draw(st.sampled_from([(1, -1), (2, -1), (2, -3), (5, -4)]))
+    ge = draw(st.integers(1, 3))
+    go = ge * draw(st.integers(1, 4))
+    letters = draw(st.sampled_from(["A", "AC", "ACD", "ACDEFGHIK"]))
+    query = _runs(rng, letters, int(rng.integers(1, 60)))
+    qc = encode(query)
+    pssm = build_pssm(qc, match_mismatch_matrix(match, mismatch))
+    subjects, boxes = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        if rng.integers(0, 2):
+            subject = _edited(rng, query)
+        else:
+            subject = _runs(rng, letters, int(rng.integers(1, 60)))
+        subjects.append(encode(subject))
+        shape = draw(st.sampled_from(["whole", "box", "row", "column"]))
+        if shape == "whole":
+            boxes.append((0, qc.size - 1, 0, len(subject) - 1))
+            continue
+        qs, ss = int(rng.integers(0, qc.size)), int(rng.integers(0, len(subject)))
+        qe = qs if shape == "row" else int(rng.integers(qs, qc.size))
+        se = ss if shape == "column" else int(rng.integers(ss, len(subject)))
+        boxes.append((qs, qe, ss, se))
+    subjects.append(encode("W" * int(rng.integers(1, 30))))  # W is in no query
+    boxes.append((0, qc.size - 1, 0, subjects[-1].size - 1))
+    padded = max((qe - qs + 2) * (se - ss + 2) for qs, qe, ss, se in boxes)
+    budget = draw(st.integers(1, padded))
+    return pssm, qc, subjects, boxes, go, ge, budget
+
+
 class TestBatchTracebackEquivalence:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 25))
     @settings(max_examples=20, deadline=None)
@@ -226,3 +288,20 @@ class TestBatchTracebackEquivalence:
                 pssm, qc, s, box, params.gap_open, params.gap_extend
             )
             assert got[k] == want, (k, box)
+
+    @given(_tie_heavy_case())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_on_ties(self, case):
+        """Equal-scoring paths everywhere: the batch fill's direction bytes
+        must encode exactly the scalar walk's precedence (stop, diagonal,
+        E, F) and its first row-major best cell, across chunk cuts."""
+        pssm, qc, subjects, boxes, go, ge, budget = case
+        cut = patch.object(tb_module, "_CHUNK_CELL_BUDGET", budget)
+        spy = patch.object(tb_module, "_fill_chunk", wraps=tb_module._fill_chunk)
+        with cut, spy as fill:
+            got = batch_traceback_align(pssm, qc, subjects, boxes, go, ge)
+        assert fill.call_count >= 2
+        assert got[-1] is None  # the all-negative box
+        for k, (s, box) in enumerate(zip(subjects, boxes)):
+            assert got[k] == traceback_align(pssm, qc, s, box, go, ge), (k, box)
+

@@ -1,10 +1,12 @@
 """Unit tests for alignment with traceback."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.alphabet import encode
-from repro.core.traceback import traceback_align
+from repro.core.traceback import batch_traceback_align, traceback_align
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
 
 
@@ -109,3 +111,36 @@ class TestScoreConsistency:
                     qpos += 1
                     gap_dir = None
             assert total == tb.score
+
+
+class TestBatchTraceback:
+    def _inputs(self, boxes=40, n=200, m=250):
+        rng = np.random.default_rng(3)
+        letters = list("ARNDCQEGHILKMFPSTWYV")
+        query = encode("".join(rng.choice(letters, n + 50)))
+        subjects = [encode("".join(rng.choice(letters, m + 50))) for _ in range(boxes)]
+        spans = [
+            (int(a), int(a) + n - 1, int(b), int(b) + m - 1)
+            for a, b in zip(rng.integers(0, 50, boxes), rng.integers(0, 50, boxes))
+        ]
+        return build_pssm(query, BLOSUM62), query, subjects, spans
+
+    def test_working_set_is_a_byte_per_cell(self):
+        """~2 M box cells (two chunks) fill in well under 8 MB: one direction
+        byte per cell plus rolling rows, not full score matrices."""
+        pssm, query, subjects, boxes = self._inputs()
+        batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
+        tracemalloc.start()
+        try:
+            batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_subjects_must_match_boxes(self, extra):
+        pssm, query, subjects, boxes = self._inputs(boxes=3, n=20, m=20)
+        subjects = subjects[:extra] if extra < 0 else subjects + subjects[:extra]
+        with pytest.raises(ValueError):
+            batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
