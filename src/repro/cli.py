@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=20.0,
         help="coalescing window: a batch closes at latest this long after "
-        "its first arrival",
+        "its first arrival; a free dispatcher holds it only when the arrival "
+        "rate predicts a companion within the window",
     )
     p_serve.add_argument(
         "--max-batch", type=_positive_int, default=32, help="requests per batch at most"

@@ -1,7 +1,8 @@
 """The always-on serving layer: coalescer → executor → cache.
 
 ``repro serve`` turns the batch machinery into a long-lived HTTP service:
-concurrent arrivals coalesce into executor batches on a time/size window
+concurrent arrivals coalesce into executor batches, held at most one
+window and only when a companion is predicted
 (:mod:`repro.serve.coalescer`), run on a resident database with warm
 process workers (:mod:`repro.serve.service`), and repeat queries are
 answered from a db-version-keyed canonical-payload cache

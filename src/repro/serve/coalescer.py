@@ -3,17 +3,21 @@
 The always-on service turns independent request arrivals into *batches*
 so the executor's amortizations (resident database, warm process
 workers, the db-sweep multi-query index) actually engage under
-concurrent load. The policy is the classic time/size window: a batch
-closes when it reaches ``max_batch`` requests (size close) or when the
-oldest pending request has waited one coalescing window (window close).
+concurrent load. A batch closes when it reaches ``max_batch`` requests
+(size close) or when the dispatcher takes it at its :meth:`Coalescer.due`
+time. The dispatch is work-conserving: a batch is held only when the
+arrival rate predicts a companion within the coalescing window, and
+never past the window (adaptive batching as in Clipper and Triton's
+dynamic batcher, where the queue delay is a maximum, not a fixed wait).
 
-:class:`Coalescer` is deliberately *clock-free*: it is a pure FIFO state
-machine whose only operations are :meth:`add` (an arrival) and
-:meth:`flush` (the caller decided the window expired). The service layer
-owns the actual timer (:mod:`repro.serve.service`); keeping time out of
-this class is what makes its contract — every request appears in exactly
-one emitted batch, in arrival order — directly checkable by the
-Hypothesis property suite over arbitrary add/flush interleavings
+:class:`Coalescer` is deliberately *clock-free*: callers pass the time of
+each arrival to :meth:`add`, and :meth:`due` is a pure function of the
+pending batch and an EWMA of the inter-arrival gaps. The service layer
+owns the actual clock and timer (:mod:`repro.serve.service`); keeping
+time out of this class is what makes its contract — every request
+appears in exactly one emitted batch, in arrival order, and nothing
+waits past its window — directly checkable by the Hypothesis property
+suite over arbitrary timed add/flush schedules
 (``tests/property/test_prop_coalescer.py``).
 """
 
@@ -26,6 +30,10 @@ from repro.analysis.witness import new_lock, thread_shared
 
 T = TypeVar("T")
 
+#: Weight of the newest gap in the inter-arrival EWMA: 1/8, the gain of
+#: TCP's smoothed round-trip time (RFC 6298).
+GAP_WEIGHT = 1 / 8
+
 
 @dataclass
 class CoalescerStats:
@@ -37,7 +45,8 @@ class CoalescerStats:
     batches: int = 0
     #: Batches closed by reaching ``max_batch``.
     size_closes: int = 0
-    #: Batches closed by :meth:`Coalescer.flush` (window expiry / drain).
+    #: Batches closed by :meth:`Coalescer.flush` (taken at their due time,
+    #: or a shutdown drain).
     window_closes: int = 0
 
     @property
@@ -48,7 +57,7 @@ class CoalescerStats:
 
 @thread_shared
 class Coalescer(Generic[T]):
-    """Clock-free FIFO batcher with a size bound.
+    """Clock-free FIFO batcher with a size bound and a hold rule.
 
     Thread-safe: arrivals may come from any number of request threads
     while one dispatcher flushes. Every item is emitted exactly once, in
@@ -63,10 +72,25 @@ class Coalescer(Generic[T]):
         self.stats = CoalescerStats()  # guarded-by: self._lock
         self._lock = new_lock("Coalescer._lock")
         self._pending: list[T] = []  # guarded-by: self._lock
+        #: Arrival time of the oldest pending item.
+        self._oldest = 0.0  # guarded-by: self._lock
+        #: Arrival time of the latest item; ``None`` before the first.
+        self._last: float | None = None  # guarded-by: self._lock
+        #: EWMA of the inter-arrival gaps; ``None`` before the second arrival.
+        self._gap: float | None = None  # guarded-by: self._lock
 
-    def add(self, item: T) -> list[T] | None:
-        """Record an arrival; return the closed batch if it filled one."""
+    def add(self, item: T, now: float) -> list[T] | None:
+        """Record an arrival at time ``now``; return the batch if it filled one.
+
+        ``now`` must not decrease from one call to the next.
+        """
         with self._lock:
+            if self._last is not None:
+                gap = now - self._last
+                self._gap = gap if self._gap is None else self._gap + GAP_WEIGHT * (gap - self._gap)
+            self._last = now
+            if not self._pending:
+                self._oldest = now
             self._pending.append(item)
             self.stats.arrivals += 1
             if len(self._pending) >= self.max_batch:
@@ -74,8 +98,22 @@ class Coalescer(Generic[T]):
                 return self._close()
             return None
 
+    def due(self, window_s: float) -> float | None:
+        """When the pending batch must be taken; ``None`` when nothing is pending.
+
+        The oldest pending arrival (take it now) unless the gap estimate
+        predicts at least one companion within the window; then that
+        arrival plus ``window_s``, so no item waits longer than the window.
+        """
+        with self._lock:
+            if not self._pending:
+                return None
+            if self._gap is None or self._gap > window_s:
+                return self._oldest
+            return self._oldest + window_s
+
     def flush(self) -> list[T] | None:
-        """Close the pending batch (window expiry or shutdown drain).
+        """Close the pending batch (its due time came, or a shutdown drain).
 
         Returns ``None`` when nothing is pending — a flush never emits an
         empty batch.

@@ -5,9 +5,13 @@
 fault-injection suite drives this class directly). One instance owns:
 
 * a :class:`~repro.serve.coalescer.Coalescer` batching concurrent
-  arrivals on a time/size window (the window timer lives here — the
-  dispatcher thread wakes when the oldest pending request has waited
-  ``window_ms``);
+  arrivals. Dispatch is work-conserving: the one dispatcher thread takes
+  the pending batch as soon as it is free, unless the coalescer's
+  arrival-gap estimate predicts a companion within ``window_ms``; then
+  it holds the batch until at most ``window_ms`` after its oldest
+  request (the timer lives here, the rule in the coalescer). Arrivals
+  pile up while a batch executes, so under backlog batches still close
+  at ``max_batch``;
 * a :class:`~repro.engine.executor.BatchExecutor` running each closed
   batch against the resident database — thread or process backend,
   per-query or db-sweep mode. Under the process backend the executor
@@ -89,7 +93,6 @@ class _Request:
     sequence: str
     key: CacheKey
     future: "Future[ServeOutcome]" = field(default_factory=Future)
-    t_arrival: float = field(default_factory=time.monotonic)
 
 
 @dataclass
@@ -136,8 +139,11 @@ class SearchService:
         process backend gets a warm persistent pool (``keep_pool``).
     window_ms:
         Coalescing window: a pending batch closes at latest this long
-        after its first arrival. ``0`` dispatches each arrival as its
-        own batch as fast as the dispatcher can drain.
+        after its first arrival. A free dispatcher holds a batch only
+        when the arrival-gap estimate predicts a companion within the
+        window, so a lone request on an idle service leaves at once.
+        ``0`` never holds: each batch is whatever arrived while the
+        previous one was executing.
     max_batch:
         Size close: a batch never exceeds this many requests.
     max_pending:
@@ -200,7 +206,6 @@ class SearchService:
         self._params_key = params_key(self.params)
         self._cond = new_condition("SearchService._cond")
         self._ready: deque[list[_Request]] = deque()  # guarded-by: self._cond
-        self._deadline: float | None = None  # guarded-by: self._cond
         #: Requests admitted and not yet resolved (queued or executing).
         self._admitted = 0  # guarded-by: self._cond
         self._closed = False  # guarded-by: self._cond
@@ -306,7 +311,8 @@ class SearchService:
                 self._ready.clear()
             for batch in leftovers:
                 for r in batch:
-                    self._resolve_error(r, ServiceClosedError("service is shut down"))
+                    if r.future.set_running_or_notify_cancel():
+                        self._resolve_error(r, ServiceClosedError("service is shut down"))
         self.executor.close()
         if self._db_spill is not None:
             self._db_spill()
@@ -354,13 +360,9 @@ class SearchService:
                 )
             self.stats.requests += 1
             self._admitted += 1
-            batch = self.coalescer.add(request)
+            batch = self.coalescer.add(request, time.monotonic())
             if batch is not None:
                 self._ready.append(batch)
-                if len(self.coalescer) == 0:
-                    self._deadline = None
-            elif len(self.coalescer) == 1:
-                self._deadline = time.monotonic() + self.window_ms / 1e3
             self._cond.notify_all()
         return request.future
 
@@ -379,17 +381,18 @@ class SearchService:
                     return self._ready.popleft()
                 if self._closed:
                     return None
-                if self._deadline is None:
+                due = self.coalescer.due(self.window_ms / 1e3)
+                if due is None:
                     self._cond.wait()
                     continue
-                remaining = self._deadline - time.monotonic()
-                if remaining <= 0:
-                    self._deadline = None
-                    batch = self.coalescer.flush()
-                    if batch is not None:
-                        return batch
+                remaining = due - time.monotonic()
+                if remaining > 0:
+                    # An arrival or close() notifies; either may move the due time.
+                    self._cond.wait(remaining)
                     continue
-                self._cond.wait(remaining)
+                batch = self.coalescer.flush()
+                if batch is not None:
+                    return batch
 
     def _dispatch_loop(self) -> None:  # runs-on: dispatcher
         while True:
@@ -399,17 +402,23 @@ class SearchService:
             self._execute(batch)
 
     def _execute(self, batch: list[_Request]) -> None:  # runs-on: dispatcher
-        queries = [(r.query_id, r.sequence) for r in batch]
+        # Claim each future before running it: a caller (or asyncio's
+        # wrap_future, when an HTTP handler is cancelled) may have cancelled
+        # it while it waited, and resolving a cancelled future raises and
+        # would end this thread. Cancelled requests are dropped here; their
+        # admission slots are still released below.
+        live = [r for r in batch if r.future.set_running_or_notify_cancel()]
+        queries = [(r.query_id, r.sequence) for r in live]
         completed = 0
         try:
-            outcomes = list(self.executor.stream(queries, self._db))
+            outcomes = list(self.executor.stream(queries, self._db)) if live else []
         except Exception as exc:
             # A failure of the whole stream (not per-query isolated) is
             # every request's failure — report, never hang the futures.
-            for r in batch:
+            for r in live:
                 self._resolve_error(r, exc)
         else:
-            for r, outcome in zip(batch, outcomes):
+            for r, outcome in zip(live, outcomes):
                 if outcome.error is not None:
                     self._resolve_error(r, outcome.error)
                 else:

@@ -184,6 +184,11 @@ class TestHttpFaultSurface:
         with ServeHandle(service) as handle:
             import threading
 
+            # A completed first request primes the gap estimate: the burst
+            # arrives well inside the 10 s window after it, so the policy
+            # holds the admitted requests there instead of running them.
+            status, _body = _post_search(handle.port, "prime", queries[0])
+            assert status == 200
             results = []
             lock = threading.Lock()
 

@@ -13,17 +13,17 @@ pytestmark = pytest.mark.serve
 class TestCoalescer:
     def test_size_close_at_max_batch(self):
         c = Coalescer(max_batch=3)
-        assert c.add("a") is None
-        assert c.add("b") is None
-        assert c.add("c") == ["a", "b", "c"]
+        assert c.add("a", 0.0) is None
+        assert c.add("b", 0.0) is None
+        assert c.add("c", 0.0) == ["a", "b", "c"]
         assert len(c) == 0
         assert c.stats.size_closes == 1
         assert c.stats.window_closes == 0
 
     def test_flush_closes_partial_batch(self):
         c = Coalescer(max_batch=10)
-        c.add(1)
-        c.add(2)
+        c.add(1, 0.0)
+        c.add(2, 0.0)
         assert c.flush() == [1, 2]
         assert c.stats.window_closes == 1
 
@@ -35,7 +35,7 @@ class TestCoalescer:
     def test_arrival_order_preserved(self):
         c = Coalescer(max_batch=100)
         for i in range(17):
-            c.add(i)
+            c.add(i, 0.0)
         assert c.flush() == list(range(17))
 
     def test_max_batch_validated(self):
@@ -44,12 +44,27 @@ class TestCoalescer:
 
     def test_stats_mean_batch_size_counts_emitted_only(self):
         c = Coalescer(max_batch=2)
-        c.add("a")
-        c.add("b")  # size close: batch of 2
-        c.add("c")  # pending, never emitted
+        c.add("a", 0.0)
+        c.add("b", 0.0)  # size close: batch of 2
+        c.add("c", 0.0)  # pending, never emitted
         assert c.stats.arrivals == 3
         assert c.stats.emitted == 2
         assert c.stats.mean_batch_size == 2.0
+
+    def test_due_follows_the_gap_ewma(self):
+        c = Coalescer(max_batch=100)
+        assert c.due(20.0) is None
+        c.add("a", 100.0)
+        assert c.due(20.0) == 100.0  # no gap yet: take at once
+        c.add("b", 110.0)  # gap 10: a companion is expected, hold
+        assert c.due(20.0) == 120.0
+        c.add("c", 200.0)  # gap 90: estimate 10 + (90 - 10) / 8 = 20
+        assert c.due(20.0) == 120.0
+        assert c.due(19.0) == 100.0
+        assert c.flush() == ["a", "b", "c"]
+        c.add("d", 200.0)  # gap 0: estimate 20 - 20 / 8 = 17.5
+        assert c.due(17.5) == 217.5
+        assert c.due(17.0) == 200.0
 
     def test_seed_pinned_short_window_schedule(self):
         """Seed-pinned arrival/flush schedule: exactly-once, in order.
@@ -65,7 +80,7 @@ class TestCoalescer:
             if rng.random() < 0.7:
                 item = f"req-{step}"
                 arrivals.append(item)
-                batch = c.add(item)
+                batch = c.add(item, float(step))
             else:
                 batch = c.flush()
             if batch is not None:
@@ -87,7 +102,7 @@ class TestCoalescer:
 
         def producer(tag):
             for i in range(50):
-                batch = c.add((tag, i))
+                batch = c.add((tag, i), 0.0)
                 if batch is not None:
                     with lock:
                         emitted.extend(batch)

@@ -8,6 +8,7 @@ import asyncio
 import json
 import logging
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -99,12 +100,16 @@ class TestSearchService:
             svc.submit("late", tiny_query)
 
     def test_close_pending_orders_cond_before_coalescer(
-        self, tiny_db, tiny_query, lock_witness
+        self, tiny_db, tiny_query, queries, lock_witness
     ):
-        # A long window keeps the request in the coalescer until close()
-        # flushes it while holding the service condition.
+        # The first arrival primes the gap estimate: the second comes well
+        # inside the long window, so the policy holds it in the coalescer
+        # (alone, or with the first if the dispatcher has not taken that
+        # yet) until close() flushes it while holding the service condition.
         with SearchService(tiny_db, backend="thread", window_ms=5000) as svc:
+            prime = svc.submit("prime", queries[0])
             fut = svc.submit("pending", tiny_query)
+        assert prime.result(timeout=120).query_id == "prime"
         assert fut.result(timeout=120).query_id == "pending"
         edges = {(e["src"], e["dst"]) for e in lock_witness.snapshot()["edges"]}
         assert ("SearchService._cond", "Coalescer._lock") in edges
@@ -112,10 +117,38 @@ class TestSearchService:
 
     def test_close_fails_undispatched_requests(self, tiny_db, queries):
         svc = SearchService(tiny_db, backend="thread", window_ms=5000)
+        gone = svc.submit("cancelled", queries[1])
         fut = svc.submit("stranded", queries[0])
+        assert gone.cancel()
         svc.close()  # dispatcher never started
         with pytest.raises(ServiceClosedError):
             fut.result(timeout=10)
+
+    def test_cancelled_request_does_not_stop_the_dispatcher(self, tiny_db, queries):
+        svc = SearchService(tiny_db, backend="thread", window_ms=0)
+        try:
+            # Cancelled before the dispatcher starts, so it is still queued
+            # when its batch is taken.
+            gone = svc.submit("cancelled", queries[0])
+            assert gone.cancel()
+            svc.start()
+            outcome = svc.submit("after", queries[1]).result(timeout=120)
+            assert outcome.query_id == "after"
+            assert svc._dispatcher.is_alive()
+        finally:
+            svc.close()
+        assert svc.pending == 0  # the cancelled request's slot was released
+        assert svc.stats.completed == 1
+        assert svc.stats.failed == 0
+
+    def test_lone_request_on_idle_service_is_not_held(self, tiny_db, tiny_query):
+        # No arrival has come before it, so nothing predicts a companion:
+        # the idle dispatcher takes it at once instead of waiting 5 s.
+        with SearchService(tiny_db, backend="thread", window_ms=5000) as svc:
+            t0 = time.monotonic()
+            svc.search("lone", tiny_query, timeout=120)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 2.5
 
     def test_stats_counters_exact_under_concurrent_cache_hits(
         self, tiny_db, tiny_query
