@@ -27,7 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.results import ExtensionArray
-from repro.cublastp.ext_common import ExtensionOutput, SCORE_BIAS
+from repro.cublastp.ext_common import (
+    ExtensionOutput,
+    SCORE_BIAS,
+    lane_walk,
+    lane_word_score,
+)
 from repro.cublastp.hit_detection_kernel import _alloc_unique
 from repro.cublastp.session import DeviceSession, WORD_ENTRY_COUNT_MASK, WORD_ENTRY_SHIFT
 from repro.alphabet import ALPHABET_SIZE
@@ -238,16 +243,17 @@ class CoarseBlastpKernel(Kernel):
                     trigger = is_seed & (base > reach)
                     with warp.where(trigger):
                         text = warp.active
-                        word_sc = np.zeros(lanes, dtype=np.int64)
-                        for t in range(W):
-                            code = warp.load(
-                                s.db_codes, np.where(text, base + t, 0)
-                            ).astype(np.int64)
-                            sc = self._score(warp, qpos + t, code)
-                            warp.alu()
-                            word_sc += sc
-                        gain_r, steps_r = self._walk(warp, off, end, qpos, ji, +1)
-                        gain_l, steps_l = self._walk(warp, off, off, qpos, ji, -1)
+                        word_sc = lane_word_score(
+                            warp, s, off, qpos, ji, W, score_fn=self._score
+                        )
+                        gain_r, steps_r = lane_walk(
+                            warp, s, off, end, qpos, ji, qlen, self.x_drop, +1, W,
+                            score_fn=self._score,
+                        )
+                        gain_l, steps_l = lane_walk(
+                            warp, s, off, off, qpos, ji, qlen, self.x_drop, -1, W,
+                            score_fn=self._score,
+                        )
                         warp.alu(2)
                         s_start = ji - steps_l
                         s_end = ji + W - 1 + steps_r
@@ -287,52 +293,6 @@ class CoarseBlastpKernel(Kernel):
                     live = warp.active
                     seq = np.where(live, seq + total_threads, seq)
                     fresh = fresh | live
-
-    def _walk(
-        self,
-        warp: Warp,
-        off: np.ndarray,
-        bound: np.ndarray,
-        q0: np.ndarray,
-        s0: np.ndarray,
-        direction: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lane x-drop walk with global-memory score loads."""
-        s = self.session
-        dev = warp.device
-        n = dev.warp_size
-        qlen = s.query_length
-        W = self.word_length
-        cur = np.zeros(n, dtype=np.int64)
-        best = np.zeros(n, dtype=np.int64)
-        best_steps = np.zeros(n, dtype=np.int64)
-        steps = np.zeros(n, dtype=np.int64)
-        stopped = ~warp.active
-        for _ in warp.loop_while(lambda: ~stopped):
-            act = warp.active
-            sn = steps + 1
-            if direction > 0:
-                q = q0 + W - 1 + sn
-                sabs = off + s0 + W - 1 + sn
-                inb = (q < qlen) & (sabs < bound)
-            else:
-                q = q0 - sn
-                sabs = off + s0 - sn
-                inb = (q >= 0) & (sabs >= bound)
-            stopped |= act & ~inb
-            with warp.where(inb):
-                inner = warp.active
-                code = warp.load(s.db_codes, np.where(inner, sabs, 0)).astype(np.int64)
-                sc = self._score(warp, np.where(inner, q, 0), code)
-                warp.alu(3)
-                cur = np.where(inner, cur + sc, cur)
-                steps = np.where(inner, sn, steps)
-                improved = inner & (cur > best)
-                best = np.where(improved, cur, best)
-                best_steps = np.where(improved, steps, best_steps)
-                stopped |= inner & (best - cur > self.x_drop)
-        gain = np.where(best > 0, best, 0)
-        return gain, np.where(best > 0, best_steps, 0)
 
 
 def run_coarse(

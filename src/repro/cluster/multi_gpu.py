@@ -71,36 +71,29 @@ def _remap_alignments(alignments: list[Alignment], part: Partition) -> list[Alig
 
 @dataclass
 class NodeResult:
-    """One node's search outcome and timing.
-
-    Under the serial backend the full :class:`CuBlastpReport` is kept and
-    :attr:`counts` / :attr:`elapsed_ms` / :attr:`breakdown` are derived
-    from it. Under the process backend the report stays in the worker
-    (it is large and not picklable-by-contract); only the derived fields
-    cross the boundary and :attr:`report` is ``None``.
-    """
+    """One node's search outcome; counts and timing read from its report."""
 
     node: int
     num_sequences: int
     alignments: list[Alignment]
-    report: CuBlastpReport | None = None
-    counts: dict[str, int] = field(default_factory=dict)
-    breakdown: dict[str, float] = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    report: CuBlastpReport
 
-    def __post_init__(self) -> None:
-        if self.report is not None:
-            if not self.elapsed_ms:
-                self.elapsed_ms = float(self.report.overall_ms)
-            if not self.counts:
-                self.counts = {
-                    "num_hits": int(self.report.gpu.num_hits),
-                    "num_seeds": int(self.report.gpu.num_seeds),
-                    "num_ungapped_extensions": len(self.report.gpu.extensions),
-                    "num_gapped_extensions": len(self.report.cpu.gapped_extensions),
-                }
-            if not self.breakdown:
-                self.breakdown = dict(self.report.breakdown)
+    @property
+    def elapsed_ms(self) -> float:
+        return float(self.report.overall_ms)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {
+            "num_hits": int(self.report.gpu.num_hits),
+            "num_seeds": int(self.report.gpu.num_seeds),
+            "num_ungapped_extensions": len(self.report.gpu.extensions),
+            "num_gapped_extensions": len(self.report.cpu.gapped_extensions),
+        }
+
+    @property
+    def breakdown(self) -> dict[str, float]:
+        return dict(self.report.breakdown)
 
 
 @dataclass
@@ -133,9 +126,6 @@ class MultiGpuBlastp:
     the whole database (enforced by tests).
     """
 
-    #: Node-execution backends ``backend`` accepts.
-    BACKENDS = ("serial", "process")
-
     def __init__(
         self,
         query: str | np.ndarray | CompiledQuery,
@@ -145,24 +135,10 @@ class MultiGpuBlastp:
         device: DeviceSpec = K20C,
         *,
         store: DatabaseStore | None = None,
-        backend: str = "serial",
-        jobs: int | None = None,
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        if backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (choose from {', '.join(self.BACKENDS)})"
-            )
         self.num_nodes = num_nodes
-        #: ``"serial"`` runs nodes in-process one after another;
-        #: ``"process"`` fans them out over a
-        #: :class:`~repro.engine.procpool.ProcessPool` (each worker maps
-        #: the database from the binary format and runs whole node
-        #: searches).
-        self.backend = backend
-        #: Worker processes for the process backend (default: one per node).
-        self.jobs = jobs
         #: Store resolving database paths and caching shard partitions.
         self.store = store
         # One shared query compilation (the broadcast structures): every
@@ -199,69 +175,6 @@ class MultiGpuBlastp:
             report=report,
         )
 
-    def _run_nodes_process(
-        self,
-        db: SequenceDatabase,
-        db_source: SequenceDatabase | str | Path | None = None,
-    ) -> list[NodeResult]:
-        """Fan node searches out over a process pool.
-
-        Each worker maps the database from the binary format (spilled to a
-        temp file when ``db`` is in-memory), partitions it locally (the
-        partitioning is deterministic, so head and workers agree), and
-        runs whole cuBLASTP node searches. Unlike the batch executor's
-        per-query isolation, a failed node fails the cluster search — a
-        partial merge would silently drop that shard's alignments.
-        """
-        from repro.alphabet import decode
-        from repro.engine.procpool import (
-            ClusterNodeSpec,
-            ProcessPool,
-            database_path_for_workers,
-        )
-        from repro.verify.canonical import alignments_from_payload
-
-        # Statistics against the whole search space, as in _run_node —
-        # baked into the spec so workers need no extra coordination.
-        node_params = dataclasses.replace(
-            self.params,
-            effective_db_residues=self.params.effective_db_residues
-            or int(db.codes.size),
-        )
-        db_path, cleanup = database_path_for_workers(
-            db if db_source is None else db_source, store=self.store
-        )
-        spec = ClusterNodeSpec(
-            query=decode(self.compiled.query_codes),
-            params=node_params,
-            config=self.config,
-            device=self.device,
-            db_path=str(db_path),
-            num_nodes=self.num_nodes,
-        )
-        jobs = min(self.jobs or self.num_nodes, self.num_nodes)
-        pool = ProcessPool(spec, jobs=jobs)
-        nodes: list[NodeResult] = []
-        try:
-            for _index, payload, error in pool.run(range(self.num_nodes)):
-                if error is not None:
-                    raise error
-                nodes.append(
-                    NodeResult(
-                        node=payload["node"],
-                        num_sequences=payload["num_sequences"],
-                        alignments=alignments_from_payload(payload["alignments"]),
-                        counts=payload["counts"],
-                        breakdown=payload["breakdown"],
-                        elapsed_ms=payload["elapsed_ms"],
-                    )
-                )
-        finally:
-            pool.shutdown()
-            if cleanup is not None:
-                cleanup()
-        return nodes
-
     # -- the head-node merge ---------------------------------------------------
 
     @staticmethod
@@ -280,33 +193,15 @@ class MultiGpuBlastp:
         which also caches the node partitioning — successive queries
         against the same resident database fragment it once.
         """
-        if self.backend == "process":
-            # Keep the caller's path form: an already-saved binary
-            # database passes straight to the workers, no re-spill.
-            db_source = db
-            if isinstance(db, (str, Path)):
-                if self.store is None:
-                    self.store = get_default_store()
-                db = self.store.open(db)
-            full_residues = int(db.codes.size)
-            nodes = self._run_nodes_process(db, db_source)
+        if isinstance(db, (str, Path)):
+            if self.store is None:
+                self.store = get_default_store()
+            parts = [h.partition for h in self.store.shards(db, self.num_nodes)]
+            db = self.store.open(db)
         else:
-            if isinstance(db, (str, Path)):
-                if self.store is None:
-                    self.store = get_default_store()
-                handles = self.store.shards(db, self.num_nodes)
-                parts = [h.partition for h in handles]
-                db = self.store.open(db)
-            elif self.store is not None:
-                self.store.add(f"<cluster-db-{id(db)}>", db)
-                parts = [
-                    h.partition
-                    for h in self.store.shards(f"<cluster-db-{id(db)}>", self.num_nodes)
-                ]
-            else:
-                parts = partition_database(db, self.num_nodes)
-            full_residues = int(db.codes.size)
-            nodes = [self._run_node(p, full_residues) for p in parts]
+            parts = partition_database(db, self.num_nodes)
+        full_residues = int(db.codes.size)
+        nodes = [self._run_node(p, full_residues) for p in parts]
 
         compute_ms = max(n.elapsed_ms for n in nodes)
         total_records = sum(len(n.alignments) for n in nodes)
@@ -356,105 +251,3 @@ class MultiGpuBlastp:
     def search(self, db: SequenceDatabase | str | Path) -> SearchResult:
         result, _ = self.search_with_report(db)
         return result
-
-    # -- batched search ------------------------------------------------------
-
-    @classmethod
-    def search_batch(
-        cls,
-        queries: "list[tuple[str, str]]",
-        num_nodes: int,
-        db: SequenceDatabase | str | Path,
-        params: SearchParams | None = None,
-        *,
-        store: DatabaseStore | None = None,
-        block_residues: int | None = None,
-    ) -> list[SearchResult]:
-        """Cluster-search a whole query batch, one sweep per node.
-
-        The db-sweep inversion applied to the cluster layer: instead of
-        broadcasting each query separately (``num_queries x num_nodes``
-        full pipeline runs over the partitions), every node makes *one*
-        blocked pass over its shard for the entire batch through a merged
-        :class:`~repro.seeding.multi_query.MultiQueryIndex`, and the head
-        node merges per-node alignment lists per query exactly as the
-        single-query path does. Statistics are pinned to the whole search
-        space (``effective_db_residues``), so each query's merged result
-        is identical to its single-node search of the full database.
-
-        ``queries`` is ``(query_id, sequence)`` pairs; one
-        :class:`~repro.core.results.SearchResult` per query, input order.
-        """
-        from repro.core.pipeline import BlastpPipeline
-        from repro.core.sweep import search_batch_sweep
-
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        if isinstance(db, (str, Path)):
-            store = store or get_default_store()
-            parts = [h.partition for h in store.shards(db, num_nodes)]
-            db = store.open(db)
-        elif store is not None:
-            store.add(f"<cluster-db-{id(db)}>", db)
-            parts = [
-                h.partition
-                for h in store.shards(f"<cluster-db-{id(db)}>", num_nodes)
-            ]
-        else:
-            parts = partition_database(db, num_nodes)
-        full_residues = int(db.codes.size)
-        compiled = []
-        for _query_id, sequence in queries:
-            c = compile_query(sequence, params)
-            node_params = dataclasses.replace(
-                c.params,
-                effective_db_residues=c.params.effective_db_residues
-                or full_residues,
-            )
-            compiled.append(c.with_params(node_params))
-        n = len(queries)
-        per_node: list[list[list[Alignment]]] = [[] for _ in range(n)]
-        counts = [
-            dict.fromkeys(
-                (
-                    "num_hits",
-                    "num_seeds",
-                    "num_ungapped_extensions",
-                    "num_gapped_extensions",
-                ),
-                0,
-            )
-            for _ in range(n)
-        ]
-        for part in parts:
-            pipes = [
-                BlastpPipeline(c, query_id=query_id)
-                for c, (query_id, _) in zip(compiled, queries)
-            ]
-            outcomes = search_batch_sweep(
-                pipes, part.db, block_residues=block_residues
-            )
-            for q, (result, _phase_counts) in enumerate(outcomes):
-                # Partition-local ids map monotonically to global ids, so
-                # the per-node sorted order survives the remap and the
-                # head's k-way merge stays valid.
-                per_node[q].append(_remap_alignments(result.alignments, part))
-                for key in counts[q]:
-                    counts[q][key] += getattr(result, key)
-        results = []
-        for q, c in enumerate(compiled):
-            merged = cls._merge(per_node[q], c.params.max_alignments)
-            results.append(
-                SearchResult(
-                    query_length=int(c.query_codes.size),
-                    db_sequences=len(db),
-                    db_residues=full_residues,
-                    alignments=merged,
-                    num_hits=counts[q]["num_hits"],
-                    num_seeds=counts[q]["num_seeds"],
-                    num_ungapped_extensions=counts[q]["num_ungapped_extensions"],
-                    num_gapped_extensions=counts[q]["num_gapped_extensions"],
-                    num_reported=len(merged),
-                )
-            )
-        return results

@@ -2,8 +2,8 @@
 
 The paper exposes three run-time knobs — number of bins per warp, ungapped
 extension strategy, and PSSM-vs-BLOSUM placement — plus the hierarchical
-buffering toggle its Fig. 17 ablates. All live here, with the launch
-geometry the kernels share.
+buffering toggle its Fig. 17 ablates. All live here; the launch geometry
+is a class attribute of each kernel.
 """
 
 from __future__ import annotations
@@ -46,17 +46,8 @@ class CuBlastpConfig:
         for the Fig. 15 sweep.
     use_readonly_cache:
         Hierarchical buffering toggle (Fig. 17).
-    hit_block_threads / ext_block_threads:
-        Launch geometry of the lane-simulated kernels.
     cpu_threads:
         Threads for the CPU phases (gapped extension + traceback).
-    num_db_blocks:
-        Database blocks streamed through the GPU/CPU pipeline (Fig. 12).
-    gapped_mode:
-        Scheduling of the CPU gapped-extension phase: ``"wave"`` (the
-        batched lanes x band wavefront DP) or ``"serial"`` (the scalar
-        best-first loop, kept as the differential oracle). Results are
-        identical either way; the verify matrix pins it.
     """
 
     num_bins: int = 128
@@ -72,11 +63,7 @@ class CuBlastpConfig:
     #: boundscheck); any hazard fails the search with SanitizerError.
     #: Functional output is unchanged — only checked (docs/ANALYSIS.md).
     sanitize: bool = False
-    hit_block_threads: int = 256
-    ext_block_threads: int = 256
     cpu_threads: int = 4
-    num_db_blocks: int = 4
-    gapped_mode: str = "wave"
 
     def __post_init__(self) -> None:
         if self.num_bins < 1:
@@ -92,7 +79,3 @@ class CuBlastpConfig:
             )
         if self.cpu_threads < 1:
             raise ConfigError("cpu_threads must be positive")
-        if self.num_db_blocks < 1:
-            raise ConfigError("num_db_blocks must be positive")
-        if self.gapped_mode not in ("wave", "serial"):
-            raise ConfigError(f"unknown gapped_mode {self.gapped_mode!r}")

@@ -7,7 +7,8 @@ semantics are bit-identical to :func:`repro.core.ungapped.ungapped_extend`
 written through an atomic cursor. The walk state helpers here are careful
 to express every update as masked numpy so that lanes at different walk
 stages coexist in one warp — which is precisely the divergence the three
-strategies trade off differently.
+strategies trade off differently. The coarse baseline kernel reuses the
+per-lane word score and walk with its own score lookup.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ def lane_word_score(
 ) -> np.ndarray:
     """Per-lane seed-word score (scattered subject loads, W score lookups).
 
-    ``score_fn(warp, qpos, scode)`` overrides the placement-routed lookup —
-    the coarse baselines pass their global-memory score path so the walk
-    semantics stay shared while the memory behaviour differs.
+    ``score_fn(warp, qpos, scode)`` overrides the placement-routed lookup:
+    the coarse baseline kernel (``baselines/coarse_kernel.py``) passes its
+    global-memory PSSM path, so its word scores and walks are this code
+    while its memory behaviour differs.
     """
     score = np.zeros(warp.device.warp_size, dtype=np.int64)
     for t in range(word_length):
@@ -112,7 +114,9 @@ def lane_walk(
     left from before the word (``end_or_start`` = sequence start offset).
     All lanes active in the caller's mask walk simultaneously; lanes whose
     walk terminates drop out of the loop while the rest continue — the
-    load-imbalance signature of Algorithms 3 and 4.
+    load-imbalance signature of Algorithms 3 and 4, and of the coarse
+    baseline kernel, which calls this walk per lane. ``score_fn`` is as
+    in :func:`lane_word_score`.
 
     Returns
     -------

@@ -30,6 +30,7 @@ class DiagonalExtensionKernel(Kernel):
     """Thread-per-diagonal extension."""
 
     name = "ungapped_extension[diagonal]"
+    block_threads = 256
     registers_per_thread = 48
 
     def __init__(self, session: DeviceSession, seeds: SeedList, x_drop: int, word_length: int) -> None:
@@ -37,7 +38,6 @@ class DiagonalExtensionKernel(Kernel):
         self.seeds = seeds
         self.x_drop = x_drop
         self.word_length = word_length
-        self.block_threads = session.config.ext_block_threads
 
     def setup_block(self, ctx: KernelContext, shared: SharedMemory, block_id: int) -> int:
         return setup_matrix_shared(self.session, shared)

@@ -29,6 +29,7 @@ class HitExtensionKernel(Kernel):
     """Thread-per-seed extension."""
 
     name = "ungapped_extension[hit]"
+    block_threads = 256
     registers_per_thread = 44
 
     def __init__(self, session: DeviceSession, seeds: SeedList, x_drop: int, word_length: int) -> None:
@@ -36,7 +37,6 @@ class HitExtensionKernel(Kernel):
         self.seeds = seeds
         self.x_drop = x_drop
         self.word_length = word_length
-        self.block_threads = session.config.ext_block_threads
 
     def setup_block(self, ctx: KernelContext, shared: SharedMemory, block_id: int) -> int:
         return setup_matrix_shared(self.session, shared)

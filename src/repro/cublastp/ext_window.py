@@ -85,6 +85,7 @@ class WindowExtensionKernel(Kernel):
     """Window-pair-per-diagonal extension with cooperative chunked walks."""
 
     name = "ungapped_extension[window]"
+    block_threads = 256
     registers_per_thread = 40
 
     def __init__(self, session: DeviceSession, seeds: SeedList, x_drop: int, word_length: int) -> None:
@@ -92,7 +93,6 @@ class WindowExtensionKernel(Kernel):
         self.seeds = seeds
         self.x_drop = x_drop
         self.word_length = word_length
-        self.block_threads = session.config.ext_block_threads
 
     def setup_block(self, ctx: KernelContext, shared: SharedMemory, block_id: int) -> int:
         return setup_matrix_shared(self.session, shared)

@@ -34,11 +34,11 @@ class HitDetectionKernel(Kernel):
     """Warp-based hit detection + binning."""
 
     name = "hit_detection"
+    block_threads = 256
     registers_per_thread = 40
 
     def __init__(self, session: DeviceSession) -> None:
         self.session = session
-        self.block_threads = session.config.hit_block_threads
 
     def setup_block(self, ctx: KernelContext, shared: SharedMemory, block_id: int) -> int:
         s = self.session
@@ -141,7 +141,7 @@ class HitDetectionKernel(Kernel):
 
 def shared_bytes_for(session: DeviceSession) -> int:
     """Shared-memory bill per block (state table + top counters)."""
-    warps_per_block = session.config.hit_block_threads // session.device.warp_size
+    warps_per_block = HitDetectionKernel.block_threads // session.device.warp_size
     return int(session.dfa_state_records.nbytes) + warps_per_block * session.config.num_bins * 4
 
 

@@ -4,7 +4,7 @@ pipeline that overlaps them.
 The GPU kernels run once over the whole database (the simulator's work
 counters are additive, so per-block times are the measured totals split by
 block residue share — DESIGN.md §2); the pipeline schedule then streams
-``num_db_blocks`` blocks through the four resources (H2D channel, GPU, D2H
+``NUM_DB_BLOCKS`` blocks through the four resources (H2D channel, GPU, D2H
 channel, CPU) and reports both the overlapped wall time and the per-stage
 breakdown Fig. 19(d) plots.
 """
@@ -34,6 +34,9 @@ from repro.perfmodel.cpu_cost import gapped_work_items, thread_makespan_ms, trac
 
 if TYPE_CHECKING:
     from repro.engine.events import EventLog
+
+#: Database blocks streamed through the GPU/CPU pipeline (Fig. 12).
+NUM_DB_BLOCKS = 4
 
 
 @dataclass
@@ -190,7 +193,7 @@ def run_cublastp(
     # streamed blocks share the resident code buffer instead of copying
     # it. CPU work is assigned by the block that owns each gapped
     # extension's sequence.
-    bounds = db.block_bounds(config.num_db_blocks)
+    bounds = db.block_bounds(NUM_DB_BLOCKS)
     blocks = bounds.size - 1
     residues = db.offsets[bounds[1:]] - db.offsets[bounds[:-1]]
     share = residues / max(1, int(db.codes.size))

@@ -77,13 +77,7 @@ class CuBlastp:
         query_id: str | None = None,
     ) -> None:
         self.config = config or CuBlastpConfig()
-        self.pipe = BlastpPipeline(
-            query,
-            params,
-            events=None,
-            query_id=query_id,
-            gapped_mode=self.config.gapped_mode,
-        )
+        self.pipe = BlastpPipeline(query, params, events=None, query_id=query_id)
         self.events = events
         self.query_id = query_id
         if self.pipe.compiled is not None:

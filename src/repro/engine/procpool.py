@@ -29,9 +29,6 @@ Layers
 :class:`QueryTaskSpec`
     The search task: build the engine once per worker, ``mmap`` the
     database once per worker, then stream queries.
-:class:`ClusterNodeSpec`
-    The cluster task: each worker maps the database, partitions it
-    locally, and runs whole cuBLASTP node searches.
 
 :func:`database_path_for_workers` is the in-memory fallback: anything
 that is not already a saved binary database is spilled to a temporary
@@ -323,59 +320,6 @@ class SweepBlockSpec:
             # block's wall to hit detection vs ungapped extension instead
             # of one opaque sweep number.
             "phase_wall_ms": {k: float(v) for k, v in phase_wall.items()},
-        }
-
-
-@dataclass(frozen=True)
-class ClusterNodeSpec:
-    """One-node-per-task work for :class:`~repro.cluster.multi_gpu.MultiGpuBlastp`.
-
-    Each worker maps the database, computes the node partitioning locally
-    (identical arithmetic to the head — partitioning is deterministic),
-    and runs the full cuBLASTP pipeline on the node's shard. Alignments
-    return id-remapped into the global database coordinate system.
-    """
-
-    query: str
-    params: "SearchParams"
-    config: "CuBlastpConfig"
-    device: Any
-    db_path: str
-    num_nodes: int
-    interleaved: bool = True
-
-    def setup(self) -> tuple[Any, Any]:
-        from repro.cluster.partition import partition_database
-        from repro.cublastp.search import CuBlastp
-        from repro.io.database import SequenceDatabase
-
-        db = SequenceDatabase.load(self.db_path, mmap=True)
-        parts = partition_database(db, self.num_nodes, interleaved=self.interleaved)
-        searcher = CuBlastp(self.query, self.params, self.config, self.device)
-        return searcher, parts
-
-    def run(self, state: tuple[Any, Any], node: int) -> dict:
-        from repro.verify.canonical import alignments_to_payload
-
-        searcher, parts = state
-        part = parts[node]
-        result, report = searcher.search_with_report(part.db)
-        remapped = [
-            {**a, "seq_id": part.to_global(a["seq_id"])}
-            for a in alignments_to_payload(result.alignments)
-        ]
-        return {
-            "node": part.node,
-            "num_sequences": len(part.db),
-            "alignments": remapped,
-            "counts": {
-                "num_hits": int(report.gpu.num_hits),
-                "num_seeds": int(report.gpu.num_seeds),
-                "num_ungapped_extensions": len(report.gpu.extensions),
-                "num_gapped_extensions": len(report.cpu.gapped_extensions),
-            },
-            "elapsed_ms": float(report.overall_ms),
-            "breakdown": dict(report.breakdown),
         }
 
 

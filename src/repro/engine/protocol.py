@@ -116,13 +116,11 @@ ENGINE_NAMES = ("cublastp", "reference", "fsa", "ncbi", "cuda-blastp", "gpu-blas
 #: ``cublastp`` accepts an extension-strategy suffix, e.g.
 #: ``"cublastp:diagonal"`` — one name per Fig. 9 strategy, used by the
 #: differential-verification matrix to pin each strategy as its own
-#: implementation under test. ``cublastp:batched-gapped`` pins the CPU
-#: side instead: the batched wavefront gapped-extension scheduler.
+#: implementation under test.
 CUBLASTP_STRATEGY_NAMES = (
     "cublastp:diagonal",
     "cublastp:hit",
     "cublastp:window",
-    "cublastp:batched-gapped",
 )
 
 
@@ -164,22 +162,14 @@ def make_engine(
                     "config, not both"
                 )
             strategy = name.split(":", 1)[1]
-            if strategy == "batched-gapped":
-                # The CPU-side pin: gapped extension explicitly on the
-                # batched wavefront scheduler (the engine default, named
-                # so the verify matrix tracks it as its own variant).
-                config = CuBlastpConfig(gapped_mode="wave")
-            else:
-                try:
-                    mode = ExtensionMode(strategy)
-                except ValueError:
-                    raise ValueError(
-                        f"unknown cublastp extension strategy {strategy!r} "
-                        f"(choose from "
-                        f"{', '.join(m.value for m in ExtensionMode)}, "
-                        f"batched-gapped)"
-                    ) from None
-                config = CuBlastpConfig(extension_mode=mode)
+            try:
+                mode = ExtensionMode(strategy)
+            except ValueError:
+                raise ValueError(
+                    f"unknown cublastp extension strategy {strategy!r} "
+                    f"(choose from {', '.join(m.value for m in ExtensionMode)})"
+                ) from None
+            config = CuBlastpConfig(extension_mode=mode)
         return CuBlastp(None, params, config, device or K20C, events=events)
     if name == "reference" or name.startswith("reference:"):
         from repro.core.pipeline import BlastpPipeline

@@ -146,8 +146,14 @@ class DatabaseStore:
         return db
 
     def add(self, name: str, db: SequenceDatabase) -> SequenceDatabase:
-        """Register an in-memory database under ``name`` (pinned)."""
+        """Register an in-memory database under ``name`` (pinned).
+
+        Re-registering a name with a different database drops the shard
+        and block partitions cut from the old one.
+        """
         with self._lock:
+            if self._pinned.get(name) is not db:
+                self._drop_shards(name)
             self._pinned[name] = db
         return db
 

@@ -162,7 +162,6 @@ DEFAULT_VARIANTS: tuple[EngineVariant, ...] = (
     EngineVariant("cublastp-sanitize", "cublastp", sanitize=True),
     EngineVariant("cublastp-batched", "cublastp", path="sweep"),
     EngineVariant("cublastp-batched-process", "cublastp", path="sweep-process"),
-    EngineVariant("cublastp-batched-gapped", "cublastp:batched-gapped"),
 )
 
 #: Variant names accepted by ``repro verify --engines``.

@@ -81,6 +81,24 @@ class TestEngineMatrix:
         )
 
 
+
+def test_no_two_variants_share_an_implementation():
+    """Each variant runs a distinct (engine class, config, path, sanitize)
+    — a second name for the same implementation only costs matrix time."""
+    from repro.core.statistics import SearchParams
+
+    seen = {}
+    for variant in DEFAULT_VARIANTS:
+        engine = variant.make(SearchParams())
+        key = (
+            type(engine),
+            getattr(engine, "config", None),
+            variant.path,
+            variant.sanitize,
+        )
+        assert key not in seen, f"{variant.name} == {seen[key]}"
+        seen[key] = variant.name
+
 class TestGoldenSnapshots:
     def test_every_corpus_case_is_pinned(self, corpus):
         store = GoldenStore(GOLDEN_DIR)

@@ -114,3 +114,43 @@ class TestCrossImplementationShape:
             with_cache.gpu.kernel_ms("hit_detection")
             < without.gpu.kernel_ms("hit_detection")
         )
+
+
+class TestCoarseKernelCounters:
+    """The coarse baselines' kernel counters are pinned on the small
+    fixture: the fused kernel shares its x-drop walk and word score with
+    the fine-grained kernels, and that sharing must not move a single
+    issue slot, transaction or divergent branch."""
+
+    PINNED = {
+        CudaBlastp: dict(
+            issue_cycles=518291,
+            instructions=83561,
+            active_lane_slots=244786,
+            divergent_branches=2101,
+            global_load_transactions=65830,
+            global_load_requested_bytes=207154,
+            global_store_transactions=5193,
+            atomic_ops=179,
+            readonly_hits=0,
+            readonly_misses=0,
+        ),
+        GpuBlastp: dict(
+            issue_cycles=511022,
+            instructions=76232,
+            active_lane_slots=234158,
+            divergent_branches=1971,
+            global_load_transactions=65314,
+            global_load_requested_bytes=207154,
+            global_store_transactions=5223,
+            atomic_ops=241,
+            readonly_hits=0,
+            readonly_misses=0,
+        ),
+    }
+
+    @pytest.mark.parametrize("cls", [CudaBlastp, GpuBlastp], ids=lambda c: c.__name__)
+    def test_counters_match_pinned(self, cls, small_query, small_params, small_db):
+        _, rep = cls(small_query, small_params).search_with_report(small_db)
+        got = {name: getattr(rep.kernel, name) for name in self.PINNED[cls]}
+        assert got == self.PINNED[cls]

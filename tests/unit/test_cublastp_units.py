@@ -85,7 +85,6 @@ class TestConfig:
             {"matrix_mode": "nope"},
             {"window_size": 5},
             {"cpu_threads": 0},
-            {"num_db_blocks": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

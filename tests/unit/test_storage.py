@@ -282,6 +282,22 @@ class TestDatabaseStore:
         second = store.shards("mydb", 2)
         assert first[0].partition is second[0].partition
 
+    def test_readd_serves_new_database_shards_and_blocks(self):
+        old = SequenceDatabase.from_strings(["MKTAY", "ARNDC", "WWWW"])
+        new = SequenceDatabase.from_strings(["MKTAY", "ARNDC", "WWWW", "QEGH"])
+        store = DatabaseStore()
+        store.add("x", old)
+        assert sum(len(h.db) for h in store.shards("x", 2)) == 3
+        assert sum(len(b) for b in store.blocks("x", 2)) == 3
+        store.add("x", new)
+        assert store.open("x") is new
+        shards = store.shards("x", 2)
+        assert sum(len(h.db) for h in shards) == 4
+        assert sum(len(b) for b in store.blocks("x", 2)) == 4
+        # Re-adding the same database keeps the cached cut.
+        store.add("x", new)
+        assert store.shards("x", 2)[0].partition is shards[0].partition
+
     def test_default_store_is_singleton(self):
         assert get_default_store() is get_default_store()
 

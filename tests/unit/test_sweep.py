@@ -202,18 +202,3 @@ class TestStoreBlocks:
         store = DatabaseStore()
         blocks = store.blocks(path, 3)
         assert sum(len(b) for b in blocks) == len(tiny_db)
-
-
-class TestClusterBatch:
-    def test_cluster_search_batch_matches_single_node(
-        self, batch_queries, tiny_db, tiny_params, per_query_results
-    ):
-        from repro.cluster.multi_gpu import MultiGpuBlastp
-
-        results = MultiGpuBlastp.search_batch(
-            batch_queries, 3, tiny_db, tiny_params, block_residues=400
-        )
-        for got, expected in zip(results, per_query_results):
-            assert got.alignments == expected.alignments
-            assert got.num_hits == expected.num_hits
-            assert got.num_seeds == expected.num_seeds
