@@ -9,14 +9,14 @@ from common import print_table
 
 from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.core import BlastpPipeline
+from repro.core.sweep import sweep_extensions
 
 
 def compute_scaling(lab):
     db = lab.db("swissprot_rich")
     pipe = BlastpPipeline(lab.query("swissprot_rich", "query517"), lab.params("swissprot_rich"))
     cutoffs = pipe.cutoffs(db)
-    hits = pipe.phase_hit_detection(db)
-    exts, _ = pipe.phase_ungapped(hits, db, cutoffs)
+    [(exts, _, _)] = sweep_extensions([pipe], db, [cutoffs])
     times = {}
     for threads in (1, 2, 4):
         r = run_cpu_phases(pipe, exts, db, cutoffs, threads)

@@ -3,7 +3,7 @@
 * :mod:`~repro.baselines.smith_waterman` — optimal local alignment, the
   accuracy oracle BLAST approximates;
 * :mod:`~repro.baselines.fsa_blast` — the sequential CPU reference
-  (FSA-BLAST), also the output oracle for every other implementation;
+  (FSA-BLAST), whose output every other implementation must match;
 * :mod:`~repro.baselines.ncbi_blast` — the multithreaded CPU model
   (NCBI BLAST with pthreads);
 * :mod:`~repro.baselines.coarse_kernel` — the shared coarse-grained

@@ -1,10 +1,11 @@
-"""FSA-BLAST: the sequential CPU baseline (and output oracle).
+"""FSA-BLAST: the sequential CPU baseline.
 
-Functionally this *is* the reference pipeline — FSA-BLAST defines what
-every other implementation must output. The wrapper adds the timing story:
-per-phase times from the CPU cost model priced over the search's actual
-work counts (DESIGN.md §2's substitution for wall-clock on the paper's
-i5-2400).
+Functionally this *is* the reference pipeline — the paper holds every
+implementation to FSA-BLAST's output, and here that output is the
+reference search's (checked in turn against the differential oracle,
+:mod:`repro.verify.oracle`). The wrapper adds the timing story: per-phase
+times from the CPU cost model priced over the search's actual work counts
+(DESIGN.md §2's substitution for wall-clock on the paper's i5-2400).
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import numpy as np
 from repro.core.pipeline import BlastpPipeline, PhaseCounts
 from repro.core.results import SearchResult
 from repro.core.statistics import SearchParams
+from repro.core.sweep import sweep_extensions
+from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.cublastp.pipeline import host_other_ms
 from repro.engine.compiled import CompiledQuery, compile_query
 from repro.io.database import SequenceDatabase
 from repro.perfmodel.calibration import CostConstants, DEFAULT_COSTS
-from repro.perfmodel.cpu_cost import (
-    critical_phase_ms,
-    gapped_work_items,
-    thread_makespan_ms,
-    traceback_work_items,
-    ungapped_cells,
-)
+from repro.perfmodel.cpu_cost import critical_phase_ms, ungapped_cells
 
 
 @dataclass
@@ -118,53 +115,38 @@ class FsaBlast:
         return self.pipe.search(db)
 
     def search_with_timing(self, db: SequenceDatabase) -> tuple[SearchResult, FsaBlastTiming, PhaseCounts]:
-        """Search and attach the per-phase cost model."""
+        """Search and attach the per-phase cost model.
+
+        Phases 1–2 run as the one-query sweep, phases 3–4 as the CPU
+        phases priced at this engine's thread count
+        (:func:`~repro.cublastp.cpu_phases.run_cpu_phases`, which also
+        honours ``ungapped_only``).
+        """
         pipe = self.pipe
         cutoffs = pipe.cutoffs(db)
-        db_hits = pipe.phase_hit_detection(db)
-        extensions, num_seeds = pipe.phase_ungapped(db_hits, db, cutoffs)
-        gapped, num_triggers = pipe.phase_gapped(extensions, db, cutoffs)
-        alignments = pipe.phase_traceback(gapped, db, cutoffs)
+        [(extensions, num_hits, num_seeds)] = sweep_extensions([pipe], db, [cutoffs])
+        cpu = run_cpu_phases(pipe, extensions, db, cutoffs, self.threads, self.costs)
 
         num_words = int(
             np.maximum(db.lengths - pipe.params.word_length + 1, 0).sum()
         )
         cells = ungapped_cells(extensions, cutoffs.x_drop_ungapped)
-        critical = critical_phase_ms(
-            num_words, len(db_hits), cells, self.costs, threads=self.threads
-        )
-        gapped_ms = thread_makespan_ms(
-            gapped_work_items(gapped, self.costs), self.threads, self.costs
-        )
-        reported = [g for g in gapped if g.score >= cutoffs.report_cutoff]
-        traceback_ms = thread_makespan_ms(
-            traceback_work_items(reported, self.costs), self.threads, self.costs
-        )
         timing = FsaBlastTiming(
-            critical_ms=critical,
-            gapped_ms=gapped_ms,
-            traceback_ms=traceback_ms,
+            critical_ms=critical_phase_ms(
+                num_words, num_hits, cells, self.costs, threads=self.threads
+            ),
+            gapped_ms=cpu.gapped_ms,
+            traceback_ms=cpu.traceback_ms,
             other_ms=host_other_ms(db, pipe.query_length),
             threads=self.threads,
         )
-        counts = PhaseCounts(
-            num_hits=len(db_hits),
-            num_seeds=num_seeds,
-            num_ungapped_extensions=len(extensions),
-            num_gapped_triggers=num_triggers,
-            num_gapped_extensions=len(gapped),
-            num_traceback=len(gapped),
-            num_reported=len(alignments),
-        )
-        result = SearchResult(
-            query_length=pipe.query_length,
-            db_sequences=len(db),
-            db_residues=int(db.codes.size),
-            alignments=alignments,
-            num_hits=counts.num_hits,
-            num_seeds=num_seeds,
-            num_ungapped_extensions=len(extensions),
-            num_gapped_extensions=len(gapped),
-            num_reported=len(alignments),
+        result, counts = pipe.assemble(
+            db,
+            extensions,
+            num_hits,
+            num_seeds,
+            cpu.gapped_extensions,
+            cpu.num_triggers,
+            cpu.alignments,
         )
         return result, timing, counts

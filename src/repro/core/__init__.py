@@ -9,7 +9,6 @@ FSA-BLAST" claim is enforced rather than asserted.
 """
 
 from repro.core.gapped import GappedExtension, gapped_extend
-from repro.core.hit_detection import DatabaseHits, detect_hits
 from repro.core.hits import HitArray, diagonal_of
 from repro.core.pipeline import BlastpPipeline, PhaseCounts
 from repro.core.results import (
@@ -38,7 +37,6 @@ __all__ = [
     "Alignment",
     "DEFAULT_BLOCK_RESIDUES",
     "BlastpPipeline",
-    "DatabaseHits",
     "ExtensionArray",
     "GappedExtension",
     "HitArray",
@@ -48,7 +46,6 @@ __all__ = [
     "TracebackAlignment",
     "UngappedExtension",
     "batch_traceback_align",
-    "detect_hits",
     "diagonal_of",
     "gapped_extend",
     "num_sweep_blocks",

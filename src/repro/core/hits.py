@@ -169,8 +169,7 @@ class TaggedHits:
     """Query-tagged hits of one database block: a *sorted* packed-key stream.
 
     ``seq_id`` / ``subject_pos`` inside the keys are local to the swept
-    block; the query field indexes the batch the stream was built for. A
-    per-query :class:`HitArray` is the one-query case (:meth:`from_hits`).
+    block; the query field indexes the batch the stream was built for.
     """
 
     keys: np.ndarray
@@ -184,20 +183,6 @@ class TaggedHits:
         keys.sort()
         bounds = np.searchsorted(keys, layout.query_starts(num_queries))
         return cls(keys, layout, np.diff(bounds))
-
-    @classmethod
-    def from_hits(cls, hits: HitArray, two_hit_window: int) -> "TaggedHits":
-        """One query's hits as a one-query stream (every key tagged query 0)."""
-        diag = hits.diagonal
-        layout = KeyLayout.fit(
-            1,
-            int(hits.seq_id.max(initial=0)),
-            int(diag.max(initial=0)),
-            int(hits.subject_pos.max(initial=0)),
-            two_hit_window,
-        )
-        keys = layout.pack(0, hits.seq_id, diag, hits.subject_pos)
-        return cls.from_keys(keys, layout, 1)
 
     def __len__(self) -> int:
         return int(self.keys.size)

@@ -1,11 +1,13 @@
 """The reference four-phase BLASTP pipeline.
 
-:class:`BlastpPipeline` wires the phase implementations together and is the
-single source of truth for inter-phase plumbing (seed choice, containment
-de-duplication, cutoff application). Baselines and the cuBLASTP search reuse
-these phase methods wherever their algorithms coincide, so behavioural
-differences between implementations are confined to the phases the paper
-actually re-designs.
+:class:`BlastpPipeline` holds one compiled query and the phase methods
+that are the single source of truth for inter-phase plumbing (seed
+choice, containment de-duplication, cutoff application). Phases 1–2 run
+through the database sweep (:mod:`repro.core.sweep`), phases 3–4 through
+:meth:`BlastpPipeline.phase_gapped` / :meth:`BlastpPipeline.phase_traceback`.
+Baselines and the cuBLASTP search reuse these pieces wherever their
+algorithms coincide, so behavioural differences between implementations
+are confined to the phases the paper actually re-designs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.gapped import GappedExtension, gapped_extend
+from repro.core.gapped import GappedExtension
 from repro.core.gapped_batch import batch_gapped_extend
-from repro.core.hit_detection import DatabaseHits, detect_hits
 from repro.core.hits import TaggedHits
 from repro.core.results import Alignment, ExtensionArray, SearchResult
 from repro.core.statistics import (
@@ -86,8 +87,36 @@ def phase_ungapped_tagged(
     )
 
 
+def gapped_candidates(
+    extensions: ExtensionArray, cutoffs: Cutoffs
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 3's input: the segments scoring at least the gap trigger,
+    best-first per sequence.
+
+    Returns ``(num_triggers, seq_ids, seed_query, seed_subject)`` — the
+    candidate columns in best-first order, each seed point the middle of
+    its segment.
+    """
+    trig = extensions.take(extensions.score >= cutoffs.gap_trigger)
+    # Best-first per sequence; lexsort is stable, so full ties keep
+    # stream order.
+    order = np.lexsort(
+        (trig.query_start, trig.subject_start, trig.seq_id, -trig.score)
+    )
+    mid = trig.lengths // 2
+    seqs = trig.seq_id[order].astype(np.int64)
+    seed_q = (trig.query_start + mid)[order].astype(np.int64)
+    seed_s = (trig.subject_start + mid)[order].astype(np.int64)
+    return len(trig), seqs, seed_q, seed_s
+
+
 class BlastpPipeline:
     """Reference BLASTP search for one query.
+
+    :meth:`search` is the one-query case of the batch sweep
+    (:func:`~repro.core.sweep.search_batch_sweep`); the scalar
+    differential oracle it is checked against lives in
+    :mod:`repro.verify.oracle`.
 
     Parameters
     ----------
@@ -107,12 +136,6 @@ class BlastpPipeline:
     #: Engine-protocol name.
     name = "reference"
 
-    #: Gapped-extension scheduling modes: ``"wave"`` batch-extends the
-    #: best surviving trigger per sequence each round through the
-    #: lanes x band slab DP; ``"serial"`` is the scalar best-first loop
-    #: (the differential oracle for the batched path).
-    GAPPED_MODES = ("wave", "serial")
-
     def __init__(
         self,
         query: str | np.ndarray | CompiledQuery | None = None,
@@ -120,16 +143,9 @@ class BlastpPipeline:
         *,
         events: EventLog | None = None,
         query_id: str | None = None,
-        gapped_mode: str = "wave",
     ) -> None:
         self.events = events
         self.query_id = query_id
-        if gapped_mode not in self.GAPPED_MODES:
-            raise ValueError(
-                f"unknown gapped_mode {gapped_mode!r} "
-                f"(choose from {', '.join(self.GAPPED_MODES)})"
-            )
-        self.gapped_mode = gapped_mode
         if query is None:
             self.compiled: CompiledQuery | None = None
             self.params = params or SearchParams()
@@ -155,12 +171,7 @@ class BlastpPipeline:
         """This engine bound to a compiled query (cheap: no rebuild)."""
         if compiled is self.compiled and query_id == self.query_id:
             return self
-        return type(self)(
-            compiled,
-            events=self.events,
-            query_id=query_id,
-            gapped_mode=self.gapped_mode,
-        )
+        return type(self)(compiled, events=self.events, query_id=query_id)
 
     def run(
         self,
@@ -218,19 +229,6 @@ class BlastpPipeline:
 
     # -- phases ------------------------------------------------------------
 
-    def phase_hit_detection(self, db: SequenceDatabase) -> DatabaseHits:
-        """Phase 1: all word hits, column-major order."""
-        return detect_hits(self.lookup, db)
-
-    def phase_ungapped(
-        self, db_hits: DatabaseHits, db: SequenceDatabase, cutoffs: Cutoffs
-    ) -> tuple[ExtensionArray, int]:
-        """Phase 2: two-hit seeding + x-drop ungapped extension — the
-        one-query case of :func:`phase_ungapped_tagged`."""
-        tagged = TaggedHits.from_hits(db_hits.hits, self.params.two_hit_window)
-        extensions, num_seeds, _, _ = phase_ungapped_tagged([self], tagged, db, [cutoffs])
-        return extensions, num_seeds
-
     def phase_gapped(
         self,
         extensions: ExtensionArray,
@@ -254,28 +252,15 @@ class BlastpPipeline:
         sequence) through one lanes x band slab DP, applies the new
         boxes with a vectorised containment test, and repeats. The
         accepted set, each extension's fields, and the output order are
-        identical to the serial loop; the property suite and the verify
-        matrix (whose oracle runs ``gapped_mode="serial"``) pin it.
+        identical to the scalar best-first loop
+        (:func:`repro.verify.oracle.serial_gapped`); the property suite
+        and the verify matrix, whose oracle runs that loop, pin it.
 
         Returns
         -------
         (gapped_extensions, num_triggers)
         """
-        trig = extensions.take(extensions.score >= cutoffs.gap_trigger)
-        num_triggers = len(trig)
-        # Best-first per sequence; lexsort is stable, so full ties keep
-        # the stream order exactly as the old list.sort(key=...) did.
-        order = np.lexsort(
-            (trig.query_start, trig.subject_start, trig.seq_id, -trig.score)
-        )
-        mid = trig.lengths // 2
-        seqs = trig.seq_id[order].astype(np.int64)
-        seed_q = (trig.query_start + mid)[order].astype(np.int64)
-        seed_s = (trig.subject_start + mid)[order].astype(np.int64)
-        if self.gapped_mode == "serial":
-            accepted = self._gapped_serial(db, cutoffs, seqs, seed_q, seed_s)
-            return accepted, num_triggers
-
+        num_triggers, seqs, seed_q, seed_s = gapped_candidates(extensions, cutoffs)
         go, ge = self.params.gap_open, self.params.gap_extend
         xd = cutoffs.x_drop_gapped
         accepted = []
@@ -330,64 +315,6 @@ class BlastpPipeline:
         # head at once); restore the serial loop's acceptance order.
         serial_order = np.argsort(np.concatenate(accepted_pos))
         return [accepted[int(k)] for k in serial_order], num_triggers
-
-    def _gapped_serial(
-        self,
-        db: SequenceDatabase,
-        cutoffs: Cutoffs,
-        seqs: np.ndarray,
-        seed_q: np.ndarray,
-        seed_s: np.ndarray,
-    ) -> list[GappedExtension]:
-        """The scalar best-first gapped loop (differential oracle).
-
-        Walks the best-first candidate columns in order, skipping any
-        seed inside an accepted same-sequence bounding box — the box
-        test is one vectorised comparison against flat accepted-box
-        columns per candidate, not a Python scan over box tuples.
-        """
-        accepted: list[GappedExtension] = []
-        box_cols = np.empty((5, 0), dtype=np.int64)
-        for k in range(seqs.size):
-            if box_cols.shape[1]:
-                b_seq, bqs, bqe, bss, bse = box_cols
-                covered = bool(
-                    np.any(
-                        (b_seq == seqs[k])
-                        & (bqs <= seed_q[k]) & (seed_q[k] <= bqe)
-                        & (bss <= seed_s[k]) & (seed_s[k] <= bse)
-                    )
-                )
-                if covered:
-                    continue
-            gext = gapped_extend(
-                self.pssm,
-                db.sequence(int(seqs[k])),
-                int(seqs[k]),
-                int(seed_q[k]),
-                int(seed_s[k]),
-                self.params.gap_open,
-                self.params.gap_extend,
-                cutoffs.x_drop_gapped,
-            )
-            accepted.append(gext)
-            box_cols = np.concatenate(
-                [
-                    box_cols,
-                    np.array(
-                        [
-                            [gext.seq_id],
-                            [gext.box_query_start],
-                            [gext.box_query_end],
-                            [gext.box_subject_start],
-                            [gext.box_subject_end],
-                        ],
-                        dtype=np.int64,
-                    ),
-                ],
-                axis=1,
-            )
-        return accepted
 
     def phase_traceback(
         self,
@@ -537,49 +464,20 @@ class BlastpPipeline:
         out.sort(key=lambda a: (-a.score, a.seq_id, a.query_start, a.subject_start))
         return out[: self.params.max_alignments]
 
-    # -- end-to-end --------------------------------------------------------
-
-    def search(self, db: SequenceDatabase) -> SearchResult:
-        """Run all four phases and assemble the result."""
-        result, _ = self.search_with_counts(db)
-        return result
-
-    def search_with_counts(self, db: SequenceDatabase) -> tuple[SearchResult, PhaseCounts]:
-        """Run all four phases and also return the per-phase work counts.
-
-        With an :class:`~repro.engine.events.EventLog` attached, each phase
-        emits start/end events carrying its work-item count (the reference
-        pipeline attributes no modelled time — it *is* the semantics, not a
-        performance model).
-        """
-        from contextlib import nullcontext
-
-        def phase(name: str):
-            if self.events is None:
-                return nullcontext({})
-            return self.events.phase(self.name, name, query_id=self.query_id)
-
-        cutoffs = self.cutoffs(db)
-        with phase("hit_detection") as ev:
-            db_hits = self.phase_hit_detection(db)
-            ev["work_items"] = len(db_hits)
-        with phase("ungapped_extension") as ev:
-            extensions, num_seeds = self.phase_ungapped(db_hits, db, cutoffs)
-            ev["work_items"] = len(extensions)
-        if self.params.ungapped_only:
-            gapped, num_triggers = [], 0
-            with phase("final_alignment") as ev:
-                alignments = self.phase_ungapped_report(extensions, db, cutoffs)
-                ev["work_items"] = len(alignments)
-        else:
-            with phase("gapped_extension") as ev:
-                gapped, num_triggers = self.phase_gapped(extensions, db, cutoffs)
-                ev["work_items"] = len(gapped)
-            with phase("final_alignment") as ev:
-                alignments = self.phase_traceback(gapped, db, cutoffs)
-                ev["work_items"] = len(alignments)
+    def assemble(
+        self,
+        db: SequenceDatabase,
+        extensions: ExtensionArray,
+        num_hits: int,
+        num_seeds: int,
+        gapped: list[GappedExtension],
+        num_triggers: int,
+        alignments: list[Alignment],
+    ) -> tuple[SearchResult, PhaseCounts]:
+        """The search result and its per-phase work counts, from the four
+        phases' outputs (``gapped`` is empty in ungapped-only mode)."""
         counts = PhaseCounts(
-            num_hits=len(db_hits),
+            num_hits=num_hits,
             num_seeds=num_seeds,
             num_ungapped_extensions=len(extensions),
             num_gapped_triggers=num_triggers,
@@ -592,10 +490,33 @@ class BlastpPipeline:
             db_sequences=len(db),
             db_residues=int(db.codes.size),
             alignments=alignments,
-            num_hits=counts.num_hits,
-            num_seeds=counts.num_seeds,
+            num_hits=num_hits,
+            num_seeds=num_seeds,
             num_ungapped_extensions=counts.num_ungapped_extensions,
             num_gapped_extensions=counts.num_gapped_extensions,
             num_reported=counts.num_reported,
         )
         return result, counts
+
+    # -- end-to-end --------------------------------------------------------
+
+    def search(self, db: SequenceDatabase) -> SearchResult:
+        """Run all four phases and assemble the result."""
+        result, _ = self.search_with_counts(db)
+        return result
+
+    def search_with_counts(self, db: SequenceDatabase) -> tuple[SearchResult, PhaseCounts]:
+        """Run all four phases and also return the per-phase work counts.
+
+        The one-query batch sweep: with an
+        :class:`~repro.engine.events.EventLog` attached, the phases emit
+        the sweep's events — a closing ``hit_detection`` /
+        ``ungapped_extension`` pair per block, then ``gapped_extension`` /
+        ``final_alignment`` start/end pairs, each carrying its work-item
+        count (the reference pipeline attributes no modelled time — it
+        *is* the semantics, not a performance model).
+        """
+        from repro.core.sweep import search_batch_sweep
+
+        [outcome] = search_batch_sweep([self], db, events=self.events)
+        return outcome

@@ -12,17 +12,21 @@ run phase 2 on that stream for every query at once
 the block boundary, cut the query-major *extension* stream per query —
 zero-copy slices (:meth:`~repro.seeding.multi_query.MultiQueryIndex.untag`).
 Only the surviving extensions — thousands, not the millions of raw hits —
-accumulate across blocks; gapped extension and traceback then run per
-query exactly as the per-query pipeline does (:func:`sweep_finish`).
+accumulate across blocks (:func:`sweep_extensions`); gapped extension and
+traceback then run per query (:func:`sweep_finish`).
 
-Why this is result-identical to per-query search (the conformance
-argument, enforced by the verify matrix's ``cublastp-batched`` variants
-and the property suite):
+This is the only phase 1–2 path in production: per-query search is the
+one-query sweep (:meth:`BlastpPipeline.search_with_counts`). Why a
+query's result does not depend on the batch around it or on the block
+cut (the conformance argument, enforced by the verify matrix against the
+independent scan of :mod:`repro.verify.oracle`, and by the property
+suite):
 
 * hit detection — the sweep produces, per query, the same hit multiset as
-  :func:`~repro.core.hit_detection.detect_hits`;
+  the oracle's whole-database scan
+  (:func:`~repro.verify.oracle.detect_hits`);
 * two-hit + ungapped extension — sorted keys are query-major, then
-  ``(seq_id, diagonal, subject_pos)``: per query exactly the order the
+  ``(seq_id, diagonal, subject_pos)``: per query exactly the order a
   one-query stream has, and every phase-2 step groups by ``(query,
   seq_id, diagonal)``, so a query's rows are what its own hits give.
   Blocks split on sequence boundaries; since no group straddles a block
@@ -102,15 +106,18 @@ def emit_block_phases(
     phase_wall: dict[str, float],
     num_hits: int,
     num_extensions: int,
+    query_id: str | None = None,
 ) -> None:
     """Record one swept block as closing ``hit_detection`` /
     ``ungapped_extension`` events carrying :func:`sweep_extend_block`'s
     measured walls — the same events whether the block ran in this
     process or in a pool worker (``wall_breakdown`` sums the ``wall_ms``
-    meta directly; nobody saw the starts)."""
+    meta directly; nobody saw the starts). ``query_id`` is set when the
+    batch is one query, so per-query search keeps its attribution."""
     for phase, items in (("hit_detection", num_hits), ("ungapped_extension", num_extensions)):
         events.emit(
-            engine_name, phase, "end", work_items=items, wall_ms=phase_wall[phase]
+            engine_name, phase, "end",
+            work_items=items, query_id=query_id, wall_ms=phase_wall[phase],
         )
 
 
@@ -125,12 +132,8 @@ def sweep_finish(
     engine_name: str | None = None,
     events: "EventLog | None" = None,
 ) -> tuple[SearchResult, PhaseCounts]:
-    """Phases 3+4 for one query, from its accumulated extension list.
-
-    This is the tail of :meth:`BlastpPipeline.search_with_counts` with the
-    first two phases already paid by the sweep; the result assembly is
-    identical field for field.
-    """
+    """Phases 3+4 for one query, from its accumulated extension list,
+    and the assembled result with its per-phase work counts."""
     name = engine_name or pipe.name
 
     def phase(phase_name: str):
@@ -150,27 +153,61 @@ def sweep_finish(
         with phase("final_alignment") as ev:
             alignments = pipe.phase_traceback(gapped, db, cutoffs)
             ev["work_items"] = len(alignments)
-    counts = PhaseCounts(
-        num_hits=num_hits,
-        num_seeds=num_seeds,
-        num_ungapped_extensions=len(extensions),
-        num_gapped_triggers=num_triggers,
-        num_gapped_extensions=len(gapped),
-        num_traceback=len(gapped),
-        num_reported=len(alignments),
+    return pipe.assemble(
+        db, extensions, num_hits, num_seeds, gapped, num_triggers, alignments
     )
-    result = SearchResult(
-        query_length=pipe.query_length,
-        db_sequences=len(db),
-        db_residues=int(db.codes.size),
-        alignments=alignments,
-        num_hits=counts.num_hits,
-        num_seeds=counts.num_seeds,
-        num_ungapped_extensions=counts.num_ungapped_extensions,
-        num_gapped_extensions=counts.num_gapped_extensions,
-        num_reported=counts.num_reported,
-    )
-    return result, counts
+
+
+def sweep_extensions(
+    pipelines: Sequence[BlastpPipeline],
+    db: SequenceDatabase,
+    cutoffs: "Sequence[Cutoffs]",
+    *,
+    block_residues: int | None = None,
+    blocks: Sequence[SequenceDatabase] | None = None,
+    engine_name: str | None = None,
+    events: "EventLog | None" = None,
+) -> list[tuple[ExtensionArray, int, int]]:
+    """Phases 1+2 for the whole batch through one blocked database sweep.
+
+    Returns per query ``(extensions, num_hits, num_seeds)``, accumulated
+    over every block — the input :func:`sweep_finish` (or any other
+    phase 3–4 tail) takes. ``cutoffs`` holds one entry per query,
+    resolved against the whole of ``db``. The remaining parameters are
+    :func:`search_batch_sweep`'s.
+    """
+    index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
+    name = engine_name or pipelines[0].name
+    if blocks is None:
+        blocks = db.blocks(num_sweep_blocks(db, block_residues))
+    n_queries = len(pipelines)
+    query_id = pipelines[0].query_id if n_queries == 1 else None
+    # Per-query extension columns accumulate block by block and
+    # concatenate once at the end — no per-record work crosses a block.
+    all_extensions: list[list[ExtensionArray]] = [[] for _ in range(n_queries)]
+    total_hits = [0] * n_queries
+    total_seeds = [0] * n_queries
+    # Blocks of a view collapse onto the root parent, so their ``start``
+    # is in root coordinates; rebase relative to ``db``'s own origin.
+    db_start = getattr(db, "start", 0)
+    for block in blocks:
+        base = getattr(block, "start", db_start) - db_start
+        extensions, num_hits, num_seeds, phase_wall = sweep_extend_block(
+            index, pipelines, block, cutoffs, seq_id_base=base
+        )
+        for q in range(n_queries):
+            all_extensions[q].append(extensions[q])
+            total_hits[q] += num_hits[q]
+            total_seeds[q] += num_seeds[q]
+        if events is not None:
+            emit_block_phases(
+                events, name, phase_wall, sum(num_hits), sum(len(e) for e in extensions),
+                query_id=query_id,
+            )
+    return [
+        (ExtensionArray.concat(all_extensions[q]), total_hits[q], total_seeds[q])
+        for q in range(n_queries)
+    ]
 
 
 def search_batch_sweep(
@@ -183,6 +220,10 @@ def search_batch_sweep(
     events: "EventLog | None" = None,
 ) -> list[tuple[SearchResult, PhaseCounts]]:
     """Run the whole batch through one blocked database sweep.
+
+    :func:`sweep_extensions` for phases 1–2, then :func:`sweep_finish`
+    per query. A one-query batch is the per-query search
+    (:meth:`BlastpPipeline.search_with_counts`).
 
     Parameters
     ----------
@@ -203,49 +244,20 @@ def search_batch_sweep(
         Name phase events are emitted under (default: the pipelines').
     events:
         Optional event log; the sweep emits closing ``hit_detection`` /
-        ``ungapped_extension`` events per block (batch-scoped; their
-        ``wall_ms`` sums in ``wall_breakdown``) and per-query
+        ``ungapped_extension`` events per block (batch-scoped unless the
+        batch is one query; their ``wall_ms`` sums in ``wall_breakdown``)
+        and per-query
         ``gapped_extension`` / ``final_alignment`` pairs.
     """
     if not pipelines:
         return []
-    index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
     name = engine_name or pipelines[0].name
     cutoffs = [pipe.cutoffs(db) for pipe in pipelines]
-    if blocks is None:
-        blocks = db.blocks(num_sweep_blocks(db, block_residues))
-    n_queries = len(pipelines)
-    # Per-query extension columns accumulate block by block and
-    # concatenate once at finish — no per-record work crosses a block.
-    all_extensions: list[list[ExtensionArray]] = [[] for _ in range(n_queries)]
-    total_hits = [0] * n_queries
-    total_seeds = [0] * n_queries
-    # Blocks of a view collapse onto the root parent, so their ``start``
-    # is in root coordinates; rebase relative to ``db``'s own origin.
-    db_start = getattr(db, "start", 0)
-    for block in blocks:
-        base = getattr(block, "start", db_start) - db_start
-        extensions, num_hits, num_seeds, phase_wall = sweep_extend_block(
-            index, pipelines, block, cutoffs, seq_id_base=base
-        )
-        for q in range(n_queries):
-            all_extensions[q].append(extensions[q])
-            total_hits[q] += num_hits[q]
-            total_seeds[q] += num_seeds[q]
-        if events is not None:
-            emit_block_phases(
-                events, name, phase_wall, sum(num_hits), sum(len(e) for e in extensions)
-            )
+    swept = sweep_extensions(
+        pipelines, db, cutoffs,
+        block_residues=block_residues, blocks=blocks, engine_name=name, events=events,
+    )
     return [
-        sweep_finish(
-            pipe,
-            db,
-            ExtensionArray.concat(all_extensions[q]),
-            total_hits[q],
-            total_seeds[q],
-            cutoffs[q],
-            engine_name=name,
-            events=events,
-        )
+        sweep_finish(pipe, db, *swept[q], cutoffs[q], engine_name=name, events=events)
         for q, pipe in enumerate(pipelines)
     ]

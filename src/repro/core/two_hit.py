@@ -33,8 +33,8 @@ whole batch: the two-hit filter on key differences (:func:`seed_mask`),
 one :func:`~repro.core.ungapped.batch_ungapped_extend` over every query's
 seeds against the column-stacked PSSM, one :func:`covered_seed_mask`.
 Only the survivors are decoded, and the caller cuts the result per query
-from the row bounds returned with it. A single query is the one-query
-stream (:meth:`TaggedHits.from_hits`), not another path.
+from the row bounds returned with it. A single query is a one-query
+batch, not another path.
 """
 
 from __future__ import annotations

@@ -261,39 +261,3 @@ def run_cublastp(
     )
     return cpu.alignments, report
 
-
-def run_cublastp_batch(
-    pipelines: "list[BlastpPipeline]",
-    db: SequenceDatabase,
-    *,
-    block_residues: int | None = None,
-    blocks: "list[SequenceDatabase] | None" = None,
-    events: "EventLog | None" = None,
-) -> list:
-    """Batched cuBLASTP driver: one blocked database sweep per query batch.
-
-    The per-query entry point (:func:`run_cublastp`) prices every kernel
-    for one query at a time; batching that way would still walk the
-    database once per query. The batch driver instead inverts the loop
-    the way the Fig. 12 schedule streams blocks: a merged
-    :class:`~repro.seeding.multi_query.MultiQueryIndex` sweeps each block
-    once for the whole batch, block-local two-hit filtering + ungapped
-    extension run on the query-tagged stream (only the surviving
-    extensions are split per query), and the CPU phases finish each
-    query as usual. Output is pinned identical to the
-    per-query path (cuBLASTP's output equals the reference pipeline's by
-    construction, and the sweep equals the reference pipeline's sweep).
-
-    Returns ``(SearchResult, PhaseCounts)`` per query, in input order,
-    with phase events emitted under the ``cuBLASTP`` engine name.
-    """
-    from repro.core.sweep import search_batch_sweep
-
-    return search_batch_sweep(
-        pipelines,
-        db,
-        block_residues=block_residues,
-        blocks=blocks,
-        engine_name="cuBLASTP",
-        events=events,
-    )

@@ -164,22 +164,24 @@ class CuBlastp:
         stack once per query (each walking the full database), the batch
         shares one merged seeding index and the database streams through
         in blocks exactly once
-        (:func:`~repro.cublastp.pipeline.run_cublastp_batch`). Results
-        are identical, query for query, to :meth:`run` — the same
-        guarantee the per-query path pins against the reference pipeline.
+        (:func:`~repro.core.sweep.search_batch_sweep`, phase events under
+        this engine's name). Results are identical, query for query, to
+        :meth:`run` — the same guarantee the per-query path pins against
+        the reference pipeline.
         """
-        from repro.cublastp.pipeline import run_cublastp_batch
+        from repro.core.sweep import search_batch_sweep
 
         self._check_word_length(self.params)
         ids = query_ids if query_ids is not None else [None] * len(compiled)
         pipelines = [
             self.pipe._bind(c, qid) for c, qid in zip(compiled, ids)
         ]
-        outcomes = run_cublastp_batch(
+        outcomes = search_batch_sweep(
             pipelines,
             db,
             block_residues=block_residues,
             blocks=blocks,
+            engine_name=self.name,
             events=self.events,
         )
         return [result for result, _counts in outcomes]
@@ -208,15 +210,13 @@ class CuBlastp:
         alignments, report = run_cublastp(
             self.pipe, db, session, self.config, events=self.events, query_id=self.query_id
         )
-        result = SearchResult(
-            query_length=self.query_length,
-            db_sequences=len(db),
-            db_residues=int(db.codes.size),
-            alignments=alignments,
-            num_hits=report.gpu.num_hits,
-            num_seeds=report.gpu.num_seeds,
-            num_ungapped_extensions=len(report.gpu.extensions),
-            num_gapped_extensions=len(report.cpu.gapped_extensions),
-            num_reported=len(alignments),
+        result, _counts = self.pipe.assemble(
+            db,
+            report.gpu.extensions,
+            report.gpu.num_hits,
+            report.gpu.num_seeds,
+            report.cpu.gapped_extensions,
+            report.cpu.num_triggers,
+            alignments,
         )
         return result, report

@@ -5,10 +5,11 @@ cuBLASTP, and the baselines — satisfies :class:`Engine`:
 
 * ``compile(query)`` builds the query-side structures once
   (:class:`~repro.engine.compiled.CompiledQuery`);
-* ``run(compiled, db)`` executes the search and returns the canonical
-  :class:`~repro.core.results.SearchResult`;
-* ``run_with_report(compiled, db)`` (optional, :class:`ReportingEngine`)
-  additionally returns the engine's timing report.
+* ``run(compiled, db, query_id=None)`` executes the search and returns
+  the canonical :class:`~repro.core.results.SearchResult`;
+* ``run_with_report(compiled, db, query_id=None)`` (optional,
+  :class:`ReportingEngine`) additionally returns the engine's timing
+  report.
 
 Engines are interchangeable everywhere one is accepted: the batch
 executor, the cluster layer, the CLI, and the benchmarks all program
@@ -43,7 +44,12 @@ class Engine(Protocol):
         """Build the query-side structures for this engine's parameters."""
         ...
 
-    def run(self, compiled: CompiledQuery, db: "SequenceDatabase") -> "SearchResult":
+    def run(
+        self,
+        compiled: CompiledQuery,
+        db: "SequenceDatabase",
+        query_id: "str | None" = None,
+    ) -> "SearchResult":
         """Search ``db`` with an already-compiled query."""
         ...
 
@@ -53,7 +59,10 @@ class ReportingEngine(Engine, Protocol):
     """An engine that also produces a timing report."""
 
     def run_with_report(
-        self, compiled: CompiledQuery, db: "SequenceDatabase"
+        self,
+        compiled: CompiledQuery,
+        db: "SequenceDatabase",
+        query_id: "str | None" = None,
     ) -> "tuple[SearchResult, Any]":
         ...
 
@@ -76,6 +85,8 @@ class BatchEngine(Engine, Protocol):
         compiled: "list[CompiledQuery]",
         db: "SequenceDatabase",
         query_ids: "list[str | None] | None" = None,
+        *,
+        blocks: "list[SequenceDatabase] | None" = None,
     ) -> "list[SearchResult]":
         ...
 
@@ -138,7 +149,9 @@ def make_engine(
     Parameters
     ----------
     name:
-        One of :data:`ENGINE_NAMES`.
+        One of :data:`ENGINE_NAMES`, a ``cublastp:<strategy>`` name, or
+        ``reference:serial-gapped`` (the differential oracle,
+        :class:`~repro.verify.oracle.SerialOracle`).
     params:
         Search parameters every query compiled by the engine inherits.
     config:
@@ -171,21 +184,20 @@ def make_engine(
                 ) from None
             config = CuBlastpConfig(extension_mode=mode)
         return CuBlastp(None, params, config, device or K20C, events=events)
-    if name == "reference" or name.startswith("reference:"):
+    if name == "reference":
         from repro.core.pipeline import BlastpPipeline
 
-        gapped_mode = "wave"
-        if name != "reference":
-            suffix = name.split(":", 1)[1]
-            if suffix != "serial-gapped":
-                raise ValueError(
-                    f"unknown reference variant {suffix!r} "
-                    "(choose from serial-gapped)"
-                )
-            gapped_mode = "serial"
-        return BlastpPipeline(
-            None, params, events=events, gapped_mode=gapped_mode
-        )
+        return BlastpPipeline(None, params, events=events)
+    if name.startswith("reference:"):
+        suffix = name.split(":", 1)[1]
+        if suffix != "serial-gapped":
+            raise ValueError(
+                f"unknown reference variant {suffix!r} (choose from serial-gapped)"
+            )
+        # The differential oracle lives with the verifier, not in core.
+        from repro.verify.oracle import SerialOracle
+
+        return SerialOracle(params)
     if name == "fsa":
         from repro.baselines.fsa_blast import FsaBlast
 

@@ -8,10 +8,12 @@ neighbourhoods of every compiled query in the batch, merged into one
 word → ``[(query_id, query_pos)]`` table. Chorus-style multi-query hashed
 seeding, restated over this repo's CSR neighbourhoods.
 
-Semantics are pinned by construction: for each query, the keys
-:meth:`MultiQueryIndex.sweep_block` emits under that query's tag decode
-to exactly the hits :func:`~repro.core.hit_detection.detect_hits` finds
-for that query alone — the same multiset. The tag stays on through phase
+This is production's only hit detector — per-query search is a one-query
+batch. Semantics are pinned against an independent scan: for each query,
+the keys :meth:`MultiQueryIndex.sweep_block` emits under that query's tag
+decode to exactly the hits the differential oracle's whole-database scan
+(:func:`repro.verify.oracle.detect_hits`) finds for that query alone —
+the same multiset. The tag stays on through phase
 2 (:mod:`repro.core.two_hit`); :meth:`MultiQueryIndex.untag` drops it
 from the surviving extensions, at the block boundary. The property suite
 (``tests/property``) and the unit tests enforce the equivalence.
@@ -124,8 +126,8 @@ class MultiQueryIndex:
     def sweep_block(self, db: SequenceDatabase, two_hit_window: int) -> TaggedHits:
         """All hits of every batch query against one database block.
 
-        The same vectorised pass as
-        :func:`~repro.core.hit_detection.detect_hits` — word indices for
+        The same vectorised pass as the oracle's scan
+        (:func:`repro.verify.oracle.detect_hits`) — word indices for
         all subject windows, one CSR gather, ragged expansion — except
         that each hit is emitted as one packed ``(query, seq_id, diagonal,
         subject_pos)`` key, sized for this block and ``two_hit_window``

@@ -10,6 +10,9 @@ checkable instead of spot-checked:
   the 64-case pinned corpus;
 * :mod:`~repro.verify.canonical` — the canonical, text-diffable result
   form two engines must agree on;
+* :mod:`~repro.verify.oracle` — the differential oracle
+  (:class:`SerialOracle`, ``reference:serial-gapped``): its own hit scan
+  and the scalar best-first gapped loop;
 * :mod:`~repro.verify.matrix` — the engine matrix: all engines, all
   three cuBLASTP extension strategies, and the view/mmap/batch
   execution paths;
@@ -44,6 +47,7 @@ from repro.verify.cases import (
     pinned_corpus,
 )
 from repro.verify.golden import GoldenMismatch, GoldenStore
+from repro.verify.oracle import SerialOracle
 from repro.verify.matrix import (
     BuggedEngine,
     BuggedVariant,
@@ -75,6 +79,7 @@ __all__ = [
     "ORACLE_NAME",
     "OracleRunner",
     "Reproducer",
+    "SerialOracle",
     "VARIANT_NAMES",
     "VerifyReport",
     "build_case",

@@ -202,11 +202,12 @@ def variants_by_name(names: "list[str] | tuple[str, ...]") -> list[EngineVariant
 class OracleRunner:
     """Callable running a case through the oracle engine.
 
-    The oracle runs the reference pipeline with ``gapped_mode="serial"``
-    — the scalar best-first gapped loop — while every variant under test
-    defaults to the batched wavefront scheduler, so each of the matrix's
-    comparisons doubles as a continuous batched-vs-serial differential
-    on the gapped-extension rewrite.
+    The oracle is :class:`~repro.verify.oracle.SerialOracle`: its own
+    whole-database hit scan and the scalar best-first gapped loop, while
+    every variant under test runs the blocked sweep or a GPU kernel for
+    phase 1 and the batched wavefront scheduler for phase 3 — so each of
+    the matrix's comparisons doubles as a continuous differential on both
+    rewrites.
     """
 
     name = ORACLE_NAME

@@ -145,13 +145,21 @@ def seed_flags(hits, two_hit_window, word_length=3):
     :func:`repro.core.two_hit.seed_mask` runs on the *sorted* packed-key
     stream; this maps its survivors back onto the (unsorted) input by key.
     """
-    from repro.core.hits import TaggedHits
     from repro.core.two_hit import seed_mask
+    from repro.verify.oracle import tag_hits
 
-    tagged = TaggedHits.from_hits(hits, two_hit_window)
+    tagged = tag_hits(hits, two_hit_window)
     seeds = tagged.keys[seed_mask(tagged.keys, tagged.layout, word_length)]
     keys = tagged.layout.pack(0, hits.seq_id, hits.diagonal, hits.subject_pos)
     return np.isin(keys, seeds)
+
+
+def swept(pipe, db, cutoffs):
+    """``(extensions, num_hits, num_seeds)`` of one query through the
+    sweep's phase 1–2 function."""
+    from repro.core.sweep import sweep_extensions
+
+    return sweep_extensions([pipe], db, [cutoffs])[0]
 
 
 def tagged_columns(tagged, query_lengths):

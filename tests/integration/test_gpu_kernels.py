@@ -12,8 +12,9 @@ from repro.cublastp.sort_kernel import run_assemble, run_segmented_sort
 from repro.cublastp.binning import unpack_hits
 from repro.errors import GpuSimError
 from repro.seeding import QueryDFA
+from repro.verify.oracle import detect_hits
 
-from tests.conftest import extension_keys, seed_flags
+from tests.conftest import extension_keys, seed_flags, swept
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +62,9 @@ def gpu_stages(session_factory, small_pipeline, small_db, small_cutoffs):
 
 class TestHitDetectionKernel:
     def test_hit_set_identical_to_reference(self, gpu_stages, small_pipeline, small_db):
-        ref = small_pipeline.phase_hit_detection(small_db)
+        ref = detect_hits(small_pipeline.lookup, small_db)
         ref_set = set(
-            zip(ref.hits.seq_id.tolist(), ref.hits.query_pos.tolist(),
-                ref.hits.subject_pos.tolist())
+            zip(ref.seq_id.tolist(), ref.query_pos.tolist(), ref.subject_pos.tolist())
         )
         assert gpu_stages["binned"].as_hit_tuples() == ref_set
 
@@ -130,16 +130,16 @@ class TestSortFilter:
     def test_filter_matches_reference_seed_mask(
         self, gpu_stages, small_pipeline, small_db
     ):
-        ref = small_pipeline.phase_hit_detection(small_db)
+        ref = detect_hits(small_pipeline.lookup, small_db)
         mask = seed_flags(
-            ref.hits, small_pipeline.params.two_hit_window,
+            ref, small_pipeline.params.two_hit_window,
             small_pipeline.params.word_length,
         )
         ref_seeds = set(
             zip(
-                ref.hits.seq_id[mask].tolist(),
-                ref.hits.query_pos[mask].tolist(),
-                ref.hits.subject_pos[mask].tolist(),
+                ref.seq_id[mask].tolist(),
+                ref.query_pos[mask].tolist(),
+                ref.subject_pos[mask].tolist(),
             )
         )
         seeds = gpu_stages["seeds"]
@@ -165,8 +165,7 @@ class TestExtensionKernels:
     def test_reference_equality_all_modes(
         self, session_factory, gpu_stages, small_pipeline, small_db, small_cutoffs
     ):
-        ref_hits = small_pipeline.phase_hit_detection(small_db)
-        ref_exts, _ = small_pipeline.phase_ungapped(ref_hits, small_db, small_cutoffs)
+        ref_exts, _, _ = swept(small_pipeline, small_db, small_cutoffs)
         ref_keys = extension_keys(ref_exts)
         for mode in ExtensionMode:
             sess = session_factory(CuBlastpConfig(extension_mode=mode))

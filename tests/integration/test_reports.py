@@ -8,6 +8,8 @@ from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.cublastp.pipeline import pipeline_schedule
 import numpy as np
 
+from tests.conftest import swept
+
 
 @pytest.fixture(scope="module")
 def cublastp_report(small_query, small_params, small_db):
@@ -69,8 +71,7 @@ class TestPipelineSchedule:
 
 class TestCpuPhases:
     def test_thread_scaling_monotone(self, small_pipeline, small_db, small_cutoffs):
-        hits = small_pipeline.phase_hit_detection(small_db)
-        exts, _ = small_pipeline.phase_ungapped(hits, small_db, small_cutoffs)
+        exts, _, _ = swept(small_pipeline, small_db, small_cutoffs)
         times = [
             run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, t).total_ms
             for t in (1, 2, 4)
@@ -78,8 +79,7 @@ class TestCpuPhases:
         assert times[0] >= times[1] >= times[2]
 
     def test_results_independent_of_threads(self, small_pipeline, small_db, small_cutoffs):
-        hits = small_pipeline.phase_hit_detection(small_db)
-        exts, _ = small_pipeline.phase_ungapped(hits, small_db, small_cutoffs)
+        exts, _, _ = swept(small_pipeline, small_db, small_cutoffs)
         r1 = run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, 1)
         r4 = run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, 4)
         assert [a.score for a in r1.alignments] == [a.score for a in r4.alignments]

@@ -33,6 +33,7 @@ from repro.cublastp.sort_kernel import run_assemble, run_segmented_sort
 from repro.io.database import SequenceDatabase
 from repro.io.workloads import sample_background
 from repro.seeding import QueryDFA
+from repro.verify.oracle import detect_hits
 from tests.conftest import seed_flags
 
 
@@ -67,7 +68,7 @@ def _gpu_front_end(pipe, db, num_bins):
 
 def _reference_packed(pipe, db):
     """The reference hit detector's hits, packed like the bin elements."""
-    hits = pipe.phase_hit_detection(db).hits
+    hits = detect_hits(pipe.lookup, db)
     return pack_hits(hits.seq_id, hits.diagonal, hits.subject_pos), hits
 
 

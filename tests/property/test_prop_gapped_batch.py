@@ -8,7 +8,8 @@ Two equivalences, each the load-bearing claim of one layer of the PR:
   :class:`~repro.core.gapped.HalfExtension` field (score, best cell,
   reach, cell count);
 * schedule level — the wave scheduler's accepted set, field values, and
-  output order equal the serial best-first loop's on workloads built to
+  output order equal the oracle's serial best-first loop
+  (:func:`~repro.verify.oracle.serial_gapped`) on workloads built to
   stress the containment rule (many triggers per sequence with
   overlapping bounding boxes).
 
@@ -30,8 +31,11 @@ from repro.core.pipeline import BlastpPipeline
 from repro.core.statistics import SearchParams
 from repro.core import traceback as tb_module
 from repro.core.traceback import batch_traceback_align, traceback_align
+from repro.engine import make_engine
 from repro.io.database import SequenceDatabase
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
+from repro.verify.oracle import serial_gapped
+from tests.conftest import swept
 
 RESIDUES = "ARNDCQEGHILKMFPSTWYV"
 
@@ -170,13 +174,11 @@ class TestWaveEqualsSerial:
         params = SearchParams()
         query = "".join(RESIDUES[i] for i in rng.integers(0, 20, 90))
         db = _adversarial_db(rng, query, 12)
-        wave = BlastpPipeline(query, params, gapped_mode="wave")
-        serial = BlastpPipeline(query, params, gapped_mode="serial")
-        cutoffs = wave.cutoffs(db)
-        hits = wave.phase_hit_detection(db)
-        extensions, _seeds = wave.phase_ungapped(hits, db, cutoffs)
-        got, got_triggers = wave.phase_gapped(extensions, db, cutoffs)
-        want, want_triggers = serial.phase_gapped(extensions, db, cutoffs)
+        pipe = BlastpPipeline(query, params)
+        cutoffs = pipe.cutoffs(db)
+        extensions, _, _ = swept(pipe, db, cutoffs)
+        got, got_triggers = pipe.phase_gapped(extensions, db, cutoffs)
+        want, want_triggers = serial_gapped(pipe, extensions, db, cutoffs)
         assert got_triggers == want_triggers
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -189,9 +191,11 @@ class TestWaveEqualsSerial:
         params = SearchParams()
         query = "".join(RESIDUES[i] for i in rng.integers(0, 20, 70))
         db = _adversarial_db(rng, query, 8)
-        got = BlastpPipeline(query, params, gapped_mode="wave").search(db)
-        want = BlastpPipeline(query, params, gapped_mode="serial").search(db)
+        got, got_counts = BlastpPipeline(query, params).search_with_counts(db)
+        oracle = make_engine("reference:serial-gapped", params)
+        want, want_counts = oracle.run_with_report(oracle.compile(query), db)
         assert got.alignments == want.alignments
+        assert got_counts == want_counts
         assert got.num_gapped_extensions == want.num_gapped_extensions
         assert got.num_reported == want.num_reported
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.compiled import compile_query
-from repro.core.hit_detection import detect_hits
 from repro.seeding.multi_query import MultiQueryIndex
 from repro.verify.cases import FAMILIES, build_case
+from repro.verify.oracle import detect_hits
 from tests.conftest import tagged_columns
 
 # A workload case: one of the conformance families at an arbitrary seed.
@@ -64,7 +64,7 @@ class TestSweepEqualsPerQueryUnion:
         tagged = index.sweep_block(db, compiled[0].params.two_hit_window)
         total = 0
         for q, c in enumerate(compiled):
-            solo = detect_hits(c.lookup, db).hits
+            solo = detect_hits(c.lookup, db)
             assert _tagged_hit_set(tagged, index, q) == _hit_set(solo)
             assert int(tagged.per_query[q]) == len(solo.seq_id)
             total += len(solo.seq_id)
@@ -106,6 +106,6 @@ class TestSweepEqualsPerQueryUnion:
         index = MultiQueryIndex.from_compiled(compiled)
         tagged = index.sweep_block(case.db, case.params.two_hit_window)
         assert _tagged_hit_set(tagged, index, 0) == _hit_set(
-            detect_hits(compiled[0].lookup, case.db).hits
+            detect_hits(compiled[0].lookup, case.db)
         )
         assert np.all(tagged_columns(tagged, index.query_lengths)[0] == 0)

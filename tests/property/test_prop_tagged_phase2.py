@@ -28,13 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hits import KeyLayout
-from repro.core.pipeline import BlastpPipeline
+from repro.core.pipeline import BlastpPipeline, phase_ungapped_tagged
 from repro.core.sweep import sweep_extend_block
 from repro.core.two_hit import seed_mask
 from repro.core.ungapped import ungapped_extend
 from repro.engine.compiled import compile_query
 from repro.seeding.multi_query import MultiQueryIndex
 from repro.verify.cases import FAMILIES, build_case
+from repro.verify.oracle import detect_hits, tag_hits
 
 cases = st.tuples(
     st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=2**32 - 1)
@@ -43,7 +44,7 @@ cases = st.tuples(
 
 def _reference_phase2(pipe, db, x_drop):
     """Phase 2 of one query as a per-record loop over the pinned rules."""
-    hits = pipe.phase_hit_detection(db).hits
+    hits = detect_hits(pipe.lookup, db)
     w, window = pipe.params.word_length, pipe.params.two_hit_window
     records = sorted(zip(hits.seq_id.tolist(), hits.diagonal.tolist(), hits.subject_pos.tolist()))
     rows, num_seeds = [], 0
@@ -92,9 +93,10 @@ class TestTaggedEqualsPerQuery:
                 index, pipes, block, cutoffs
             )
             for q, pipe in enumerate(pipes):
-                # The one-query stream of the same code ...
-                solo, solo_seeds = pipe.phase_ungapped(
-                    pipe.phase_hit_detection(block), block, cutoffs[q]
+                # The oracle's one-query stream through the same code ...
+                tagged = tag_hits(detect_hits(pipe.lookup, block), pipe.params.two_hit_window)
+                solo, solo_seeds, _, _ = phase_ungapped_tagged(
+                    [pipe], tagged, block, [cutoffs[q]]
                 )
                 assert extensions[q].to_columns() == solo.to_columns()
                 # ... and the per-record loop over the pinned rules.

@@ -197,6 +197,20 @@ class TestEventLog:
         assert events.work_items("hit_detection") == result.num_hits
         assert events.work_items("final_alignment") == result.num_reported
 
+    def test_reference_events_carry_the_query_id(self, tiny_query, tiny_params, tiny_db):
+        """Per-query search is a one-query sweep; its block events are
+        still attributed to the query, as every other phase's are."""
+        events = EventLog()
+        pipe = BlastpPipeline(tiny_query, tiny_params, events=events, query_id="q7")
+        result = pipe.search(tiny_db)
+        assert events.work_items("hit_detection", query_id="q7") == result.num_hits
+        assert set(events.wall_breakdown(query_id="q7")) == {
+            "hit_detection",
+            "ungapped_extension",
+            "gapped_extension",
+            "final_alignment",
+        }
+
     def test_cublastp_attributes_modelled_ms(self, tiny_query, tiny_params, tiny_db):
         from repro.cublastp import CuBlastp
 

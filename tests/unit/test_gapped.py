@@ -6,6 +6,7 @@ import pytest
 from repro.alphabet import encode
 from repro.core.gapped import _half_extend, gapped_extend
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
+from tests.conftest import swept
 
 
 def brute_force_half(scores, go, ge, x_drop):
@@ -131,8 +132,7 @@ class TestGappedExtend:
             gapped_extend(pssm, encode("MKT"), 0, 5, 0, 11, 1, 20)
 
     def test_box_contains_alignment(self, tiny_pipeline, tiny_db, tiny_cutoffs):
-        hits = tiny_pipeline.phase_hit_detection(tiny_db)
-        exts, _ = tiny_pipeline.phase_ungapped(hits, tiny_db, tiny_cutoffs)
+        exts, _, _ = swept(tiny_pipeline, tiny_db, tiny_cutoffs)
         gapped, _ = tiny_pipeline.phase_gapped(exts, tiny_db, tiny_cutoffs)
         assert gapped, "workload should trigger gapped extensions"
         for g in gapped:
@@ -145,8 +145,7 @@ class TestGappedExtend:
         """A gapped extension through a high-scoring ungapped segment's
         midpoint scores at least the segment's own diagonal run through
         that point (the DP can always follow the ungapped path)."""
-        hits = tiny_pipeline.phase_hit_detection(tiny_db)
-        exts, _ = tiny_pipeline.phase_ungapped(hits, tiny_db, tiny_cutoffs)
+        exts, _, _ = swept(tiny_pipeline, tiny_db, tiny_cutoffs)
         triggered = [e for e in exts if e.score >= tiny_cutoffs.gap_trigger]
         gapped, _ = tiny_pipeline.phase_gapped(exts, tiny_db, tiny_cutoffs)
         if triggered and gapped:

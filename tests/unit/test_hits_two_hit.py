@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import HitArray, diagonal_of
-from repro.core.hits import KeyLayout, TaggedHits
+from repro.core.hits import KeyLayout
 from repro.core.pipeline import phase_ungapped_tagged
 from repro.core.two_hit import seed_mask
 from repro.errors import ConfigError
 from repro.io import SequenceDatabase
-from tests.conftest import seed_flags
+from repro.verify.oracle import detect_hits, tag_hits
+from tests.conftest import seed_flags, swept
 
 
 def make_hits(tuples, qlen):
@@ -166,9 +167,9 @@ class TestPackedKeys:
         with pytest.raises(ConfigError, match="> 63"):
             index.sweep_block(db, two_hit_window=1 << 62)
 
-    def test_from_hits_sorts_and_counts(self):
+    def test_one_query_tagging_sorts_and_counts(self):
         hits = make_hits([(1, 0, 7), (0, 5, 3), (0, 1, 3)], 10)
-        tagged = TaggedHits.from_hits(hits, 40)
+        tagged = tag_hits(hits, 40)
         assert len(tagged) == 3 and tagged.per_query.tolist() == [3]
         _, seq, diag, spos = tagged.layout.unpack(tagged.keys)
         assert list(zip(seq.tolist(), diag.tolist(), spos.tolist())) == [
@@ -176,16 +177,15 @@ class TestPackedKeys:
         ]
 
     def test_mismatched_window_is_refused(self, tiny_pipeline, tiny_db, tiny_cutoffs):
-        hits = tiny_pipeline.phase_hit_detection(tiny_db)
-        tagged = TaggedHits.from_hits(hits.hits, tiny_pipeline.params.two_hit_window + 1)
+        hits = detect_hits(tiny_pipeline.lookup, tiny_db)
+        tagged = tag_hits(hits, tiny_pipeline.params.two_hit_window + 1)
         with pytest.raises(ConfigError, match="two-hit window"):
             phase_ungapped_tagged([tiny_pipeline], tagged, tiny_db, [tiny_cutoffs])
 
 
 class TestSelectSeedsAndExtend:
     def test_coverage_skips_covered_seeds(self, tiny_pipeline, tiny_db, tiny_cutoffs):
-        hits = tiny_pipeline.phase_hit_detection(tiny_db)
-        exts, num_seeds = tiny_pipeline.phase_ungapped(hits, tiny_db, tiny_cutoffs)
+        exts, _, num_seeds = swept(tiny_pipeline, tiny_db, tiny_cutoffs)
         assert 0 < len(exts) <= num_seeds
         # No two extensions on the same diagonal may overlap their seeds:
         by_diag = {}
@@ -197,15 +197,14 @@ class TestSelectSeedsAndExtend:
             # seed lay beyond the previous extension's subject end
 
     def test_extensions_contain_seed_word(self, tiny_pipeline, tiny_db, tiny_cutoffs):
-        hits = tiny_pipeline.phase_hit_detection(tiny_db)
-        exts, _ = tiny_pipeline.phase_ungapped(hits, tiny_db, tiny_cutoffs)
+        exts, _, _ = swept(tiny_pipeline, tiny_db, tiny_cutoffs)
         for e in exts:
             assert e.length >= tiny_pipeline.params.word_length
 
     def test_no_hits_no_extensions(self, tiny_pipeline, tiny_cutoffs):
         db = SequenceDatabase.from_strings(["PPPP"])  # poly-proline: no hits vs query
-        hits = tiny_pipeline.phase_hit_detection(db)
-        tagged = TaggedHits.from_hits(hits.hits, tiny_pipeline.params.two_hit_window)
+        hits = detect_hits(tiny_pipeline.lookup, db)
+        tagged = tag_hits(hits, tiny_pipeline.params.two_hit_window)
         exts, seeds, bounds, per_query = phase_ungapped_tagged(
             [tiny_pipeline], tagged, db, [tiny_cutoffs]
         )

@@ -10,11 +10,14 @@ import pytest
 from repro.baselines import FsaBlast
 from repro.core import BlastpPipeline, SearchParams
 from repro.cublastp import CuBlastp
+from repro.engine import make_engine
 from repro.errors import ConfigError
 from repro.io import SequenceDatabase, generate_database
 from repro.io.workloads import WorkloadSpec
 from repro.matrices import BLOSUM62, ungapped_params
 from repro.matrices.karlin import effective_search_space, length_adjustment
+from repro.verify.canonical import result_digest
+from tests.conftest import swept
 
 
 class TestUngappedOnly:
@@ -48,12 +51,22 @@ class TestUngappedOnly:
     def test_cublastp_matches_reference_in_ungapped_mode(
         self, small_query, small_params, small_db
     ):
+        """Every ungapped-mode entry point renders the reference's HSPs,
+        the timed and reporting ones included."""
         params = dataclasses.replace(small_params, ungapped_only=True)
-        ref = FsaBlast(small_query, params).search(small_db)
-        gpu = CuBlastp(small_query, params).search(small_db)
-        assert [(a.seq_id, a.score, a.query_start) for a in gpu.alignments] == [
-            (a.seq_id, a.score, a.query_start) for a in ref.alignments
-        ]
+        ref = BlastpPipeline(small_query, params).search(small_db)
+        assert ref.alignments and all(a.gaps == 0 for a in ref.alignments)
+        fsa_timed, _, counts = FsaBlast(small_query, params).search_with_timing(small_db)
+        ncbi = make_engine("ncbi", params)
+        ncbi_reported, _ = ncbi.run_with_report(ncbi.compile(small_query), small_db)
+        for got in (
+            FsaBlast(small_query, params).search(small_db),
+            fsa_timed,
+            ncbi_reported,
+            CuBlastp(small_query, params).search(small_db),
+        ):
+            assert result_digest(got) == result_digest(ref)
+        assert counts.num_gapped_triggers == counts.num_gapped_extensions == 0
 
 
 class TestWordSizes:
@@ -153,8 +166,7 @@ class TestEvalueCalibration:
 
         pipe = BlastpPipeline(generate_query(300, spec), SearchParams())
         cut = pipe.cutoffs(db)
-        hits = pipe.phase_hit_detection(db)
-        exts, _ = pipe.phase_ungapped(hits, db, cut)
+        exts, _, _ = swept(pipe, db, cut)
         return pipe, db, np.array([e.score for e in exts])
 
     def test_decay_rate_matches_lambda(self, chance_scores):

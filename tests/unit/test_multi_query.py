@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.hit_detection import detect_hits
 from repro.core.statistics import SearchParams
 from repro.engine.compiled import compile_query
 from repro.errors import ConfigError
 from repro.io import generate_query
 from repro.seeding.multi_query import MultiQueryIndex
 from repro.seeding.words import build_neighborhood
+from repro.verify.oracle import detect_hits
 from tests.conftest import tagged_columns
 
 WINDOW = 40
@@ -84,7 +84,7 @@ class TestSweep:
         tagged = index.sweep_block(tiny_db, WINDOW)
         query, seq_id, query_pos, subject_pos = tagged_columns(tagged, index.query_lengths)
         for q, c in enumerate(batch):
-            solo = detect_hits(c.lookup, tiny_db).hits
+            solo = detect_hits(c.lookup, tiny_db)
             mine = query == q
             assert int(tagged.per_query[q]) == solo.seq_id.size
             # Same multiset of (seq, qpos, spos) triples.

@@ -8,6 +8,7 @@ import pytest
 from repro.alphabet import encode
 from repro.core import BlastpPipeline
 from repro.seeding.seg import masked_fraction, seg_mask, window_entropy
+from repro.verify.oracle import detect_hits
 
 
 class TestEntropy:
@@ -88,12 +89,12 @@ class TestPipelineIntegration:
             seg.lookup.neighborhood.total_entries
             < plain.lookup.neighborhood.total_entries
         )
-        h_plain = plain.phase_hit_detection(tiny_db)
-        h_seg = seg.phase_hit_detection(tiny_db)
+        h_plain = detect_hits(plain.lookup, tiny_db)
+        h_seg = detect_hits(seg.lookup, tiny_db)
         assert len(h_seg) < len(h_plain)
         # No hit seeds inside the masked region.
         masked_pos = np.nonzero(seg.seg_mask)[0]
-        assert not np.isin(h_seg.hits.query_pos, masked_pos).any()
+        assert not np.isin(h_seg.query_pos, masked_pos).any()
 
     def test_seg_keeps_real_alignments(self, tiny_query, tiny_db, tiny_params):
         """On a normal-complexity query, SEG changes (almost) nothing."""
