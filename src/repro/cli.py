@@ -118,7 +118,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
         mode="db-sweep" if getattr(args, "batch_mode", False) else "per-query",
-        collect_reports=False,
     )
     if executor.jobs_clamped:
         print(

@@ -191,38 +191,6 @@ class BlastpPipeline:
         """Like :meth:`run`, with the per-phase work counts as the report."""
         return self._bind(compiled, query_id).search_with_counts(db)
 
-    def search_batch(
-        self,
-        compiled: "list[CompiledQuery]",
-        db: SequenceDatabase,
-        query_ids: "list[str | None] | None" = None,
-        *,
-        block_residues: int | None = None,
-        blocks: "list[SequenceDatabase] | None" = None,
-    ) -> list[SearchResult]:
-        """Search a whole query batch with one blocked database sweep.
-
-        The batch-first inversion of :meth:`run`: hit detection walks the
-        database once through a merged
-        :class:`~repro.seeding.multi_query.MultiQueryIndex` instead of
-        once per query. Results are identical, query for query, to
-        running each compiled query through :meth:`run` (the conformance
-        matrix pins it). Returns one result per query, in input order.
-        """
-        from repro.core.sweep import search_batch_sweep
-
-        ids = query_ids if query_ids is not None else [None] * len(compiled)
-        pipelines = [self._bind(c, qid) for c, qid in zip(compiled, ids)]
-        outcomes = search_batch_sweep(
-            pipelines,
-            db,
-            block_residues=block_residues,
-            blocks=blocks,
-            engine_name=self.name,
-            events=self.events,
-        )
-        return [result for result, _counts in outcomes]
-
     def cutoffs(self, db: SequenceDatabase) -> Cutoffs:
         """Raw-score cutoffs for this query against ``db``."""
         return resolve_cutoffs(self.params, self.query_length, int(db.codes.size))

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.pipeline import BlastpPipeline, PhaseCounts, phase_ungapped_tagged
 from repro.core.results import ExtensionArray, SearchResult
@@ -57,6 +58,10 @@ if TYPE_CHECKING:
 #: hits for a large batch stay tens of MB; large enough that the per-block
 #: fixed costs (word indexing setup, PSSM stacking, the split) amortise.
 DEFAULT_BLOCK_RESIDUES = 50_000
+
+#: One swept block (:func:`sweep_extend_block`'s return): per-query
+#: extension columns, hit counts and seed counts, plus the phase wall split.
+BlockOutput = tuple[list[ExtensionArray], list[int], list[int], dict[str, float]]
 
 
 def num_sweep_blocks(db: SequenceDatabase, block_residues: int | None = None) -> int:
@@ -73,7 +78,7 @@ def sweep_extend_block(
     block: SequenceDatabase,
     cutoffs: "Sequence[Cutoffs]",
     seq_id_base: int = 0,
-) -> tuple[list[ExtensionArray], list[int], list[int], dict[str, float]]:
+) -> BlockOutput:
     """Sweep one block and run block-local phase 2 for every query.
 
     Returns per-query ``(extensions, num_hits, num_seeds)`` plus a
@@ -81,8 +86,8 @@ def sweep_extend_block(
     extension columns carry global sequence ids (``seq_id_base`` rebases
     the block-local ids in one vectorised add), so accumulating them
     across blocks needs no further translation, and the wall split is
-    what the caller's phase events carry (:func:`emit_block_phases`),
-    whether the block ran in this process or in a pool worker.
+    what the block's phase events carry, whether the block ran in this
+    process or in a pool worker.
 
     Subject coordinates inside an extension are sequence-local, so only
     the sequence id needs rebasing.
@@ -100,25 +105,48 @@ def sweep_extend_block(
     return extensions, tagged.per_query.tolist(), num_seeds.tolist(), phase_wall
 
 
-def emit_block_phases(
-    events: "EventLog",
-    engine_name: str,
-    phase_wall: dict[str, float],
-    num_hits: int,
-    num_extensions: int,
-    query_id: str | None = None,
-) -> None:
-    """Record one swept block as closing ``hit_detection`` /
-    ``ungapped_extension`` events carrying :func:`sweep_extend_block`'s
-    measured walls — the same events whether the block ran in this
-    process or in a pool worker (``wall_breakdown`` sums the ``wall_ms``
-    meta directly; nobody saw the starts). ``query_id`` is set when the
-    batch is one query, so per-query search keeps its attribution."""
-    for phase, items in (("hit_detection", num_hits), ("ungapped_extension", num_extensions)):
-        events.emit(
-            engine_name, phase, "end",
-            work_items=items, query_id=query_id, wall_ms=phase_wall[phase],
+@dataclass
+class BlockSweep:
+    """What sweeping a batch's blocks needs before the first block: the
+    merged index, whole-database cutoffs and the block cut with each
+    block's sequence-id base. Built the same way in this process
+    (:func:`sweep_extensions`) and in a pool worker
+    (:class:`~repro.engine.procpool.SweepBlockSpec`), so both sweep the
+    same blocks against the same index. Iterating it sweeps every block
+    in order."""
+
+    pipelines: Sequence[BlastpPipeline]
+    index: MultiQueryIndex
+    cutoffs: "Sequence[Cutoffs]"
+    blocks: Sequence[SequenceDatabase]
+    bases: list[int]
+
+    @classmethod
+    def build(
+        cls,
+        pipelines: Sequence[BlastpPipeline],
+        db: SequenceDatabase,
+        blocks: Sequence[SequenceDatabase],
+        cutoffs: "Sequence[Cutoffs] | None" = None,
+    ) -> "BlockSweep":
+        index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
+        if cutoffs is None:
+            # Whole-database statistics: blocks never enter the cutoffs.
+            cutoffs = [p.cutoffs(db) for p in pipelines]
+        # Blocks of a view collapse onto the root parent, so their ``start``
+        # is in root coordinates; rebase relative to ``db``'s own origin.
+        db_start = getattr(db, "start", 0)
+        bases = [getattr(b, "start", db_start) - db_start for b in blocks]
+        return cls(pipelines, index, cutoffs, blocks, bases)
+
+    def extend(self, b: int) -> BlockOutput:
+        """:func:`sweep_extend_block` on block ``b``."""
+        return sweep_extend_block(
+            self.index, self.pipelines, self.blocks[b], self.cutoffs, seq_id_base=self.bases[b]
         )
+
+    def __iter__(self) -> Iterator[BlockOutput]:
+        return (self.extend(b) for b in range(len(self.blocks)))
 
 
 def sweep_finish(
@@ -165,6 +193,7 @@ def sweep_extensions(
     *,
     block_residues: int | None = None,
     blocks: Sequence[SequenceDatabase] | None = None,
+    swept: Iterable[BlockOutput] | None = None,
     engine_name: str | None = None,
     events: "EventLog | None" = None,
 ) -> list[tuple[ExtensionArray, int, int]]:
@@ -176,33 +205,37 @@ def sweep_extensions(
     resolved against the whole of ``db``. The remaining parameters are
     :func:`search_batch_sweep`'s.
     """
-    index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
+    if swept is None:
+        if blocks is None:
+            blocks = db.blocks(num_sweep_blocks(db, block_residues))
+        swept = BlockSweep.build(pipelines, db, blocks, cutoffs)
     name = engine_name or pipelines[0].name
-    if blocks is None:
-        blocks = db.blocks(num_sweep_blocks(db, block_residues))
     n_queries = len(pipelines)
+    # A one-query batch is per-query search: its block events keep the id.
     query_id = pipelines[0].query_id if n_queries == 1 else None
     # Per-query extension columns accumulate block by block and
     # concatenate once at the end — no per-record work crosses a block.
     all_extensions: list[list[ExtensionArray]] = [[] for _ in range(n_queries)]
     total_hits = [0] * n_queries
     total_seeds = [0] * n_queries
-    # Blocks of a view collapse onto the root parent, so their ``start``
-    # is in root coordinates; rebase relative to ``db``'s own origin.
-    db_start = getattr(db, "start", 0)
-    for block in blocks:
-        base = getattr(block, "start", db_start) - db_start
-        extensions, num_hits, num_seeds, phase_wall = sweep_extend_block(
-            index, pipelines, block, cutoffs, seq_id_base=base
-        )
+    for extensions, num_hits, num_seeds, phase_wall in swept:
         for q in range(n_queries):
             all_extensions[q].append(extensions[q])
             total_hits[q] += num_hits[q]
             total_seeds[q] += num_seeds[q]
-        if events is not None:
-            emit_block_phases(
-                events, name, phase_wall, sum(num_hits), sum(len(e) for e in extensions),
-                query_id=query_id,
+        if events is None:
+            continue
+        # Closing events carrying the measured walls, the same whether the
+        # block ran here or in a pool worker (``wall_breakdown`` sums the
+        # ``wall_ms`` meta directly; nobody saw the starts).
+        block_items = {
+            "hit_detection": sum(num_hits),
+            "ungapped_extension": sum(len(e) for e in extensions),
+        }
+        for phase, items in block_items.items():
+            events.emit(
+                name, phase, "end",
+                work_items=items, query_id=query_id, wall_ms=phase_wall[phase],
             )
     return [
         (ExtensionArray.concat(all_extensions[q]), total_hits[q], total_seeds[q])
@@ -216,6 +249,7 @@ def search_batch_sweep(
     *,
     block_residues: int | None = None,
     blocks: Sequence[SequenceDatabase] | None = None,
+    swept: Iterable[BlockOutput] | None = None,
     engine_name: str | None = None,
     events: "EventLog | None" = None,
 ) -> list[tuple[SearchResult, PhaseCounts]]:
@@ -234,12 +268,18 @@ def search_batch_sweep(
         The full database (cutoff statistics are resolved against it).
     block_residues:
         Target residues per block (default
-        :data:`DEFAULT_BLOCK_RESIDUES`); ignored when ``blocks`` is given.
+        :data:`DEFAULT_BLOCK_RESIDUES`); ignored when ``blocks`` or
+        ``swept`` is given.
     blocks:
         Pre-cut contiguous blocks of ``db`` (e.g. the store's cached
         partition, :meth:`~repro.io.store.DatabaseStore.blocks`); each
         must be a :class:`~repro.io.database.DatabaseView` of ``db`` in
         ascending order — exactly what ``db.blocks(n)`` yields.
+    swept:
+        The blocks already swept elsewhere: :func:`sweep_extend_block`'s
+        outputs in block order (the process pool's workers supply them).
+        This process then builds no index and cuts no blocks; only the
+        accumulation and phases 3–4 run here.
     engine_name:
         Name phase events are emitted under (default: the pipelines').
     events:
@@ -253,11 +293,11 @@ def search_batch_sweep(
         return []
     name = engine_name or pipelines[0].name
     cutoffs = [pipe.cutoffs(db) for pipe in pipelines]
-    swept = sweep_extensions(
-        pipelines, db, cutoffs,
-        block_residues=block_residues, blocks=blocks, engine_name=name, events=events,
+    accumulated = sweep_extensions(
+        pipelines, db, cutoffs, block_residues=block_residues, blocks=blocks,
+        swept=swept, engine_name=name, events=events,
     )
     return [
-        sweep_finish(pipe, db, *swept[q], cutoffs[q], engine_name=name, events=events)
+        sweep_finish(pipe, db, *accumulated[q], cutoffs[q], engine_name=name, events=events)
         for q, pipe in enumerate(pipelines)
     ]

@@ -149,43 +149,6 @@ class CuBlastp:
         """Like :meth:`run`, returning the full timing report as well."""
         return self._bind(compiled, query_id).search_with_report(db)
 
-    def search_batch(
-        self,
-        compiled: list[CompiledQuery],
-        db: SequenceDatabase,
-        query_ids: "list[str | None] | None" = None,
-        *,
-        block_residues: int | None = None,
-        blocks: "list[SequenceDatabase] | None" = None,
-    ) -> list[SearchResult]:
-        """Search a whole query batch with one blocked database sweep.
-
-        Batch-first cuBLASTP: instead of launching the per-query kernel
-        stack once per query (each walking the full database), the batch
-        shares one merged seeding index and the database streams through
-        in blocks exactly once
-        (:func:`~repro.core.sweep.search_batch_sweep`, phase events under
-        this engine's name). Results are identical, query for query, to
-        :meth:`run` — the same guarantee the per-query path pins against
-        the reference pipeline.
-        """
-        from repro.core.sweep import search_batch_sweep
-
-        self._check_word_length(self.params)
-        ids = query_ids if query_ids is not None else [None] * len(compiled)
-        pipelines = [
-            self.pipe._bind(c, qid) for c, qid in zip(compiled, ids)
-        ]
-        outcomes = search_batch_sweep(
-            pipelines,
-            db,
-            block_residues=block_residues,
-            blocks=blocks,
-            engine_name=self.name,
-            events=self.events,
-        )
-        return [result for result, _counts in outcomes]
-
     # -- per-query API -----------------------------------------------------
 
     def make_session(self, db: SequenceDatabase) -> DeviceSession:

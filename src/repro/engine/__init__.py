@@ -36,17 +36,14 @@ from repro.engine.procpool import (
 from repro.engine.protocol import (
     CUBLASTP_STRATEGY_NAMES,
     ENGINE_NAMES,
-    BatchEngine,
     Engine,
     ReportingEngine,
     make_engine,
-    run_search_batch,
 )
 
 __all__ = [
     "CUBLASTP_STRATEGY_NAMES",
     "ENGINE_NAMES",
-    "BatchEngine",
     "BatchExecutor",
     "BatchResult",
     "CompiledQuery",
@@ -64,5 +61,4 @@ __all__ = [
     "compile_signature",
     "database_path_for_workers",
     "make_engine",
-    "run_search_batch",
 ]

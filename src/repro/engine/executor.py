@@ -27,15 +27,17 @@ bounded in-flight work, per-query error isolation):
     strings and canonical-form result payloads cross the boundary. This
     is the backend that actually scales the GIL-bound phases across
     cores. In-memory databases are spilled to a temporary binary file
-    for the batch. Reports are not collected (they would have to be
-    pickled); attach an :class:`~repro.engine.events.EventLog` for the
-    per-phase story instead.
+    for the batch.
+
+Attach an :class:`~repro.engine.events.EventLog` for the per-phase story;
+both backends emit the same events.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Union
@@ -46,6 +48,7 @@ from repro.engine.protocol import Engine, make_engine
 
 if TYPE_CHECKING:
     from repro.core.results import SearchResult
+    from repro.core.sweep import BlockOutput
     from repro.io.database import SequenceDatabase
     from repro.io.store import DatabaseStore
 
@@ -63,7 +66,6 @@ class QueryOutcome:
     index: int
     query_id: str
     result: "SearchResult | None" = None
-    report: Any | None = None
     error: Exception | None = None
 
     @property
@@ -77,7 +79,7 @@ class BatchResult:
     Wraps the per-query :class:`QueryOutcome` records (input order).
     Failed queries keep their error record in :attr:`errors` /
     :attr:`records` without aborting the batch; successful ones appear in
-    :attr:`results` and :attr:`reports`.
+    :attr:`results`.
     """
 
     def __init__(self, records: list[QueryOutcome] | None = None) -> None:
@@ -96,19 +98,9 @@ class BatchResult:
         return [(r.query_id, r.result) for r in self.records if r.result is not None]
 
     @property
-    def reports(self) -> list[tuple[str, Any]]:
-        """``(query_id, report)`` pairs for queries whose engine reported."""
-        return [(r.query_id, r.report) for r in self.records if r.report is not None]
-
-    @property
     def errors(self) -> list[tuple[str, Exception]]:
         """``(query_id, error)`` pairs of the failed queries."""
         return [(r.query_id, r.error) for r in self.records if r.error is not None]
-
-    @property
-    def total_modelled_ms(self) -> float:
-        """Summed modelled end-to-end time over the reporting engines."""
-        return float(sum(getattr(report, "overall_ms", 0.0) for _, report in self.reports))
 
     @property
     def total_reported(self) -> int:
@@ -153,9 +145,6 @@ class BatchExecutor:
     mp_context:
         ``multiprocessing`` start method for the process backend
         (defaults to ``fork`` where available, else ``spawn``).
-    collect_reports:
-        Attach the engine's timing report to each outcome when the engine
-        supports ``run_with_report``.
     events:
         Optional :class:`~repro.engine.events.EventLog` shared with the
         engine, for phase-level consumption of the whole batch.
@@ -171,16 +160,20 @@ class BatchExecutor:
         :class:`~repro.seeding.multi_query.MultiQueryIndex`, and under
         the process backend workers own database *blocks* instead of
         queries (query-tagged extension streams merge across blocks
-        before gapped extension). Results are identical to per-query
-        mode, outcome for outcome; error isolation is coarser — a
-        failure during the shared sweep fails the whole batch (compile
-        errors stay per-query).
+        before gapped extension). db-sweep runs the reference sweep
+        (:func:`~repro.core.sweep.search_batch_sweep`) whatever engine
+        compiled the queries; phase events carry the engine's name.
+        Results are identical to per-query mode, outcome for outcome;
+        error isolation is coarser — a failure during the shared sweep
+        fails the whole batch (compile errors stay per-query).
     block_residues:
         Target residues per sweep block (db-sweep mode; default
         :data:`~repro.core.sweep.DEFAULT_BLOCK_RESIDUES`).
     keep_pool:
-        Keep the process backend's worker pool warm across batches
-        (per-query mode). An always-on service runs one small batch per
+        Keep the process backend's worker pool warm across batches —
+        per-query mode only; db-sweep builds and shuts down a pool per
+        batch, since its workers are bound to the batch's queries. An
+        always-on service runs one small batch per
         coalescing window; without this every window would pay worker
         spawn + engine build + database ``mmap``. The kept pool is bound
         to one database path; call :meth:`close` (or use the executor as
@@ -203,7 +196,6 @@ class BatchExecutor:
         *,
         jobs: int = 1,
         backend: str = "thread",
-        collect_reports: bool = True,
         events: EventLog | None = None,
         store: "DatabaseStore | None" = None,
         mp_context: str | None = None,
@@ -232,7 +224,6 @@ class BatchExecutor:
         self.backend = backend
         self.mode = mode
         self.block_residues = block_residues
-        self.collect_reports = collect_reports
         self.events = events
         self.store = store
         self.mp_context = mp_context
@@ -266,12 +257,8 @@ class BatchExecutor:
     def _execute(self, index: int, query_id: str, sequence: str, db: "SequenceDatabase") -> QueryOutcome:
         try:
             compiled = self.engine.compile(sequence)
-            runner = getattr(self.engine, "run_with_report", None)
-            if self.collect_reports and runner is not None:
-                result, report = runner(compiled, db, query_id=query_id)
-            else:
-                result, report = self.engine.run(compiled, db, query_id=query_id), None
-            return QueryOutcome(index, query_id, result=result, report=report)
+            result = self.engine.run(compiled, db, query_id=query_id)
+            return QueryOutcome(index, query_id, result=result)
         except Exception as exc:  # per-query isolation: record, don't abort
             return QueryOutcome(index, query_id, error=exc)
 
@@ -288,10 +275,7 @@ class BatchExecutor:
         the consumer.
         """
         if self.mode == "db-sweep":
-            if self.backend == "process":
-                yield from self._stream_sweep_process(queries, db)
-            else:
-                yield from self._stream_sweep(queries, db)
+            yield from self._stream_sweep(queries, db)
             return
         if self.backend == "process":
             yield from self._stream_process(queries, db)
@@ -340,86 +324,80 @@ class BatchExecutor:
             good.append((index, query_id, sequence, compiled))
         return good, failed
 
-    def _sweep_blocks(
-        self, db: "DatabaseLike", resolved: "SequenceDatabase"
-    ) -> "tuple[int, list[SequenceDatabase] | None]":
-        """Block count plus (when ``db`` is a path) the store's cached cut."""
-        from repro.core.sweep import num_sweep_blocks
-
-        num_blocks = num_sweep_blocks(resolved, self.block_residues)
-        if isinstance(db, (str, Path)) and self.store is not None:
-            return num_blocks, self.store.blocks(db, num_blocks)
-        return num_blocks, None
-
     def _stream_sweep(
         self, queries: Iterable[tuple[str, str]], db: "DatabaseLike"
     ) -> Iterator[QueryOutcome]:
-        """In-process db-sweep: one blocked pass serves the whole batch.
+        """db-sweep on either backend: one blocked pass serves the batch.
 
-        The sweep itself is a single pass (``jobs`` does not fan it out —
-        use the process backend for block-parallel sweeping); what it buys
-        in-process is hit detection amortised across the batch through the
-        merged multi-query index.
+        Whatever engine compiled the queries, the batch runs the reference
+        sweep (:func:`~repro.core.sweep.search_batch_sweep`) with phase
+        events under the engine's name. Only where the blocks are swept
+        differs: in this thread (the store's cached cut of a path, else
+        ``db.blocks``; ``jobs`` does not fan the pass out), or — process
+        backend — in pool workers that each own database blocks
+        (:class:`~repro.engine.procpool.SweepBlockSpec`) and ship back only
+        the per-query surviving extensions, which this process accumulates
+        in block order before finishing phases 3–4 per query.
         """
-        from repro.engine.protocol import run_search_batch
+        from repro.core.pipeline import BlastpPipeline
+        from repro.core.sweep import num_sweep_blocks, search_batch_sweep
 
         good, failed = self._compile_batch(queries)
-        resolved = self._resolve_db(db)
         outcomes: dict[int, QueryOutcome] = {o.index: o for o in failed}
         if good:
-            _num_blocks, blocks = self._sweep_blocks(db, resolved)
+            resolved = self._resolve_db(db)
+            num_blocks = num_sweep_blocks(resolved, self.block_residues)
             try:
-                results = run_search_batch(
-                    self.engine,
-                    [compiled for _, _, _, compiled in good],
-                    resolved,
-                    [query_id for _, query_id, _, _ in good],
-                    blocks=blocks,
-                )
+                pipelines = [
+                    BlastpPipeline(compiled, query_id=query_id)
+                    for _, query_id, _, compiled in good
+                ]
+                with self._sweep_source(good, db, resolved, num_blocks) as source:
+                    results = search_batch_sweep(
+                        pipelines,
+                        resolved,
+                        engine_name=self.engine.name,
+                        events=self.events,
+                        **source,
+                    )
             except Exception as exc:
-                # Coarse isolation: the pass is shared, so a sweep failure
-                # is every query's failure.
+                # Coarse isolation: the pass is shared, so a failure anywhere
+                # in it — a lost block included — is every query's failure.
                 for index, query_id, _, _ in good:
                     outcomes[index] = QueryOutcome(index, query_id, error=exc)
             else:
-                for (index, query_id, _, _), result in zip(good, results):
+                for (index, query_id, _, _), (result, _counts) in zip(good, results):
                     outcomes[index] = QueryOutcome(index, query_id, result=result)
         for index in sorted(outcomes):
             yield outcomes[index]
 
-    def _stream_sweep_process(
-        self, queries: Iterable[tuple[str, str]], db: "DatabaseLike"
-    ) -> Iterator[QueryOutcome]:
-        """Process-backend db-sweep: workers own database blocks.
-
-        The ownership inversion of :meth:`_stream_process` — each task is
-        a *block index*, not a query. Workers sweep their blocks for the
-        whole batch and ship back only the per-query surviving extensions
-        (six aligned plain-int columns each); the parent concatenates the
-        columns in block order — which the two-hit lexsort makes equal to
-        the one-shot extension array — and finishes gapped extension +
-        traceback per query locally.
-        """
-        from repro.core.pipeline import BlastpPipeline
-        from repro.core.results import ExtensionArray
-        from repro.core.sweep import emit_block_phases, num_sweep_blocks, sweep_finish
-        from repro.verify.canonical import extensions_from_payload
+    @contextmanager
+    def _sweep_source(
+        self,
+        good: list[tuple[int, str, str, CompiledQuery]],
+        db: "DatabaseLike",
+        resolved: "SequenceDatabase",
+        num_blocks: int,
+    ) -> Iterator[dict[str, Any]]:
+        """The blocks of one sweep, as ``search_batch_sweep`` keywords:
+        ``blocks`` to sweep here, or ``swept`` blocks decoded from a
+        per-batch process pool (shut down, with any spill, on exit)."""
+        if self.backend == "thread":
+            if isinstance(db, (str, Path)):
+                assert self.store is not None  # set by _resolve_db
+                yield {"blocks": self.store.blocks(db, num_blocks)}
+            else:
+                yield {"blocks": resolved.blocks(num_blocks)}
+            return
         from repro.engine.procpool import (
             EngineSpec,
             ProcessPool,
             SweepBlockSpec,
             database_path_for_workers,
         )
+        from repro.verify import canonical
 
-        good, failed = self._compile_batch(queries)
-        outcomes: dict[int, QueryOutcome] = {o.index: o for o in failed}
-        if not good:
-            for index in sorted(outcomes):
-                yield outcomes[index]
-            return
         engine_spec = EngineSpec.from_engine(self.engine)
-        resolved = self._resolve_db(db)
-        num_blocks = num_sweep_blocks(resolved, self.block_residues)
         db_path, cleanup = database_path_for_workers(db, store=self.store)
         task_spec = SweepBlockSpec(
             engine=engine_spec,
@@ -433,61 +411,27 @@ class BatchExecutor:
             mp_context=self.mp_context,
             max_respawns=self.max_respawns,
         )
-        n = len(good)
-        extensions: list[list[ExtensionArray]] = [[] for _ in range(n)]
-        total_hits = [0] * n
-        total_seeds = [0] * n
-        sweep_error: Exception | None = None
-        engine_name = getattr(self.engine, "name", engine_spec.name)
-        try:
-            for _block, payload, error in pool.run(range(num_blocks)):
+        runs = pool.run(range(num_blocks))
+
+        def swept() -> "Iterator[BlockOutput]":
+            for _block, payload, error in runs:
                 if error is not None:
-                    # One lost block loses every query's hits in it: the
-                    # whole batch fails rather than silently under-report.
-                    sweep_error = error
-                    break
-                block_items = 0
-                for q in range(n):
-                    total_hits[q] += payload["num_hits"][q]
-                    total_seeds[q] += payload["num_seeds"][q]
-                    part = extensions_from_payload(payload["extensions"][q])
-                    extensions[q].append(part)
-                    block_items += len(part)
-                if self.events is not None:
-                    emit_block_phases(
-                        self.events,
-                        engine_name,
-                        payload["phase_wall_ms"],
-                        sum(payload["num_hits"]),
-                        block_items,
-                    )
+                    # One lost block loses every query's hits in it.
+                    raise error
+                yield (
+                    [canonical.extensions_from_payload(p) for p in payload["extensions"]],
+                    payload["num_hits"],
+                    payload["num_seeds"],
+                    payload["phase_wall_ms"],
+                )
+
+        try:
+            yield {"swept": swept()}
         finally:
+            runs.close()
             pool.shutdown()
             if cleanup is not None:
                 cleanup()
-        if sweep_error is not None:
-            for index, query_id, _, _ in good:
-                outcomes[index] = QueryOutcome(index, query_id, error=sweep_error)
-        else:
-            for q, (index, query_id, _, compiled) in enumerate(good):
-                try:
-                    pipe = BlastpPipeline(compiled, query_id=query_id)
-                    result, _counts = sweep_finish(
-                        pipe,
-                        resolved,
-                        ExtensionArray.concat(extensions[q]),
-                        total_hits[q],
-                        total_seeds[q],
-                        pipe.cutoffs(resolved),
-                        engine_name=engine_name,
-                        events=self.events,
-                    )
-                except Exception as exc:
-                    outcomes[index] = QueryOutcome(index, query_id, error=exc)
-                else:
-                    outcomes[index] = QueryOutcome(index, query_id, result=result)
-        for index in sorted(outcomes):
-            yield outcomes[index]
 
     def _stream_process(
         self, queries: Iterable[tuple[str, str]], db: "DatabaseLike"
@@ -586,7 +530,8 @@ class BatchExecutor:
 
     @property
     def process_pool(self) -> Any | None:
-        """The kept process pool, when one is alive (``keep_pool`` only).
+        """The kept process pool, when one is alive (``keep_pool`` in
+        per-query mode only).
 
         Cross-thread introspection (fault-injection tests read worker
         PIDs from the test thread): a benign racy read of a reference,

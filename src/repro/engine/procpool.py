@@ -51,6 +51,7 @@ from repro.engine.protocol import Engine, make_engine
 
 if TYPE_CHECKING:
     from repro.core.statistics import SearchParams
+    from repro.core.sweep import BlockSweep
     from repro.cublastp.config import CuBlastpConfig
     from repro.io.database import SequenceDatabase
     from repro.io.store import DatabaseStore
@@ -204,7 +205,6 @@ class QueryTaskSpec:
     engine: EngineSpec
     db_path: str
     collect_events: bool = False
-    mmap: bool = True
 
     def setup(self) -> _QueryWorkerState:
         from repro.engine.events import EventLog
@@ -212,7 +212,7 @@ class QueryTaskSpec:
 
         events = EventLog() if self.collect_events else None
         engine = self.engine.build(events=events)
-        db = SequenceDatabase.load(self.db_path, mmap=self.mmap)
+        db = SequenceDatabase.load(self.db_path, mmap=True)
         return _QueryWorkerState(engine, db, events)
 
     def run(self, state: _QueryWorkerState, task: tuple[str, str]) -> dict:
@@ -237,31 +237,23 @@ class QueryTaskSpec:
         return payload
 
 
-@dataclass
-class _SweepWorkerState:
-    pipelines: list
-    index: Any
-    cutoffs: list
-    blocks: list
-    block_starts: list
-
-
 @dataclass(frozen=True)
 class SweepBlockSpec:
     """One-database-block-per-task work: the db-sweep executor mode.
 
     The inversion of :class:`QueryTaskSpec`'s ownership model: workers own
     *database blocks* instead of whole queries. ``setup`` compiles every
-    query of the batch once, merges their neighbourhoods into one
-    :class:`~repro.seeding.multi_query.MultiQueryIndex`, maps the database
-    and cuts the same residue-balanced blocks the parent scheduled
-    (block bounds are deterministic, so head and workers agree). ``run``
-    takes a block index, sweeps that block for the whole batch, runs
-    block-local two-hit + ungapped extension per query, and returns only
-    the surviving extensions — plain int lists, a few KB per block,
-    instead of the block's millions of raw hits. The parent merges the
-    tagged streams across blocks in block order and finishes gapped
-    extension + traceback per query.
+    query of the batch once, maps the database and builds the same
+    :class:`~repro.core.sweep.BlockSweep` the in-process sweep builds —
+    merged index, whole-database cutoffs, and the residue-balanced block
+    cut the parent scheduled (block bounds are deterministic, so head and
+    workers agree). ``run`` takes a block index, sweeps that block for the
+    whole batch, runs block-local two-hit + ungapped extension per query,
+    and returns only the surviving extensions — plain int lists, a few KB
+    per block, instead of the block's millions of raw hits. The parent
+    feeds the decoded blocks, in block order, to
+    :func:`~repro.core.sweep.search_batch_sweep`, which accumulates them
+    and finishes gapped extension + traceback per query.
 
     Every field is a picklable builtin or a registry dataclass — the
     ``picklable-spec-fields`` lint rule keeps it that way by construction.
@@ -272,40 +264,25 @@ class SweepBlockSpec:
     #: The whole batch: ``(query_id, sequence)`` pairs, in batch order.
     queries: tuple
     num_blocks: int
-    mmap: bool = True
 
-    def setup(self) -> _SweepWorkerState:
+    def setup(self) -> "BlockSweep":
         from repro.core.pipeline import BlastpPipeline
+        from repro.core.sweep import BlockSweep
         from repro.io.database import SequenceDatabase
-        from repro.seeding.multi_query import MultiQueryIndex
 
         engine = self.engine.build()
-        db = SequenceDatabase.load(self.db_path, mmap=self.mmap)
+        db = SequenceDatabase.load(self.db_path, mmap=True)
         pipelines = [
             BlastpPipeline(engine.compile(sequence), query_id=query_id)
             for query_id, sequence in self.queries
         ]
-        index = MultiQueryIndex.from_compiled([p.compiled for p in pipelines])
-        # Cutoff statistics against the whole database — identical to the
-        # per-query path; blocks never enter the statistics.
-        cutoffs = [p.cutoffs(db) for p in pipelines]
-        blocks = db.blocks(self.num_blocks)
-        block_starts = [getattr(b, "start", 0) for b in blocks]
-        return _SweepWorkerState(pipelines, index, cutoffs, blocks, block_starts)
+        return BlockSweep.build(pipelines, db, db.blocks(self.num_blocks))
 
-    def run(self, state: _SweepWorkerState, block_index: int) -> dict:
-        from repro.core.sweep import sweep_extend_block
-
-        t0 = time.perf_counter()
-        extensions, num_hits, num_seeds, phase_wall = sweep_extend_block(
-            state.index,
-            state.pipelines,
-            state.blocks[block_index],
-            state.cutoffs,
-            seq_id_base=state.block_starts[block_index],
-        )
+    def run(self, state: "BlockSweep", block_index: int) -> dict:
         from repro.verify.canonical import extensions_to_payload
 
+        t0 = time.perf_counter()
+        extensions, num_hits, num_seeds, phase_wall = state.extend(block_index)
         return {
             "block": block_index,
             "num_hits": [int(n) for n in num_hits],

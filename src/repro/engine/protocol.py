@@ -67,60 +67,6 @@ class ReportingEngine(Engine, Protocol):
         ...
 
 
-@runtime_checkable
-class BatchEngine(Engine, Protocol):
-    """An engine with a native batch-first (db-sweep) search.
-
-    ``search_batch`` runs a whole compiled-query batch through one pass
-    over the database — hit detection shares a merged multi-query index
-    instead of walking the subject codes once per query — and returns one
-    result per query, in input order, each identical to what ``run``
-    would have produced for that query alone. Engines without the
-    capability still serve batches through :func:`run_search_batch`'s
-    per-query fallback.
-    """
-
-    def search_batch(
-        self,
-        compiled: "list[CompiledQuery]",
-        db: "SequenceDatabase",
-        query_ids: "list[str | None] | None" = None,
-        *,
-        blocks: "list[SequenceDatabase] | None" = None,
-    ) -> "list[SearchResult]":
-        ...
-
-
-def run_search_batch(
-    engine: Engine,
-    compiled: "list[CompiledQuery]",
-    db: "SequenceDatabase",
-    query_ids: "list[str | None] | None" = None,
-    *,
-    blocks: "list[SequenceDatabase] | None" = None,
-) -> "list[SearchResult]":
-    """Run a compiled batch on any engine, sweeping when it can.
-
-    Dispatches to the engine's native ``search_batch`` (one blocked
-    database pass for the whole batch) when present; otherwise falls back
-    to per-query ``run`` calls — same results either way, so callers can
-    request batch mode without knowing the engine's capabilities.
-    ``blocks`` (pre-cut contiguous views, e.g. a store-cached partition)
-    is forwarded to sweeping engines and ignored by the fallback.
-    """
-    ids = list(query_ids) if query_ids is not None else [None] * len(compiled)
-    if len(ids) != len(compiled):
-        raise ValueError("query_ids must align with the compiled batch")
-    search_batch = getattr(engine, "search_batch", None)
-    if search_batch is not None:
-        if blocks is not None:
-            return search_batch(compiled, db, query_ids=ids, blocks=blocks)
-        return search_batch(compiled, db, query_ids=ids)
-    return [
-        engine.run(c, db, query_id=qid) for c, qid in zip(compiled, ids)
-    ]
-
-
 #: Registry names accepted by :func:`make_engine` (and ``--engine``).
 ENGINE_NAMES = ("cublastp", "reference", "fsa", "ncbi", "cuda-blastp", "gpu-blastp")
 

@@ -14,10 +14,11 @@ fault-injection suite drives this class directly). One instance owns:
   at ``max_batch``;
 * a :class:`~repro.engine.executor.BatchExecutor` running each closed
   batch against the resident database — thread or process backend,
-  per-query or db-sweep mode. Under the process backend the executor
-  keeps its worker pool *warm across batches* (``keep_pool``), so a
-  coalescing window never pays worker spawn + engine build + database
-  ``mmap``;
+  per-query or db-sweep mode. Under the process backend in per-query
+  mode the executor keeps its worker pool *warm across batches*
+  (``keep_pool``), so a coalescing window never pays worker spawn +
+  engine build + database ``mmap``; a db-sweep batch (the default mode)
+  builds and retires its own pool, whose workers compile that batch;
 * a :class:`~repro.serve.cache.ResultCache` of canonical payload bytes
   keyed ``(query-hash, db-version, params)``, where db-version is the
   RPDB header's content stamp — :meth:`refresh_db_version` picks up an
@@ -136,7 +137,8 @@ class SearchService:
         when ``None``); part of every cache key.
     backend / jobs / mode:
         Passed to the :class:`~repro.engine.executor.BatchExecutor`. The
-        process backend gets a warm persistent pool (``keep_pool``).
+        process backend asks for a warm persistent pool (``keep_pool``),
+        which per-query mode keeps; db-sweep builds one per batch.
     window_ms:
         Coalescing window: a pending batch closes at latest this long
         after its first arrival. A free dispatcher holds a batch only
@@ -198,7 +200,6 @@ class SearchService:
             jobs=jobs,
             backend=backend,
             mode=mode,
-            collect_reports=False,
             keep_pool=(backend == "process"),
             max_respawns=max_respawns,
             mp_context=mp_context,

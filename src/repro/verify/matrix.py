@@ -127,9 +127,7 @@ def _run_batched(
     and the first is returned for the oracle comparison."""
     from repro.verify.canonical import results_equal
 
-    executor = BatchExecutor(
-        engine, jobs=2, backend=backend, mode=mode, collect_reports=False
-    )
+    executor = BatchExecutor(engine, jobs=2, backend=backend, mode=mode)
     outcomes = list(
         executor.stream([(query_id, query), (f"{query_id}+dup", query)], db)
     )

@@ -171,12 +171,6 @@ class TestBatchExecutor:
         with pytest.raises(ValueError):
             batch.result_for("broken")
 
-    def test_reports_collected(self, queries, tiny_db, tiny_params):
-        engine = make_engine("cublastp", tiny_params)
-        batch = BatchExecutor(engine).run(queries, tiny_db)
-        assert len(batch.reports) == len(queries)
-        assert batch.total_modelled_ms > 0
-
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
             BatchExecutor(jobs=0)

@@ -1,7 +1,8 @@
 """Unit tests for the search service core and its HTTP front-end.
 
-Thread-backend only (fast, deterministic — tier-1); the process-backend
-fault story lives in ``tests/integration/test_serve_faults.py``.
+Thread backend, plus one process-backend db-sweep check (fast,
+deterministic — tier-1); the process-backend fault story lives in
+``tests/integration/test_serve_faults.py``.
 """
 
 import asyncio
@@ -185,6 +186,37 @@ class TestSearchService:
             SearchService(tiny_db, window_ms=-1)
         with pytest.raises(ValueError):
             SearchService(tiny_db, max_pending=0)
+
+
+class TestProcessSweepService:
+    """``repro serve --backend process`` in its default db-sweep mode."""
+
+    @pytest.fixture(autouse=True)
+    def _witnessed(self, lock_witness):
+        """The service runs under the runtime lock witness."""
+
+    @staticmethod
+    def _serve_two_batches(db, backend, queries):
+        svc = SearchService(db, backend=backend, jobs=2, window_ms=50, cache_capacity=0)
+        with svc:
+            payloads = []
+            for first in (0, 3):
+                futures = [
+                    svc.submit(f"q{i}", queries[i]) for i in range(first, first + 3)
+                ]
+                payloads += [f.result(timeout=120).payload for f in futures]
+        return svc, payloads
+
+    def test_batches_match_thread_backend_and_leave_no_worker(self, tiny_db, queries):
+        import multiprocessing
+
+        _, expected = self._serve_two_batches(tiny_db, "thread", queries)
+        svc, payloads = self._serve_two_batches(tiny_db, "process", queries)
+        assert svc.executor.mode == "db-sweep"
+        assert svc.coalescer.stats.batches >= 2
+        assert payloads == expected
+        assert svc.executor.process_pool is None
+        assert multiprocessing.active_children() == []
 
 
 class TestHttpServer:

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import BlastpPipeline
-from repro.core.sweep import DEFAULT_BLOCK_RESIDUES, num_sweep_blocks, search_batch_sweep
+from repro.core.sweep import (
+    DEFAULT_BLOCK_RESIDUES,
+    BlockSweep,
+    num_sweep_blocks,
+    search_batch_sweep,
+)
+from repro.engine.events import EventLog
 from repro.engine.executor import BatchExecutor
-from repro.engine.protocol import BatchEngine, make_engine, run_search_batch
+from repro.engine.protocol import make_engine
 from repro.io import generate_query
 from repro.io.store import DatabaseStore
+from repro.seeding.multi_query import MultiQueryIndex
 
 
 @pytest.fixture(scope="module")
@@ -54,26 +61,23 @@ class TestSweepDriver:
             num_sweep_blocks(tiny_db, 0)
         assert DEFAULT_BLOCK_RESIDUES > 0
 
-    def test_engine_search_batch_protocol(self, batch_queries, tiny_db, tiny_params, per_query_results):
-        engine = make_engine("cublastp", tiny_params)
-        assert isinstance(engine, BatchEngine)
-        compiled = [engine.compile(q) for _, q in batch_queries]
-        results = run_search_batch(engine, compiled, tiny_db, [qid for qid, _ in batch_queries])
-        assert results == per_query_results
+    def test_preswept_blocks_build_no_index(
+        self, batch_queries, tiny_db, tiny_params, per_query_results, monkeypatch
+    ):
+        """Blocks swept elsewhere (a pool's workers) only accumulate and
+        finish here: the driver builds no index and cuts no blocks."""
+        pipes = [
+            BlastpPipeline(q, tiny_params, query_id=qid) for qid, q in batch_queries
+        ]
+        swept = list(BlockSweep.build(pipes, tiny_db, tiny_db.blocks(4)))
 
-    def test_fallback_engine_without_search_batch(self, batch_queries, tiny_db, tiny_params, per_query_results):
-        engine = make_engine("fsa", tiny_params)
-        assert not isinstance(engine, BatchEngine)
-        compiled = [engine.compile(q) for _, q in batch_queries]
-        results = run_search_batch(engine, compiled, tiny_db, [qid for qid, _ in batch_queries])
-        for got, expected in zip(results, per_query_results):
-            assert got.alignments == expected.alignments
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the parent must not sweep")
 
-    def test_query_id_alignment_checked(self, batch_queries, tiny_db, tiny_params):
-        engine = make_engine("cublastp", tiny_params)
-        compiled = [engine.compile(q) for _, q in batch_queries]
-        with pytest.raises(ValueError, match="align"):
-            run_search_batch(engine, compiled, tiny_db, ["only-one"])
+        monkeypatch.setattr(MultiQueryIndex, "from_compiled", refuse)
+        monkeypatch.setattr(type(tiny_db), "blocks", refuse)
+        outcomes = search_batch_sweep(pipes, tiny_db, swept=swept)
+        assert [result for result, _ in outcomes] == per_query_results
 
 
 class TestExecutorSweepMode:
@@ -95,6 +99,69 @@ class TestExecutorSweepMode:
         assert [r.ok for r in records] == [True] * len(batch_queries)
         assert [r.result for r in records] == per_query_results
         assert [r.query_id for r in records] == [qid for qid, _ in batch_queries]
+
+    def test_thread_sweep_honours_block_residues(
+        self, batch_queries, tiny_db, tiny_params, per_query_results, monkeypatch
+    ):
+        """An in-memory database is cut into ``block_residues`` blocks, not
+        swept as one default-size block."""
+        calls = []
+        sweep_block = MultiQueryIndex.sweep_block
+
+        def counting(self, block, window):
+            calls.append(len(block))
+            return sweep_block(self, block, window)
+
+        monkeypatch.setattr(MultiQueryIndex, "sweep_block", counting)
+        ex = BatchExecutor(
+            make_engine("cublastp", tiny_params), mode="db-sweep", block_residues=400
+        )
+        records = ex.run(batch_queries, tiny_db).records
+        assert [r.result for r in records] == per_query_results
+        assert len(calls) == num_sweep_blocks(tiny_db, 400) > 1
+        assert sum(calls) == len(tiny_db)
+
+    @staticmethod
+    def _sweep_events(backend, queries, db, params):
+        log = EventLog()
+        ex = BatchExecutor(
+            make_engine("cublastp", params),
+            mode="db-sweep",
+            backend=backend,
+            jobs=2,
+            block_residues=400,
+            events=log,
+        )
+        assert all(r.ok for r in ex.run(queries, db).records)
+        return [(e.engine, e.phase, e.work_items, e.query_id) for e in log.ends()]
+
+    @pytest.mark.parametrize("batch", [slice(None), slice(1)], ids=["batch", "one-query"])
+    def test_sweep_events_match_across_backends(self, batch, batch_queries, tiny_db, tiny_params):
+        queries = batch_queries[batch]
+        thread = self._sweep_events("thread", queries, tiny_db, tiny_params)
+        process = self._sweep_events("process", queries, tiny_db, tiny_params)
+        # Blocks arrive in block order on both backends and phases 3–4
+        # run in the parent, so the logs agree event for event.
+        assert thread == process
+        num_blocks = num_sweep_blocks(tiny_db, 400)
+        phases = [phase for _, phase, _, _ in thread]
+        assert phases.count("hit_detection") == num_blocks
+        assert phases.count("ungapped_extension") == num_blocks
+        assert phases.count("gapped_extension") == len(queries)
+        assert {engine for engine, _, _, _ in thread} == {"cuBLASTP"}
+        if len(queries) == 1:
+            assert {qid for _, _, _, qid in thread} == {queries[0][0]}
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_fsa_sweep_matches_per_query(self, backend, batch_queries, tiny_db, tiny_params):
+        """db-sweep runs the reference sweep whatever engine compiled the
+        batch; an engine without a sweep of its own gets its own results."""
+        engine = make_engine("fsa", tiny_params)
+        per_query = BatchExecutor(engine).run(batch_queries, tiny_db).records
+        swept = BatchExecutor(
+            engine, mode="db-sweep", backend=backend, jobs=2, block_residues=400
+        ).run(batch_queries, tiny_db).records
+        assert [r.result for r in swept] == [r.result for r in per_query]
 
     def test_process_sweep_matches_per_query(
         self, batch_queries, tiny_db, tiny_params, per_query_results
