@@ -7,19 +7,20 @@ biggest DP boxes and thread overhead).
 
 from common import print_table
 
-from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.core import BlastpPipeline
-from repro.core.sweep import sweep_extensions
+from repro.core.sweep import finish_phases, sweep_extensions
+from repro.perfmodel import cpu_phase_times
 
 
 def compute_scaling(lab):
     db = lab.db("swissprot_rich")
     pipe = BlastpPipeline(lab.query("swissprot_rich", "query517"), lab.params("swissprot_rich"))
     cutoffs = pipe.cutoffs(db)
-    [(exts, _, _)] = sweep_extensions([pipe], db, [cutoffs])
+    [(exts, hits, seeds)] = sweep_extensions([pipe], db, [cutoffs])
+    result, _, gapped = finish_phases(pipe, db, exts, hits, seeds, cutoffs)
     times = {}
     for threads in (1, 2, 4):
-        r = run_cpu_phases(pipe, exts, db, cutoffs, threads)
+        r = cpu_phase_times(gapped, cutoffs.report_cutoff, result.alignments, threads)
         times[threads] = {"gapped": r.gapped_ms, "traceback": r.traceback_ms, "total": r.total_ms}
     return times
 

@@ -15,19 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.coarse_kernel import run_coarse
-from repro.core.pipeline import BlastpPipeline
 from repro.core.results import SearchResult
 from repro.core.statistics import SearchParams
+from repro.core.sweep import finish_phases
 from repro.cublastp.config import CuBlastpConfig
-from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.cublastp.pipeline import host_other_ms
 from repro.cublastp.session import DeviceSession
-from repro.engine.compiled import CompiledQuery, compile_query
+from repro.engine.compiled import CompiledQuery
+from repro.engine.events import EventLog
+from repro.engine.modelled import ModelledEngine
 from repro.gpusim.device import DeviceSpec, K20C
 from repro.gpusim.profiler import KernelProfile
 from repro.gpusim.transfer import TransferModel
 from repro.io.database import SequenceDatabase
-from repro.seeding.dfa import QueryDFA
+from repro.perfmodel.cpu_cost import cpu_phase_times
 
 
 @dataclass
@@ -58,7 +59,7 @@ class CoarseReport:
         )
 
 
-class CudaBlastp:
+class CudaBlastp(ModelledEngine):
     """Coarse-grained baseline searcher (CUDA-BLASTP flavour)."""
 
     name = "CUDA-BLASTP"
@@ -79,50 +80,11 @@ class CudaBlastp:
         query: "str | np.ndarray | CompiledQuery | None" = None,
         params: SearchParams | None = None,
         device: DeviceSpec = K20C,
+        *,
+        events: EventLog | None = None,
     ) -> None:
-        self.pipe = BlastpPipeline(query, params)
+        super().__init__(query, params, events=events)
         self.device = device
-
-    @property
-    def params(self) -> SearchParams:
-        return self.pipe.params
-
-    @property
-    def dfa(self) -> QueryDFA:
-        """The compiled query's DFA (built lazily, shared across engines)."""
-        return self.pipe.compiled.dfa
-
-    # -- engine protocol ---------------------------------------------------
-
-    def compile(self, query: "str | np.ndarray") -> CompiledQuery:
-        """Compile ``query`` under this engine's parameters."""
-        return compile_query(query, self.pipe.params)
-
-    def _bind(self, compiled: CompiledQuery) -> "CudaBlastp":
-        if self.pipe.compiled is compiled:
-            return self
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone.pipe = BlastpPipeline(compiled)
-        return clone
-
-    def run(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> SearchResult:
-        """Search ``db`` with an already-compiled query."""
-        return self._bind(compiled).search(db)
-
-    def run_with_report(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> "tuple[SearchResult, CoarseReport]":
-        """Like :meth:`run`, with the coarse-kernel timing report."""
-        return self._bind(compiled).search_with_report(db)
 
     def _prepare_db(self, db: SequenceDatabase) -> tuple[SequenceDatabase, np.ndarray]:
         """Length-sort the database, returning the old->new id map."""
@@ -138,7 +100,7 @@ class CudaBlastp:
         run_db, order = self._prepare_db(db)
         session = DeviceSession(
             pipe.query_codes,
-            self.dfa,
+            pipe.compiled.dfa,
             run_db,
             CuBlastpConfig(use_readonly_cache=False, use_l2=self.use_l2),
             pipe.params.matrix,
@@ -160,7 +122,13 @@ class CudaBlastp:
         extensions = extensions.with_seq_ids(
             np.asarray(order, dtype=np.int64)[extensions.seq_id]
         ).sorted_full()
-        cpu = run_cpu_phases(pipe, extensions, db, cutoffs, threads=self.cpu_threads)
+        # The fused kernel never materialises raw hits or seeds.
+        result, _counts, gapped = finish_phases(
+            pipe, db, extensions, 0, 0, cutoffs, engine_name=self.name, events=self.events
+        )
+        cpu = cpu_phase_times(
+            gapped, cutoffs.report_cutoff, result.alignments, self.cpu_threads
+        )
         transfer = TransferModel()
         report = CoarseReport(
             kernel=profile,
@@ -170,19 +138,4 @@ class CudaBlastp:
             traceback_ms=cpu.traceback_ms,
             other_ms=host_other_ms(db, pipe.query_length),
         )
-        result = SearchResult(
-            query_length=pipe.query_length,
-            db_sequences=len(db),
-            db_residues=int(db.codes.size),
-            alignments=cpu.alignments,
-            num_hits=0,  # the fused kernel never materialises raw hits
-            num_seeds=0,
-            num_ungapped_extensions=len(extensions),
-            num_gapped_extensions=len(cpu.gapped_extensions),
-            num_reported=len(cpu.alignments),
-        )
         return result, report
-
-    def search(self, db: SequenceDatabase) -> SearchResult:
-        result, _ = self.search_with_report(db)
-        return result

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pipeline import BlastpPipeline, PhaseCounts
+from repro.core.pipeline import PhaseCounts
 from repro.core.results import SearchResult
-from repro.core.statistics import SearchParams
-from repro.core.sweep import sweep_extensions
-from repro.cublastp.cpu_phases import run_cpu_phases
+from repro.core.sweep import finish_phases, sweep_extensions
 from repro.cublastp.pipeline import host_other_ms
-from repro.engine.compiled import CompiledQuery, compile_query
+from repro.engine.modelled import ModelledEngine
 from repro.io.database import SequenceDatabase
 from repro.perfmodel.calibration import CostConstants, DEFAULT_COSTS
-from repro.perfmodel.cpu_cost import critical_phase_ms, ungapped_cells
+from repro.perfmodel.cpu_cost import cpu_phase_times, critical_phase_ms, ungapped_cells
 
 
 @dataclass
@@ -50,83 +48,43 @@ class FsaBlastTiming:
         }
 
 
-class FsaBlast:
+class FsaBlast(ModelledEngine):
     """Sequential CPU BLASTP (FSA-BLAST).
 
-    Parameters mirror :class:`~repro.cublastp.search.CuBlastp`; ``search``
-    returns the canonical result, ``search_with_timing`` adds the model.
-    Satisfies the :class:`~repro.engine.protocol.Engine` protocol
-    (``compile`` / ``run`` / ``run_with_report``); ``run_with_report``'s
-    report is the :class:`FsaBlastTiming`.
+    Parameters mirror :class:`~repro.engine.modelled.ModelledEngine`;
+    ``search`` returns the canonical result, ``search_with_timing`` adds
+    the model and the per-phase counts. ``run_with_report``'s report is
+    the :class:`FsaBlastTiming`.
     """
 
     threads = 1
     costs: CostConstants = DEFAULT_COSTS
     name = "FSA-BLAST"
 
-    def __init__(
-        self,
-        query: "str | np.ndarray | CompiledQuery | None" = None,
-        params: SearchParams | None = None,
-    ) -> None:
-        self.pipe = BlastpPipeline(query, params)
-
-    @property
-    def params(self) -> SearchParams:
-        return self.pipe.params
-
-    # -- engine protocol ---------------------------------------------------
-
-    def compile(self, query: str | np.ndarray) -> CompiledQuery:
-        """Compile ``query`` under this engine's parameters."""
-        return compile_query(query, self.pipe.params)
-
-    def _bind(self, compiled: CompiledQuery) -> "FsaBlast":
-        """This engine (subclass settings included) bound to a compiled query."""
-        if self.pipe.compiled is compiled:
-            return self
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone.pipe = BlastpPipeline(compiled)
-        return clone
-
-    def run(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> SearchResult:
-        """Search ``db`` with an already-compiled query."""
-        return self._bind(compiled).search(db)
-
-    def run_with_report(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> tuple[SearchResult, FsaBlastTiming]:
-        """Like :meth:`run`, with the per-phase cost model as the report."""
-        result, timing, _ = self._bind(compiled).search_with_timing(db)
+    def search_with_report(self, db: SequenceDatabase) -> tuple[SearchResult, FsaBlastTiming]:
+        result, timing, _ = self.search_with_timing(db)
         return result, timing
-
-    # -- per-query API -----------------------------------------------------
-
-    def search(self, db: SequenceDatabase) -> SearchResult:
-        return self.pipe.search(db)
 
     def search_with_timing(self, db: SequenceDatabase) -> tuple[SearchResult, FsaBlastTiming, PhaseCounts]:
         """Search and attach the per-phase cost model.
 
-        Phases 1–2 run as the one-query sweep, phases 3–4 as the CPU
-        phases priced at this engine's thread count
-        (:func:`~repro.cublastp.cpu_phases.run_cpu_phases`, which also
-        honours ``ungapped_only``).
+        Phases 1–2 run as the one-query sweep, phases 3–4 as the shared
+        tail (:func:`~repro.core.sweep.finish_phases`, which also honours
+        ``ungapped_only``), priced at this engine's thread count
+        (:func:`~repro.perfmodel.cpu_cost.cpu_phase_times`).
         """
         pipe = self.pipe
         cutoffs = pipe.cutoffs(db)
-        [(extensions, num_hits, num_seeds)] = sweep_extensions([pipe], db, [cutoffs])
-        cpu = run_cpu_phases(pipe, extensions, db, cutoffs, self.threads, self.costs)
-
+        [(extensions, num_hits, num_seeds)] = sweep_extensions(
+            [pipe], db, [cutoffs], engine_name=self.name, events=self.events
+        )
+        result, counts, gapped = finish_phases(
+            pipe, db, extensions, num_hits, num_seeds, cutoffs,
+            engine_name=self.name, events=self.events,
+        )
+        cpu = cpu_phase_times(
+            gapped, cutoffs.report_cutoff, result.alignments, self.threads, self.costs
+        )
         num_words = int(
             np.maximum(db.lengths - pipe.params.word_length + 1, 0).sum()
         )
@@ -139,14 +97,5 @@ class FsaBlast:
             traceback_ms=cpu.traceback_ms,
             other_ms=host_other_ms(db, pipe.query_length),
             threads=self.threads,
-        )
-        result, counts = pipe.assemble(
-            db,
-            extensions,
-            num_hits,
-            num_seeds,
-            cpu.gapped_extensions,
-            cpu.num_triggers,
-            cpu.alignments,
         )
         return result, timing, counts

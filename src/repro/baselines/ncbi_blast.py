@@ -12,6 +12,8 @@ import numpy as np
 
 from repro.baselines.fsa_blast import FsaBlast
 from repro.core.statistics import SearchParams
+from repro.engine.compiled import CompiledQuery
+from repro.engine.events import EventLog
 from repro.perfmodel.calibration import NCBI_COSTS
 
 
@@ -23,11 +25,13 @@ class NcbiBlast(FsaBlast):
 
     def __init__(
         self,
-        query: "str | np.ndarray | None" = None,
+        query: "str | np.ndarray | CompiledQuery | None" = None,
         params: SearchParams | None = None,
         threads: int = 4,
+        *,
+        events: EventLog | None = None,
     ) -> None:
-        super().__init__(query, params)
+        super().__init__(query, params, events=events)
         if threads < 1:
             raise ValueError("threads must be positive")
         self.threads = threads

@@ -4,10 +4,11 @@
 that are the single source of truth for inter-phase plumbing (seed
 choice, containment de-duplication, cutoff application). Phases 1–2 run
 through the database sweep (:mod:`repro.core.sweep`), phases 3–4 through
-:meth:`BlastpPipeline.phase_gapped` / :meth:`BlastpPipeline.phase_traceback`.
-Baselines and the cuBLASTP search reuse these pieces wherever their
-algorithms coincide, so behavioural differences between implementations
-are confined to the phases the paper actually re-designs.
+:meth:`BlastpPipeline.phase_gapped` / :meth:`BlastpPipeline.phase_traceback`,
+sequenced once for every engine by :func:`repro.core.sweep.finish_phases`.
+The baselines and cuBLASTP replace only phases 1–2, so behavioural
+differences between implementations are confined to the phases the paper
+actually re-designs.
 """
 
 from __future__ import annotations
@@ -167,29 +168,38 @@ class BlastpPipeline:
         """Compile ``query`` under this engine's parameters."""
         return compile_query(query, self.params)
 
-    def _bind(self, compiled: CompiledQuery, query_id: str | None) -> BlastpPipeline:
-        """This engine bound to a compiled query (cheap: no rebuild)."""
-        if compiled is self.compiled and query_id == self.query_id:
+    def _bind(
+        self,
+        compiled: CompiledQuery,
+        query_id: str | None,
+        events: EventLog | None = None,
+    ) -> BlastpPipeline:
+        """This engine bound to a compiled query (cheap: no rebuild),
+        emitting into ``events`` (default: its own log)."""
+        events = events if events is not None else self.events
+        if compiled is self.compiled and query_id == self.query_id and events is self.events:
             return self
-        return type(self)(compiled, events=self.events, query_id=query_id)
+        return type(self)(compiled, events=events, query_id=query_id)
 
     def run(
         self,
         compiled: CompiledQuery,
         db: SequenceDatabase,
         query_id: str | None = None,
+        events: EventLog | None = None,
     ) -> SearchResult:
         """Search ``db`` with an already-compiled query."""
-        return self._bind(compiled, query_id).search(db)
+        return self._bind(compiled, query_id, events).search(db)
 
     def run_with_report(
         self,
         compiled: CompiledQuery,
         db: SequenceDatabase,
         query_id: str | None = None,
+        events: EventLog | None = None,
     ) -> tuple[SearchResult, PhaseCounts]:
         """Like :meth:`run`, with the per-phase work counts as the report."""
-        return self._bind(compiled, query_id).search_with_counts(db)
+        return self._bind(compiled, query_id, events).search_with_counts(db)
 
     def cutoffs(self, db: SequenceDatabase) -> Cutoffs:
         """Raw-score cutoffs for this query against ``db``."""

@@ -13,7 +13,8 @@ the block boundary, cut the query-major *extension* stream per query —
 zero-copy slices (:meth:`~repro.seeding.multi_query.MultiQueryIndex.untag`).
 Only the surviving extensions — thousands, not the millions of raw hits —
 accumulate across blocks (:func:`sweep_extensions`); gapped extension and
-traceback then run per query (:func:`sweep_finish`).
+traceback then run per query (:func:`sweep_finish`, over the one phase 3–4
+tail every engine shares, :func:`finish_phases`).
 
 This is the only phase 1–2 path in production: per-query search is the
 one-query sweep (:meth:`BlastpPipeline.search_with_counts`). Why a
@@ -45,6 +46,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from repro.core.gapped import GappedExtension
 from repro.core.pipeline import BlastpPipeline, PhaseCounts, phase_ungapped_tagged
 from repro.core.results import ExtensionArray, SearchResult
 from repro.io.database import SequenceDatabase
@@ -149,7 +151,7 @@ class BlockSweep:
         return (self.extend(b) for b in range(len(self.blocks)))
 
 
-def sweep_finish(
+def finish_phases(
     pipe: BlastpPipeline,
     db: SequenceDatabase,
     extensions: ExtensionArray,
@@ -159,9 +161,19 @@ def sweep_finish(
     *,
     engine_name: str | None = None,
     events: "EventLog | None" = None,
-) -> tuple[SearchResult, PhaseCounts]:
-    """Phases 3+4 for one query, from its accumulated extension list,
-    and the assembled result with its per-phase work counts."""
+) -> tuple[SearchResult, PhaseCounts, list[GappedExtension]]:
+    """Phases 3+4 for one query, from its phase-2 extension columns.
+
+    The one phase 3–4 tail: the sweep, FSA-BLAST, cuBLASTP and the coarse
+    GPU baselines all finish here, whatever produced their extensions
+    (engines differ only in phases 1–2). In ungapped-only mode the
+    extensions are rendered directly instead. Returns the assembled
+    result, its per-phase work counts, and the gapped extensions phase 3
+    accepted (empty in ungapped-only mode) — what the result and the CPU
+    price both need. With an event log, each phase emits a start/end pair
+    under ``engine_name`` (default: the pipeline's) carrying its
+    work-item count.
+    """
     name = engine_name or pipe.name
 
     def phase(phase_name: str):
@@ -181,9 +193,31 @@ def sweep_finish(
         with phase("final_alignment") as ev:
             alignments = pipe.phase_traceback(gapped, db, cutoffs)
             ev["work_items"] = len(alignments)
-    return pipe.assemble(
+    result, counts = pipe.assemble(
         db, extensions, num_hits, num_seeds, gapped, num_triggers, alignments
     )
+    return result, counts, gapped
+
+
+def sweep_finish(
+    pipe: BlastpPipeline,
+    db: SequenceDatabase,
+    extensions: ExtensionArray,
+    num_hits: int,
+    num_seeds: int,
+    cutoffs: "Cutoffs",
+    *,
+    engine_name: str | None = None,
+    events: "EventLog | None" = None,
+) -> tuple[SearchResult, PhaseCounts]:
+    """:func:`finish_phases` for one query of a sweep: the assembled
+    result with its per-phase work counts. (A name of its own because the
+    end-to-end benchmark times the sweep's phase 3–4 span through it.)"""
+    result, counts, _ = finish_phases(
+        pipe, db, extensions, num_hits, num_seeds, cutoffs,
+        engine_name=engine_name, events=events,
+    )
+    return result, counts
 
 
 def sweep_extensions(
@@ -200,10 +234,9 @@ def sweep_extensions(
     """Phases 1+2 for the whole batch through one blocked database sweep.
 
     Returns per query ``(extensions, num_hits, num_seeds)``, accumulated
-    over every block — the input :func:`sweep_finish` (or any other
-    phase 3–4 tail) takes. ``cutoffs`` holds one entry per query,
-    resolved against the whole of ``db``. The remaining parameters are
-    :func:`search_batch_sweep`'s.
+    over every block — the input :func:`finish_phases` takes. ``cutoffs``
+    holds one entry per query, resolved against the whole of ``db``. The
+    remaining parameters are :func:`search_batch_sweep`'s.
     """
     if swept is None:
         if blocks is None:

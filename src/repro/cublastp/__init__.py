@@ -12,8 +12,11 @@ The package decomposes the two critical phases into five GPU kernels —
    :mod:`~repro.cublastp.ext_diagonal`, :mod:`~repro.cublastp.ext_hit`,
    :mod:`~repro.cublastp.ext_window`;
 
-— plus the multithreaded CPU phases (:mod:`~repro.cublastp.cpu_phases`) and
-the GPU/CPU overlap pipeline (:mod:`~repro.cublastp.pipeline`, Fig. 12).
+— plus the GPU/CPU overlap pipeline (:mod:`~repro.cublastp.pipeline`,
+Fig. 12). Gapped extension and traceback are not cuBLASTP's own: they are
+the phase 3–4 tail every engine shares (:func:`repro.core.sweep.finish_phases`),
+priced per pipeline block at the configured CPU thread count
+(:func:`repro.perfmodel.cpu_cost.cpu_phase_times`).
 :class:`~repro.cublastp.search.CuBlastp` is the public entry point; its
 search results are identical to the reference pipeline's (enforced by
 tests), so every performance number compares equal-output implementations.
@@ -27,8 +30,7 @@ from repro.cublastp.binning import (
 )
 from repro.cublastp.buffering import MatrixMode, MatrixPlacement, choose_matrix_placement
 from repro.cublastp.config import CuBlastpConfig, ExtensionMode
-from repro.cublastp.cpu_phases import CpuPhaseResult, run_cpu_phases
-from repro.cublastp.pipeline import CuBlastpReport, GpuPhaseResult
+from repro.cublastp.pipeline import CpuPhaseResult, CuBlastpReport, GpuPhaseResult
 from repro.cublastp.search import CuBlastp
 
 __all__ = [
@@ -44,6 +46,5 @@ __all__ = [
     "bin_of_diagonal",
     "choose_matrix_placement",
     "pack_hits",
-    "run_cpu_phases",
     "unpack_hits",
 ]

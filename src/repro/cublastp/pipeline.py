@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.gapped import GappedExtension
 from repro.core.pipeline import BlastpPipeline
-from repro.core.results import Alignment, ExtensionArray
+from repro.core.results import ExtensionArray, SearchResult
 from repro.core.statistics import Cutoffs
+from repro.core.sweep import finish_phases
 from repro.cublastp.config import CuBlastpConfig
-from repro.cublastp.cpu_phases import CpuPhaseResult, run_cpu_phases
 from repro.cublastp.extension import run_extension
 from repro.cublastp.filter_kernel import run_filter
 from repro.cublastp.hit_detection_kernel import run_hit_detection
@@ -29,8 +30,8 @@ from repro.cublastp.sort_kernel import run_assemble, run_segmented_sort
 from repro.gpusim.profiler import KernelProfile
 from repro.gpusim.transfer import TransferModel
 from repro.io.database import SequenceDatabase
-from repro.perfmodel.calibration import CPU_CLOCK_GHZ, DEFAULT_COSTS
-from repro.perfmodel.cpu_cost import gapped_work_items, thread_makespan_ms, traceback_work_items
+from repro.perfmodel.calibration import CPU_CLOCK_GHZ
+from repro.perfmodel.cpu_cost import cpu_phase_times
 
 if TYPE_CHECKING:
     from repro.engine.events import EventLog
@@ -58,6 +59,19 @@ class GpuPhaseResult:
     def critical_ms(self) -> float:
         """Total modelled time of all GPU kernels (the critical phases)."""
         return sum(p.elapsed_ms() for p in self.profiles.values())
+
+
+@dataclass
+class CpuPhaseResult:
+    """The CPU side of one cuBLASTP search (§3.6): phase 3's accepted
+    extensions and the pipelined price of phases 3–4 at ``threads``
+    threads — the sum of the per-block prices the Fig. 12 schedule runs."""
+
+    gapped_extensions: list[GappedExtension]
+    num_triggers: int
+    gapped_ms: float
+    traceback_ms: float
+    threads: int
 
 
 @dataclass
@@ -167,11 +181,13 @@ def run_cublastp(
     session: DeviceSession,
     config: CuBlastpConfig,
     events: "EventLog | None" = None,
-    query_id: str | None = None,
-) -> tuple[list[Alignment], CuBlastpReport]:
+) -> tuple[SearchResult, CuBlastpReport]:
     """Full cuBLASTP search: GPU phases, CPU phases, pipeline timing.
 
-    With an :class:`~repro.engine.events.EventLog`, every stage emits a
+    Phases 3–4 are the shared tail (:func:`~repro.core.sweep.finish_phases`)
+    on the kernels' extensions, priced block by block at
+    ``config.cpu_threads`` threads. With an
+    :class:`~repro.engine.events.EventLog`, every stage emits a
     start/end event pair carrying its work-item count and the modelled
     time the report attributes to it (kernel profile times, blocked CPU
     makespans, PCIe transfers, host 'other') — the stream sums to the
@@ -179,8 +195,8 @@ def run_cublastp(
     """
     cutoffs = pipe.cutoffs(db)
     gpu = run_gpu_phases(session, pipe, cutoffs)
-    cpu = run_cpu_phases(
-        pipe, gpu.extensions, db, cutoffs, threads=config.cpu_threads
+    result, counts, gapped = finish_phases(
+        pipe, db, gpu.extensions, gpu.num_hits, gpu.num_seeds, cutoffs
     )
 
     transfer = TransferModel()
@@ -191,8 +207,7 @@ def run_cublastp(
     # Block split: the storage layer's residue-balanced contiguous cuts —
     # the same bounds ``db.blocks()`` turns into zero-copy views, so the
     # streamed blocks share the resident code buffer instead of copying
-    # it. CPU work is assigned by the block that owns each gapped
-    # extension's sequence.
+    # it. CPU work is assigned by the block that owns each sequence.
     bounds = db.block_bounds(NUM_DB_BLOCKS)
     blocks = bounds.size - 1
     residues = db.offsets[bounds[1:]] - db.offsets[bounds[:-1]]
@@ -200,19 +215,23 @@ def run_cublastp(
     gap_block = np.zeros(blocks)
     tb_block = np.zeros(blocks)
     for b in range(blocks):
-        in_block = [
-            g
-            for g in cpu.gapped_extensions
-            if bounds[b] <= g.seq_id < bounds[b + 1]
-        ]
-        reported = [g for g in in_block if g.score >= cutoffs.report_cutoff]
-        gap_block[b] = thread_makespan_ms(
-            gapped_work_items(in_block, DEFAULT_COSTS), config.cpu_threads, DEFAULT_COSTS
+        lo, hi = bounds[b], bounds[b + 1]
+        price = cpu_phase_times(
+            [g for g in gapped if lo <= g.seq_id < hi],
+            cutoffs.report_cutoff,
+            [a for a in result.alignments if lo <= a.seq_id < hi],
+            config.cpu_threads,
         )
-        tb_block[b] = thread_makespan_ms(
-            traceback_work_items(reported, DEFAULT_COSTS), config.cpu_threads, DEFAULT_COSTS
-        )
+        gap_block[b] = price.gapped_ms
+        tb_block[b] = price.traceback_ms
     cpu_block = gap_block + tb_block
+    cpu = CpuPhaseResult(
+        gapped_extensions=gapped,
+        num_triggers=counts.num_gapped_triggers,
+        gapped_ms=float(gap_block.sum()),
+        traceback_ms=float(tb_block.sum()),
+        threads=config.cpu_threads,
+    )
 
     gpu_ms = gpu.critical_ms
     pipelined = pipeline_schedule(share, gpu_ms, h2d_ms, d2h_ms, cpu_block)
@@ -228,8 +247,8 @@ def run_cublastp(
         "hit_filtering": gpu.kernel_ms("hit_filtering"),
         "ungapped_extension": gpu.kernel_ms("ungapped_extension"),
         "data_transfer": h2d_ms + d2h_ms,
-        "gapped_extension": float(gap_block.sum()),
-        "final_alignment": float(tb_block.sum()),
+        "gapped_extension": cpu.gapped_ms,
+        "final_alignment": cpu.traceback_ms,
         "other": other_ms,
     }
     serial = sum(breakdown.values())
@@ -240,12 +259,12 @@ def run_cublastp(
             "hit_filtering": gpu.num_seeds,
             "ungapped_extension": len(gpu.extensions),
             "data_transfer": gpu.h2d_bytes + gpu.d2h_bytes,
-            "gapped_extension": len(cpu.gapped_extensions),
-            "final_alignment": len(cpu.alignments),
+            "gapped_extension": len(gapped),
+            "final_alignment": result.num_reported,
             "other": None,
         }
         for stage, ms in breakdown.items():
-            with events.phase("cuBLASTP", stage, query_id=query_id) as ev:
+            with events.phase("cuBLASTP", stage, query_id=pipe.query_id) as ev:
                 ev["work_items"] = stage_items.get(stage)
                 ev["modelled_ms"] = ms
     report = CuBlastpReport(
@@ -259,5 +278,5 @@ def run_cublastp(
         num_db_blocks=blocks,
         breakdown=breakdown,
     )
-    return cpu.alignments, report
+    return result, report
 

@@ -23,22 +23,21 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.pipeline import BlastpPipeline
 from repro.core.results import SearchResult
 from repro.core.statistics import SearchParams
 from repro.cublastp.config import CuBlastpConfig
 from repro.cublastp.pipeline import CuBlastpReport, run_cublastp
 from repro.cublastp.session import DeviceSession
-from repro.engine.compiled import CompiledQuery, compile_query
+from repro.engine.compiled import CompiledQuery
+from repro.engine.modelled import ModelledEngine
 from repro.gpusim.device import DeviceSpec, K20C
 from repro.io.database import SequenceDatabase
 
 if TYPE_CHECKING:
     from repro.engine.events import EventLog
-    from repro.seeding.dfa import QueryDFA
 
 
-class CuBlastp:
+class CuBlastp(ModelledEngine):
     """Fine-grained BLASTP searcher for one query.
 
     Parameters
@@ -77,15 +76,10 @@ class CuBlastp:
         query_id: str | None = None,
     ) -> None:
         self.config = config or CuBlastpConfig()
-        self.pipe = BlastpPipeline(query, params, events=None, query_id=query_id)
-        self.events = events
-        self.query_id = query_id
-        if self.pipe.compiled is not None:
-            self._check_word_length(self.pipe.params)
         self.device = device
+        super().__init__(query, params, events=events, query_id=query_id)
 
-    @staticmethod
-    def _check_word_length(params: SearchParams) -> None:
+    def check_params(self, params: SearchParams) -> None:
         if params.word_length != 3:
             from repro.errors import ConfigError
 
@@ -95,91 +89,19 @@ class CuBlastp:
                 "FsaBlast for other word sizes"
             )
 
-    @property
-    def params(self) -> SearchParams:
-        return self.pipe.params
-
-    @property
-    def compiled(self) -> CompiledQuery | None:
-        return self.pipe.compiled
-
-    @property
-    def dfa(self) -> QueryDFA:
-        """The compiled query's DFA (built lazily, shared across engines)."""
-        return self.pipe.compiled.dfa
-
-    @property
-    def query_length(self) -> int:
-        return self.pipe.query_length
-
-    # -- engine protocol ---------------------------------------------------
-
-    def compile(self, query: str | np.ndarray) -> CompiledQuery:
-        """Compile ``query`` under this engine's parameters."""
-        self._check_word_length(self.params)
-        return compile_query(query, self.params)
-
-    def _bind(self, compiled: CompiledQuery, query_id: str | None) -> CuBlastp:
-        if compiled is self.compiled and query_id == self.query_id:
-            return self
-        return CuBlastp(
-            compiled,
-            None,
-            self.config,
-            self.device,
-            events=self.events,
-            query_id=query_id,
-        )
-
-    def run(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> SearchResult:
-        """Search ``db`` with an already-compiled query."""
-        return self._bind(compiled, query_id).search(db)
-
-    def run_with_report(
-        self,
-        compiled: CompiledQuery,
-        db: SequenceDatabase,
-        query_id: str | None = None,
-    ) -> tuple[SearchResult, CuBlastpReport]:
-        """Like :meth:`run`, returning the full timing report as well."""
-        return self._bind(compiled, query_id).search_with_report(db)
-
-    # -- per-query API -----------------------------------------------------
-
     def make_session(self, db: SequenceDatabase) -> DeviceSession:
         """Upload this search's structures for ``db`` (one device context)."""
         return DeviceSession(
             self.pipe.query_codes,
-            self.dfa,
+            self.compiled.dfa,
             db,
             self.config,
-            self.pipe.params.matrix,
+            self.params.matrix,
             self.device,
         )
 
-    def search(self, db: SequenceDatabase) -> SearchResult:
-        """Search ``db`` and return alignments (drops the timing report)."""
-        result, _ = self.search_with_report(db)
-        return result
-
     def search_with_report(self, db: SequenceDatabase) -> tuple[SearchResult, CuBlastpReport]:
         """Search ``db`` returning alignments plus the full timing report."""
-        session = self.make_session(db)
-        alignments, report = run_cublastp(
-            self.pipe, db, session, self.config, events=self.events, query_id=self.query_id
+        return run_cublastp(
+            self.pipe, db, self.make_session(db), self.config, events=self.events
         )
-        result, _counts = self.pipe.assemble(
-            db,
-            report.gpu.extensions,
-            report.gpu.num_hits,
-            report.gpu.num_seeds,
-            report.cpu.gapped_extensions,
-            report.cpu.num_triggers,
-            alignments,
-        )
-        return result, report

@@ -15,7 +15,7 @@ can be scheduled on the resource that suits it:
   per-query error isolation, deterministic input-order streaming) with
   thread and process backends;
 * :mod:`~repro.engine.procpool` — the process backend's machinery:
-  :class:`ProcessPool` (persistent warm workers, crash isolation and
+  :class:`ProcessPool` (warm workers, crash isolation and
   respawn) and :class:`EngineSpec` (the picklable engine description
   that crosses the process boundary);
 * :mod:`~repro.engine.events` — the phase-level :class:`PhaseEvent` /

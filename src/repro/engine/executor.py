@@ -146,8 +146,9 @@ class BatchExecutor:
         ``multiprocessing`` start method for the process backend
         (defaults to ``fork`` where available, else ``spawn``).
     events:
-        Optional :class:`~repro.engine.events.EventLog` shared with the
-        engine, for phase-level consumption of the whole batch.
+        Optional :class:`~repro.engine.events.EventLog` every search of
+        the batch emits into (handed to the engine's ``run``, or re-emitted
+        from the workers), for phase-level consumption of the whole batch.
     store:
         :class:`~repro.io.store.DatabaseStore` used to resolve database
         *paths* passed to :meth:`stream` / :meth:`run` (defaults to the
@@ -257,7 +258,7 @@ class BatchExecutor:
     def _execute(self, index: int, query_id: str, sequence: str, db: "SequenceDatabase") -> QueryOutcome:
         try:
             compiled = self.engine.compile(sequence)
-            result = self.engine.run(compiled, db, query_id=query_id)
+            result = self.engine.run(compiled, db, query_id=query_id, events=self.events)
             return QueryOutcome(index, query_id, result=result)
         except Exception as exc:  # per-query isolation: record, don't abort
             return QueryOutcome(index, query_id, error=exc)
@@ -497,36 +498,29 @@ class BatchExecutor:
         """The process pool for this batch: ``(pool, owned_by_this_call)``.
 
         Without :attr:`keep_pool` the pool is built fresh and the caller
-        shuts it down after the batch. With it, one persistent pool is
-        kept warm per ``(db_path, collect_events)`` binding; switching the
-        binding retires the old pool (and any temp-file spill it mapped).
+        shuts it down after the batch. With it, one pool is kept warm per
+        ``(db_path, collect_events)`` binding until :meth:`close`;
+        switching the binding retires the old pool (and any temp-file
+        spill it mapped).
         """
         from repro.engine.procpool import ProcessPool
 
-        if not self.keep_pool:
-            return (
-                ProcessPool(
-                    task_spec,
-                    jobs=self.jobs,
-                    mp_context=self.mp_context,
-                    max_respawns=self.max_respawns,
-                ),
-                True,
-            )
         key = (task_spec.db_path, task_spec.collect_events)
-        if self._pool is not None and self._pool_key != key:
-            self.close()
-        if self._pool is None:
-            self._pool = ProcessPool(
-                task_spec,
-                jobs=self.jobs,
-                mp_context=self.mp_context,
-                max_respawns=self.max_respawns,
-                persistent=True,
-            )
-            self._pool_key = key
-            self._pool_cleanup = cleanup
-        return self._pool, False
+        if self.keep_pool and self._pool is not None and self._pool_key == key:
+            return self._pool, False
+        pool = ProcessPool(
+            task_spec,
+            jobs=self.jobs,
+            mp_context=self.mp_context,
+            max_respawns=self.max_respawns,
+        )
+        if not self.keep_pool:
+            return pool, True
+        self.close()
+        self._pool = pool
+        self._pool_key = key
+        self._pool_cleanup = cleanup
+        return pool, False
 
     @property
     def process_pool(self) -> Any | None:

@@ -19,7 +19,7 @@ binary format re-opens in a *worker process* for the cost of a
 Layers
 ------
 :class:`ProcessPool`
-    Generic persistent-worker pool: one task per message with a bounded
+    Generic warm-worker pool: one task per message with a bounded
     number in flight, input-order streaming, worker-crash isolation (a
     dead worker fails only its in-flight tasks and is respawned), and a
     respawn budget so a deterministically-crashing setup cannot spin.
@@ -367,14 +367,11 @@ class ProcessPool:
         Crash budget per worker slot; past it the slot stays dead (and if
         every slot dies, remaining tasks fail with
         :class:`WorkerCrashError` instead of hanging).
-    persistent:
-        Keep the workers warm across :meth:`run` calls instead of
-        shutting them down when each task stream ends — the always-on
-        serving mode, where every coalesced batch is one ``run`` and
-        paying a worker setup (engine build + database ``mmap``) per
-        batch would dominate latency. A persistent pool is retired with
-        an explicit :meth:`shutdown`; sequential ``run`` calls only (the
-        task queues are not re-entrant).
+
+    The workers stay warm across :meth:`run` calls until :meth:`shutdown`
+    — the always-on serving mode runs every coalesced batch as one
+    ``run`` on the same workers; whoever builds a pool shuts it down.
+    Sequential ``run`` calls only (the task queues are not re-entrant).
     """
 
     def __init__(
@@ -384,7 +381,6 @@ class ProcessPool:
         *,
         mp_context: str | None = None,
         max_respawns: int = 2,
-        persistent: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -392,7 +388,6 @@ class ProcessPool:
         self.jobs = jobs
         self.ctx = multiprocessing.get_context(mp_context or default_start_method())
         self.max_respawns = max_respawns
-        self.persistent = persistent
         # Scheduling state below is dispatcher-owned: one thread drives
         # ensure_started/run/shutdown (sequential ``run`` calls only —
         # see the class docstring). The concurrency contract checker
@@ -401,7 +396,7 @@ class ProcessPool:
         self._started = False  # owned-by: dispatcher
         self._closed = False  # owned-by: dispatcher
         #: First task index of the next ``run`` call. Task indexes are
-        #: global across a persistent pool's lifetime so a straggler
+        #: global across the pool's lifetime so a straggler
         #: result from an abandoned earlier stream can never be mistaken
         #: for a current one (stale indexes are simply dropped).
         self._task_base = 0  # owned-by: dispatcher
@@ -417,7 +412,7 @@ class ProcessPool:
     # -- worker lifecycle --------------------------------------------------
 
     def ensure_started(self) -> None:  # runs-on: dispatcher
-        """Spawn the worker set once (idempotent; used by persistent pools)."""
+        """Spawn the worker set once (idempotent)."""
         if self._closed:
             raise RuntimeError("pool has been shut down")
         if self._started:
@@ -533,20 +528,19 @@ class ProcessPool:
         Tasks are consumed lazily and dispatched one per message to the
         least-loaded live worker; at most ``2 * jobs`` are outstanding,
         so an unbounded task stream gets backpressure. Indexes yielded
-        are relative to this call's task stream (0-based) even on a
-        persistent pool, whose internal indexes are global.
+        are relative to this call's task stream (0-based); the pool's
+        internal indexes are global across calls.
         """
         self.ensure_started()
-        if self.persistent:
-            # A previous stream abandoned mid-flight (consumer stopped
-            # iterating) may have left bookkeeping behind; drop it so a
-            # later crash cannot try to requeue dead history. Results for
-            # those tasks still drain from the queue below and are
-            # discarded by the stale-index check.
-            for slot in self._slots:
-                slot.pending.clear()
-                slot.started.clear()
-            self._items.clear()
+        # A previous stream abandoned mid-flight (consumer stopped
+        # iterating) may have left bookkeeping behind; drop it so a later
+        # crash cannot try to requeue dead history. Results for those
+        # tasks still drain from the queue below and are discarded by the
+        # stale-index check.
+        for slot in self._slots:
+            slot.pending.clear()
+            slot.started.clear()
+        self._items.clear()
         base = self._task_base
         task_iter = enumerate(tasks, start=base)
         dispatched_all = False
@@ -611,8 +605,8 @@ class ProcessPool:
                     continue
                 index, payload = body
                 if index < base:
-                    # Straggler from an abandoned earlier stream on a
-                    # persistent pool; its bookkeeping is already gone.
+                    # Straggler from an abandoned earlier stream; its
+                    # bookkeeping is already gone.
                     continue
                 if kind == "begin":
                     slot.started.add(index)
@@ -626,18 +620,16 @@ class ProcessPool:
                 self._items.pop(index, None)
         finally:
             self._task_base = base + dispatched
-            if not self.persistent:
-                self.shutdown()
 
     def shutdown(self) -> None:  # runs-on: dispatcher
         """Stop every worker (sentinel, join, then terminate stragglers).
 
-        Idempotent; a persistent pool cannot be restarted afterwards
-        (the shared result queue is closed for good). Runs on the
-        dispatcher role: either from ``run``'s cleanup, or from a
-        closing thread after the stream is fully drained — at which
-        point ownership has transferred and that thread is the single
-        logical driver of the pool.
+        Idempotent; a pool cannot be restarted afterwards (the shared
+        result queue is closed for good). Runs on the dispatcher role:
+        from the thread driving the pool, or from a closing thread after
+        the stream is fully drained — at which point ownership has
+        transferred and that thread is the single logical driver of the
+        pool.
         """
         self._started = False
         for slot in self._slots:

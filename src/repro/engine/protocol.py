@@ -5,11 +5,16 @@ cuBLASTP, and the baselines — satisfies :class:`Engine`:
 
 * ``compile(query)`` builds the query-side structures once
   (:class:`~repro.engine.compiled.CompiledQuery`);
-* ``run(compiled, db, query_id=None)`` executes the search and returns
-  the canonical :class:`~repro.core.results.SearchResult`;
-* ``run_with_report(compiled, db, query_id=None)`` (optional,
-  :class:`ReportingEngine`) additionally returns the engine's timing
-  report.
+* ``run(compiled, db, query_id=None, events=None)`` executes the search
+  and returns the canonical :class:`~repro.core.results.SearchResult`,
+  emitting phase events into ``events`` (default: the engine's own log);
+* ``run_with_report(compiled, db, query_id=None, events=None)``
+  (optional, :class:`ReportingEngine`) additionally returns the engine's
+  timing report.
+
+The reference pipeline implements these itself; every other production
+engine inherits them from :class:`~repro.engine.modelled.ModelledEngine`
+and supplies only its phases 1–2 and its report.
 
 Engines are interchangeable everywhere one is accepted: the batch
 executor, the cluster layer, the CLI, and the benchmarks all program
@@ -49,6 +54,7 @@ class Engine(Protocol):
         compiled: CompiledQuery,
         db: "SequenceDatabase",
         query_id: "str | None" = None,
+        events: "EventLog | None" = None,
     ) -> "SearchResult":
         """Search ``db`` with an already-compiled query."""
         ...
@@ -63,6 +69,7 @@ class ReportingEngine(Engine, Protocol):
         compiled: CompiledQuery,
         db: "SequenceDatabase",
         query_id: "str | None" = None,
+        events: "EventLog | None" = None,
     ) -> "tuple[SearchResult, Any]":
         ...
 
@@ -147,16 +154,18 @@ def make_engine(
     if name == "fsa":
         from repro.baselines.fsa_blast import FsaBlast
 
-        return FsaBlast(None, params)
+        return FsaBlast(None, params, events=events)
     if name == "ncbi":
         from repro.baselines.ncbi_blast import NcbiBlast
 
-        return NcbiBlast(None, params, threads=threads if threads is not None else 4)
+        return NcbiBlast(
+            None, params, threads=threads if threads is not None else 4, events=events
+        )
     if name in ("cuda-blastp", "gpu-blastp"):
         from repro.baselines.cuda_blastp import CudaBlastp
         from repro.baselines.gpu_blastp import GpuBlastp
         from repro.gpusim.device import K20C
 
         cls = CudaBlastp if name == "cuda-blastp" else GpuBlastp
-        return cls(None, params, device or K20C)
+        return cls(None, params, device or K20C, events=events)
     raise ValueError(f"unknown engine {name!r} (choose from {', '.join(ENGINE_NAMES)})")

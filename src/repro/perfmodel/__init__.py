@@ -13,6 +13,7 @@ effects are real rather than assumed.
 from repro.perfmodel.calibration import CPU_CLOCK_GHZ, CostConstants, DEFAULT_COSTS, NCBI_COSTS
 from repro.perfmodel.cpu_cost import (
     CpuPhaseTimes,
+    cpu_phase_times,
     critical_phase_ms,
     gapped_work_items,
     thread_makespan_ms,
@@ -26,6 +27,7 @@ __all__ = [
     "CpuPhaseTimes",
     "DEFAULT_COSTS",
     "NCBI_COSTS",
+    "cpu_phase_times",
     "critical_phase_ms",
     "gapped_work_items",
     "thread_makespan_ms",

@@ -237,10 +237,10 @@ class BuggedEngine:
     def compile(self, query):
         return self.inner.compile(query)
 
-    def run(self, compiled, db, query_id: str | None = None) -> "SearchResult":
+    def run(self, compiled, db, query_id: str | None = None, events=None) -> "SearchResult":
         from dataclasses import replace as dc_replace
 
-        result = self.inner.run(compiled, db)
+        result = self.inner.run(compiled, db, events=events)
         alignments = list(result.alignments)
         if alignments:
             if self.drop_last:

@@ -23,6 +23,8 @@ end-to-end benchmark check those paths against code they do not share:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.gapped import GappedExtension, gapped_extend
@@ -39,6 +41,9 @@ from repro.engine.compiled import CompiledQuery, compile_query
 from repro.io.database import SequenceDatabase
 from repro.seeding.lookup import WordLookupTable
 from repro.seeding.words import word_indices
+
+if TYPE_CHECKING:
+    from repro.engine.events import EventLog
 
 
 def detect_hits(lookup: WordLookupTable, db: SequenceDatabase) -> HitArray:
@@ -165,6 +170,7 @@ class SerialOracle:
         compiled: CompiledQuery,
         db: SequenceDatabase,
         query_id: str | None = None,
+        events: EventLog | None = None,
     ) -> SearchResult:
         """Search ``db`` with an already-compiled query."""
         return self.run_with_report(compiled, db, query_id)[0]
@@ -174,8 +180,11 @@ class SerialOracle:
         compiled: CompiledQuery,
         db: SequenceDatabase,
         query_id: str | None = None,
+        events: EventLog | None = None,
     ) -> tuple[SearchResult, PhaseCounts]:
-        """Like :meth:`run`, with the per-phase work counts as the report."""
+        """Like :meth:`run`, with the per-phase work counts as the report
+        (the oracle emits no phase events; ``events`` is accepted for the
+        protocol and ignored)."""
         pipe = BlastpPipeline(compiled, query_id=query_id)
         cutoffs = pipe.cutoffs(db)
         hits = detect_hits(pipe.lookup, db)

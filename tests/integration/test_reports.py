@@ -3,9 +3,10 @@
 import pytest
 
 from repro.baselines import CudaBlastp, FsaBlast, GpuBlastp
+from repro.core.sweep import finish_phases
 from repro.cublastp import CuBlastp, CuBlastpConfig
-from repro.cublastp.cpu_phases import run_cpu_phases
 from repro.cublastp.pipeline import pipeline_schedule
+from repro.perfmodel import cpu_phase_times
 import numpy as np
 
 from tests.conftest import swept
@@ -70,19 +71,44 @@ class TestPipelineSchedule:
 
 
 class TestCpuPhases:
-    def test_thread_scaling_monotone(self, small_pipeline, small_db, small_cutoffs):
-        exts, _, _ = swept(small_pipeline, small_db, small_cutoffs)
+    """The one CPU price of phases 3–4, over the one tail's output."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, small_pipeline, small_db, small_cutoffs):
+        exts, hits, seeds = swept(small_pipeline, small_db, small_cutoffs)
+        return finish_phases(small_pipeline, small_db, exts, hits, seeds, small_cutoffs)
+
+    def test_thread_scaling_monotone(self, finished, small_cutoffs):
+        result, _, gapped = finished
+        assert gapped
         times = [
-            run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, t).total_ms
+            cpu_phase_times(
+                gapped, small_cutoffs.report_cutoff, result.alignments, t
+            ).total_ms
             for t in (1, 2, 4)
         ]
         assert times[0] >= times[1] >= times[2]
 
-    def test_results_independent_of_threads(self, small_pipeline, small_db, small_cutoffs):
-        exts, _, _ = swept(small_pipeline, small_db, small_cutoffs)
-        r1 = run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, 1)
-        r4 = run_cpu_phases(small_pipeline, exts, small_db, small_cutoffs, 4)
-        assert [a.score for a in r1.alignments] == [a.score for a in r4.alignments]
+    def test_results_independent_of_threads(self, finished, small_cutoffs):
+        """The thread count only prices the tail's output: pricing re-runs
+        nothing, is repeatable, and leaves the alignments untouched."""
+        result, _, gapped = finished
+        before = [a.score for a in result.alignments]
+        one = cpu_phase_times(gapped, small_cutoffs.report_cutoff, result.alignments, 1)
+        cpu_phase_times(gapped, small_cutoffs.report_cutoff, result.alignments, 4)
+        again = cpu_phase_times(gapped, small_cutoffs.report_cutoff, result.alignments, 1)
+        assert one == again
+        assert [a.score for a in result.alignments] == before
+
+    def test_ungapped_mode_prices_the_rendering(self, finished):
+        """No gapped extensions: the reported HSPs are priced as one
+        ungapped-cell pass over their columns, split over the threads."""
+        result, _, _ = finished
+        cols = sum(a.length for a in result.alignments)
+        times = cpu_phase_times([], 0, result.alignments, 2)
+        assert times.gapped_ms == 0.0
+        assert times.traceback_ms == cols * 5.0 / 3.1e9 * 1e3 / 2
+        assert cpu_phase_times([], 0, [], 4).total_ms == 0.0
 
 
 class TestCrossImplementationShape:

@@ -100,10 +100,10 @@ class _PoisonedEngine:
     def compile(self, query):
         return self._inner.compile(query)
 
-    def run(self, compiled, db, query_id=None):
+    def run(self, compiled, db, query_id=None, events=None):
         if query_id == self.poison_id:
             raise RuntimeError("engine exploded mid-stream")
-        return self._inner.run(compiled, db, query_id=query_id)
+        return self._inner.run(compiled, db, query_id=query_id, events=events)
 
 
 class TestExecutorErrorIsolation:

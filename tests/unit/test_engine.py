@@ -143,6 +143,119 @@ class TestEngineProtocol:
         )
 
 
+def _bound_constructor(name, compiled, query_id, threads=None):
+    """``(result, report)`` of the per-query constructor bound directly to
+    ``compiled`` — what ``make_engine(name).run_with_report`` must equal."""
+    from repro.baselines import CudaBlastp, FsaBlast, GpuBlastp, NcbiBlast
+    from repro.cublastp import CuBlastp, CuBlastpConfig, ExtensionMode
+
+    if name == "reference":
+        return lambda db: BlastpPipeline(compiled, query_id=query_id).search_with_counts(db)
+    if name.startswith("cublastp"):
+        config = CuBlastpConfig()
+        if ":" in name:
+            config = CuBlastpConfig(extension_mode=ExtensionMode(name.split(":")[1]))
+        engine = CuBlastp(compiled, None, config, query_id=query_id)
+        return engine.search_with_report
+    if name in ("fsa", "ncbi"):
+        engine = FsaBlast(compiled) if name == "fsa" else NcbiBlast(compiled, threads=threads)
+        return lambda db: engine.search_with_timing(db)[:2]
+    cls = CudaBlastp if name == "cuda-blastp" else GpuBlastp
+    return cls(compiled).search_with_report
+
+
+def _modelled(report):
+    """The modelled numbers of any engine's report, as one comparable dict."""
+    if hasattr(report, "breakdown") and isinstance(report.breakdown, dict):
+        cpu = report.cpu
+        return {
+            "breakdown": report.breakdown,
+            "overall_ms": report.overall_ms,
+            "serial_ms": report.serial_ms,
+            "cpu": (cpu.gapped_ms, cpu.traceback_ms, cpu.threads, cpu.num_triggers),
+            "gapped": len(cpu.gapped_extensions),
+        }
+    if hasattr(report, "kernel"):
+        return {
+            "kernel_ms": report.critical_ms,
+            "fields": (report.h2d_ms, report.d2h_ms, report.gapped_ms,
+                       report.traceback_ms, report.other_ms),
+        }
+    return report  # FsaBlastTiming and PhaseCounts compare field for field
+
+
+class TestEngineSkeleton:
+    """``run_with_report`` through the registry equals the bound
+    constructor's per-query search, and binding keeps the settings."""
+
+    @pytest.mark.parametrize("name", [*ENGINE_SPECS, "cublastp:hit"])
+    def test_run_with_report_equals_the_bound_search(
+        self, name, tiny_query, tiny_params, tiny_db
+    ):
+        engine = make_engine(name, tiny_params)
+        compiled = engine.compile(tiny_query)
+        result, report = engine.run_with_report(compiled, tiny_db, query_id="q3")
+        want_result, want_report = _bound_constructor(name, compiled, "q3", threads=4)(tiny_db)
+        assert result == want_result
+        assert _modelled(report) == _modelled(want_report)
+
+    @staticmethod
+    def _bound_engines(monkeypatch, cls, method):
+        """Record the engine instance each ``cls.method`` call runs on —
+        the bound engine ``run_with_report`` searches with."""
+        seen = []
+        original = getattr(cls, method)
+
+        def spy(self, db):
+            seen.append(self)
+            return original(self, db)
+
+        monkeypatch.setattr(cls, method, spy)
+        return seen
+
+    def test_ncbi_binding_keeps_threads_and_name(
+        self, monkeypatch, tiny_query, tiny_params, tiny_db
+    ):
+        from repro.baselines import NcbiBlast
+
+        bound = self._bound_engines(monkeypatch, NcbiBlast, "search_with_timing")
+        engine = make_engine("ncbi", tiny_params, threads=2)
+        compiled = engine.compile(tiny_query)
+        _, timing = engine.run_with_report(compiled, tiny_db)
+        assert timing.threads == 2
+        assert [(b.name, b.threads) for b in bound] == [("NCBI-BLAST x2", 2)]
+        assert bound[0].pipe.compiled is compiled
+
+    def test_coarse_binding_keeps_the_kernel_flags(
+        self, monkeypatch, tiny_query, tiny_params, tiny_db
+    ):
+        from repro.baselines import GpuBlastp
+
+        bound = self._bound_engines(monkeypatch, GpuBlastp, "search_with_report")
+        engine = make_engine("gpu-blastp", tiny_params)
+        compiled = engine.compile(tiny_query)
+        _, gpu_report = engine.run_with_report(compiled, tiny_db)
+        assert [(b.work_queue, b.buffered_output) for b in bound] == [(True, True)]
+        _, cuda_report = make_engine("cuda-blastp", tiny_params).run_with_report(
+            compiled, tiny_db
+        )
+        assert gpu_report.critical_ms != cuda_report.critical_ms
+
+    def test_cublastp_binding_keeps_its_config(
+        self, monkeypatch, tiny_query, tiny_params, tiny_db
+    ):
+        from repro.cublastp import CuBlastp, ExtensionMode
+
+        bound = self._bound_engines(monkeypatch, CuBlastp, "search_with_report")
+        engine = make_engine("cublastp:hit", tiny_params)
+        engine.run_with_report(engine.compile(tiny_query), tiny_db, query_id="q1")
+        [b] = bound
+        assert b.config is engine.config
+        assert b.config.extension_mode is ExtensionMode.HIT
+        assert b.query_id == "q1"
+        assert engine.compiled is None  # binding copies, never mutates
+
+
 class TestBatchExecutor:
     def test_parallel_matches_serial(self, queries, tiny_db, tiny_params):
         engine = make_engine("cublastp", tiny_params)
@@ -248,3 +361,16 @@ class TestEventLog:
         BatchExecutor(engine, jobs=2).run(queries, tiny_db)
         tagged = {e.query_id for e in events.ends()}
         assert tagged == {qid for qid, _ in queries}
+        # One closing event per cuBLASTP stage and query, emitted once.
+        assert len(events.ends()) == 8 * len(queries)
+
+    @pytest.mark.parametrize("own_log", [False, True])
+    def test_executor_log_is_written_once(self, own_log, queries, tiny_db, tiny_params):
+        """The default engine shares the executor's log, and so may a
+        caller's engine: either way each stage closes once per query."""
+        events = EventLog()
+        engine = make_engine("cublastp", tiny_params, events=events) if own_log else None
+        BatchExecutor(engine, jobs=1, events=events).run(queries, tiny_db)
+        ends = events.ends()
+        assert len(ends) == 8 * len(queries)
+        assert {e.query_id for e in ends} == {qid for qid, _ in queries}

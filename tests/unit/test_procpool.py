@@ -74,14 +74,29 @@ class TestProcessPool:
     def _witnessed(self, lock_witness):
         """Pool tests run under the runtime lock witness."""
 
-    def test_results_in_input_order(self):
-        pool = ProcessPool(EchoSpec(), jobs=2)
+    @pytest.fixture
+    def make_pool(self):
+        """Build pools that are shut down when the test ends (a pool lives
+        until its owner calls ``shutdown``)."""
+        built = []
+
+        def make(*args, **kwargs):
+            pool = ProcessPool(*args, **kwargs)
+            built.append(pool)
+            return pool
+
+        yield make
+        for pool in built:
+            pool.shutdown()
+
+    def test_results_in_input_order(self, make_pool):
+        pool = make_pool(EchoSpec(), jobs=2)
         out = list(pool.run(iter(["a", "b", "c", "d", "e"])))
         assert [i for i, _, _ in out] == [0, 1, 2, 3, 4]
         assert [p for _, p, _ in out] == ["A", "B", "C", "D", "E"]
 
-    def test_remote_exception_is_typed_and_isolated(self):
-        pool = ProcessPool(EchoSpec(), jobs=2)
+    def test_remote_exception_is_typed_and_isolated(self, make_pool):
+        pool = make_pool(EchoSpec(), jobs=2)
         out = list(pool.run(iter(["a", "raise", "b"])))
         assert out[0][1] == "A" and out[2][1] == "B"
         err = out[1][2]
@@ -89,11 +104,11 @@ class TestProcessPool:
         assert err.exc_type == "ValueError"
         assert "boom" in str(err)
 
-    def test_worker_crash_fails_only_inflight_task(self):
+    def test_worker_crash_fails_only_inflight_task(self, make_pool):
         """A dying worker fails its in-flight task; everything else —
         including tasks queued behind the corpse — still completes."""
         tasks = ["a", "die", "b", "raise", "c", "d", "e", "f"]
-        pool = ProcessPool(EchoSpec(), jobs=2)
+        pool = make_pool(EchoSpec(), jobs=2)
         out = list(pool.run(iter(tasks)))
         assert [i for i, _, _ in out] == list(range(len(tasks)))
         for index, payload, error in out:
@@ -105,17 +120,17 @@ class TestProcessPool:
             else:
                 assert error is None and payload == task.upper()
 
-    def test_single_worker_respawns_after_crash(self):
-        pool = ProcessPool(EchoSpec(), jobs=1)
+    def test_single_worker_respawns_after_crash(self, make_pool):
+        pool = make_pool(EchoSpec(), jobs=1)
         out = list(pool.run(iter(["x", "die", "y"])))
         assert out[0][1] == "X"
         assert isinstance(out[1][2], WorkerCrashError)
         assert out[2][1] == "Y"  # the respawned worker finished the batch
 
-    def test_dead_pool_fails_fast(self):
+    def test_dead_pool_fails_fast(self, make_pool):
         """Setup that always fails must exhaust the respawn budget and
         fail the stream, not hang."""
-        pool = ProcessPool(BadSetupSpec(), jobs=2, max_respawns=1)
+        pool = make_pool(BadSetupSpec(), jobs=2, max_respawns=1)
         t0 = time.time()
         out = list(pool.run(iter(["a", "b", "c", "d"])))
         assert time.time() - t0 < 30
@@ -128,11 +143,11 @@ class TestProcessPool:
         with pytest.raises(ValueError):
             ProcessPool(EchoSpec(), jobs=0)
 
-    def test_backpressure_bounds_tasks_in_flight(self):
+    def test_backpressure_bounds_tasks_in_flight(self, make_pool):
         """Never more than ``2 * jobs`` tasks are dispatched-unanswered,
         and a stalled consumer pulls nothing further from the stream."""
         jobs = 2
-        pool = ProcessPool(DelaySpec(), jobs=jobs)
+        pool = make_pool(DelaySpec(), jobs=jobs)
         in_flight_at_pull = []
 
         def tasks():
@@ -150,7 +165,7 @@ class TestProcessPool:
         # One more is pulled only while under the cap, and the cap is reached.
         assert max(in_flight_at_pull) == 2 * jobs - 1
 
-    def test_crash_fails_the_started_task_and_requeues_each_queued_one(self):
+    def test_crash_fails_the_started_task_and_requeues_each_queued_one(self, make_pool):
         """A worker killed with one task started and two queued behind it
         fails exactly the started one; each queued task is re-sent on its
         own to the surviving sibling, and emission stays in input order."""
@@ -162,7 +177,7 @@ class TestProcessPool:
             (0.0, False),  # 4 -> slot 1, queued
             (0.0, False),  # 5 -> slot 2: ... so this requeues onto slot 0
         ]
-        pool = ProcessPool(DelaySpec(), jobs=3, max_respawns=0)
+        pool = make_pool(DelaySpec(), jobs=3, max_respawns=0)
         out = list(pool.run(iter(tasks)))
         assert [i for i, _, _ in out] == list(range(6))
         for index in (0, 2):
@@ -173,22 +188,33 @@ class TestProcessPool:
         assert {pid for _, (_, pid), _ in survivors} == {out[1][1][1]}
         assert pool.alive_workers == 1
 
-    def test_abandoned_stream_leaves_nothing_for_the_next_run(self):
-        """A persistent pool's stream dropped mid-flight: the next run
-        discards the stragglers' answers and starts from clean state."""
-        pool = ProcessPool(DelaySpec(), jobs=2, persistent=True)
-        try:
-            stream = pool.run(iter([(0.2, False)] * 4))
-            assert next(stream)[0] == 0
-            stream.close()  # three tasks still dispatched-unanswered
-            assert pool._items
-            out = list(pool.run(iter([(0.0, False)] * 3)))
-            assert [i for i, _, _ in out] == [0, 1, 2]
-            assert [payload[0] for _, payload, _ in out] == [0.0, 0.0, 0.0]
-            assert not pool._items
-            assert not any(slot.pending or slot.started for slot in pool._slots)
-        finally:
-            pool.shutdown()
+    def test_abandoned_stream_leaves_nothing_for_the_next_run(self, make_pool):
+        """A stream dropped mid-flight: the next run discards the
+        stragglers' answers and starts from clean state."""
+        pool = make_pool(DelaySpec(), jobs=2)
+        stream = pool.run(iter([(0.2, False)] * 4))
+        assert next(stream)[0] == 0
+        stream.close()  # three tasks still dispatched-unanswered
+        assert pool._items
+        out = list(pool.run(iter([(0.0, False)] * 3)))
+        assert [i for i, _, _ in out] == [0, 1, 2]
+        assert [payload[0] for _, payload, _ in out] == [0.0, 0.0, 0.0]
+        assert not pool._items
+        assert not any(slot.pending or slot.started for slot in pool._slots)
+
+    def test_workers_outlive_a_run_until_shutdown(self, make_pool):
+        """A finished run leaves the workers warm for the next one; only
+        ``shutdown`` stops them."""
+        pool = make_pool(DelaySpec(), jobs=2)
+        first = {pid for _, (_, pid), _ in pool.run(iter([(0.0, False)] * 4))}
+        warm = set(pool.worker_pids())
+        assert first <= warm and len(warm) == 2
+        second = {pid for _, (_, pid), _ in pool.run(iter([(0.0, False)] * 4))}
+        assert second <= warm
+        pool.shutdown()
+        assert pool.worker_pids() == []
+        with pytest.raises(RuntimeError):
+            list(pool.run(iter([(0.0, False)])))
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +294,28 @@ class TestProcessBackendExecutor:
         assert "hit_detection" in wall and wall["hit_detection"] > 0
         # Per-query attribution survives the re-emission.
         assert events.wall_breakdown(query_id="q0")
+
+    @pytest.mark.parametrize("name", ["reference", "cublastp"])
+    def test_both_backends_log_the_same_closing_events(
+        self, name, proc_queries, tiny_db, tiny_params
+    ):
+        """The executor's log receives each query's closing events on the
+        thread backend too, as it does from the workers — for an engine
+        built without a log of its own."""
+
+        def closing(backend):
+            events = EventLog()
+            engine = make_engine(name, tiny_params)
+            BatchExecutor(engine, jobs=1, backend=backend, events=events).run(
+                proc_queries[:2], tiny_db
+            )
+            return sorted(
+                (e.engine, e.phase, e.work_items, e.query_id) for e in events.ends()
+            )
+
+        thread = closing("thread")
+        assert thread and {q for *_, q in thread} == {"q0", "q1"}
+        assert thread == closing("process")
 
     def test_worker_crash_mid_batch_preserves_siblings(
         self, tiny_db, tiny_params, monkeypatch
