@@ -4,30 +4,48 @@
 ``maximum.accumulate`` unrolling of the F-array), but an x-drop band is
 tens of cells wide, so each numpy op touches a handful of values and
 Python-level dispatch dominates — the same pathology PR 7 cured for
-ungapped extension. The cure is the same shape: stack every live
-half-extension into a ``lanes x band`` slab (backward and forward halves
-are independent DPs, so they ride as separate lanes) and advance all of
-them one DP row per step, with per-lane band bounds, per-lane x-drop
-kill masks, lane retirement, and periodic live-lane compaction.
+ungapped extension. The cure is the same shape: every live
+half-extension (backward and forward halves are independent DPs, so they
+ride as separate lanes) advances one DP row per step, all lanes at once,
+with per-lane band bounds, x-drop kills and retirement.
+
+A row is *ragged*: it holds only each live lane's window ``[lo, hi_new]``
+— the scalar DP's computed cells — concatenated into one flat vector,
+each window framed by one guard cell per side. Work is therefore
+proportional to live cells, not to lanes times the widest band. The
+previous row is read through one index map (lane base plus column), so
+retiring a lane just drops its column of the per-lane state.
 
 Exactness (the conformance argument, enforced by
 ``tests/property/test_prop_gapped_batch.py``):
 
-* Each lane's slab columns mirror the scalar DP's ``h_prev``/``e_prev``
-  arrays over a window of absolute band positions: computed-window cells
-  hold the scalar values bit for bit, everything else holds a garbage
-  value ``<= NEG_INF + drift``. Real DP values are bounded by roughly
-  ``+/- (query_length * max|pssm| + x_drop + gaps)`` — under ``~10**6`` —
-  while garbage starts at ``-2**40`` and can drift upward by at most a
-  bounded substitution score per row, so garbage can never win a ``max``
-  against a real value, never pass an x-drop liveness test, and never
-  steal an ``argmax`` (ties break on the first index in both layouts,
-  and all real candidates agree exactly).
-* The running maximum for the F-array runs over the whole slab row
-  rather than the scalar's live window, but every pre-window term is
-  garbage, so at any column where the scalar running max is real the two
-  agree exactly; where it is garbage both sides produce garbage and the
-  cell dies identically.
+* Every row resets its guard cells to ``NEG_INF`` (``-2**40``) in ``H``,
+  ``E`` and the gapless part ``G``, and an interior cell reads the
+  previous row only at columns ``[lo - 1, hi_new]``, which lie inside its
+  own lane's previous window or on that window's guards. The scalar
+  DP's ``h_prev``/``e_prev`` hold ``NEG_INF`` outside the computed
+  window, so every value an interior cell reads is the scalar's value,
+  and every real (scalar-reachable) cell is computed bit for bit.
+* Cells derived only from ``NEG_INF`` ("garbage": the guard cells, and
+  the scalar's own out-of-window reads, e.g. the diagonal at ``j = 0``)
+  stay within ``NEG_INF -/+ (n * max|score| + gap_open)`` after ``n``
+  rows, while real values are bounded by roughly ``(n + m)`` times the
+  largest score or penalty — under ``~10**6`` for any real query. So
+  garbage never wins a ``max`` against a real value, never passes an
+  x-drop liveness test (``best >= 0``), and never steals an ``argmax``:
+  every window holds a real cell (its ``lo`` column extends an alive
+  cell of the previous row), so the row best is real and its first
+  occurrence is the scalar's.
+* The F running max is one ``maximum.accumulate`` over the whole flat
+  row of ``g + gap_extend * j + rank * BIG``, with ``rank`` the lane's
+  position in the row and ``BIG = 2**42``. Every term of lane ``r``
+  (garbage included, at least ``NEG_INF`` minus the drift above) exceeds
+  every term of lane ``r - 1`` (at most real plus ``gap_extend * m``),
+  so the scan restarts at each window: within a window it sees exactly
+  the scalar's terms, plus the left guard's ``NEG_INF``, and subtracting
+  the offset back leaves the scalar's F at every column where that is
+  real. The offset stays inside ``int64`` for up to :data:`_MAX_LANES`
+  lanes per scan; larger calls are split.
 
 Wave scheduling lives in :meth:`BlastpPipeline.phase_gapped`, not here:
 this module only answers "extend these (seq, seed) pairs, all at once".
@@ -39,13 +57,15 @@ import numpy as np
 
 from repro.core.gapped import NEG_INF, GappedExtension
 
-#: Slack columns allocated past the widest live band so the window's
-#: one-column-per-row right growth doesn't force a re-base every step.
-_BAND_MARGIN = 16
+#: Per-lane offset of the segmented F scan: above the spread between any
+#: real DP value and any garbage value (module docstring).
+_BIG = np.int64(2**42)
+#: Lanes per segmented scan: ``_MAX_LANES * _BIG`` stays well inside int64.
+_MAX_LANES = 2**19
 
 
 def batch_half_extend(
-    pssm: np.ndarray,
+    table: np.ndarray,
     codes: np.ndarray,
     q_anchor: np.ndarray,
     q_step: np.ndarray,
@@ -57,183 +77,188 @@ def batch_half_extend(
     gap_extend: int,
     x_drop: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All half-extensions at once, one slab row per DP row.
+    """All half-extensions at once, one ragged row per DP row.
 
     Lane ``l`` runs the scalar :func:`~repro.core.gapped._half_extend` DP
     whose walk cell ``(i, j)`` (``1 <= i <= n_rows[l]``, ``1 <= j <=
-    m_cols[l]``) scores ``pssm[codes[s_anchor[l] + s_step[l] * j],
-    q_anchor[l] + q_step[l] * i]`` — the anchor/step parameterisation
-    covers both walk directions without materialising per-lane score
-    matrices.
+    m_cols[l]``) scores ``table[q_anchor[l] + q_step[l] * i,
+    codes[s_anchor[l] + s_step[l] * j]]``, with ``table`` the query's
+    score table (:func:`~repro.matrices.pssm.build_score_table`) — the
+    anchor/step parameterisation covers both walk directions without
+    materialising per-lane score matrices.
 
     Returns the six :class:`~repro.core.gapped.HalfExtension` fields as
     aligned int64 columns: ``(best, best_i, best_j, reach_i, reach_j,
     cells)``.
     """
-    q_anchor = np.asarray(q_anchor, dtype=np.int64)
-    q_step = np.asarray(q_step, dtype=np.int64)
-    s_anchor = np.asarray(s_anchor, dtype=np.int64)
-    s_step = np.asarray(s_step, dtype=np.int64)
-    n_rows = np.asarray(n_rows, dtype=np.int64)
-    m_cols = np.asarray(m_cols, dtype=np.int64)
-    num = n_rows.size
+    columns = [
+        np.asarray(a, dtype=np.int64)
+        for a in (q_anchor, q_step, s_anchor, s_step, n_rows, m_cols)
+    ]
+    num = columns[0].size
+    if num > _MAX_LANES:
+        parts = [
+            batch_half_extend(
+                table, codes, *(c[k : k + _MAX_LANES] for c in columns),
+                gap_open, gap_extend, x_drop,
+            )
+            for k in range(0, num, _MAX_LANES)
+        ]
+        return tuple(np.concatenate(field) for field in zip(*parts))
+    q_anchor, q_step, s_anchor, s_step, n_rows, m_cols = columns
     go, ge, xd = int(gap_open), int(gap_extend), int(x_drop)
-
-    best = np.zeros(num, dtype=np.int64)
-    best_i = np.zeros(num, dtype=np.int64)
-    best_j = np.zeros(num, dtype=np.int64)
-    reach_i = np.zeros(num, dtype=np.int64)
-    reach_j = np.zeros(num, dtype=np.int64)
-    cells = np.zeros(num, dtype=np.int64)
-
-    # Degenerate lanes (no room to move diagonally) keep the all-zero
-    # empty-alignment result, exactly like the scalar early return.
+    # The six result rows, filled in as lanes retire. Degenerate lanes (no
+    # room to move diagonally) keep the all-zero empty-alignment result,
+    # exactly like the scalar early return.
+    result = np.zeros((6, num), dtype=np.int64)
     lanes = np.flatnonzero((n_rows > 0) & (m_cols > 0))
     if lanes.size == 0:
-        return best, best_i, best_j, reach_i, reach_j, cells
-
-    # Pool state, aligned with ``lanes`` (the global ids of live lanes).
-    nn = n_rows[lanes]
-    mm = m_cols[lanes]
-    qa = q_anchor[lanes]
-    qd = q_step[lanes]
-    sa = s_anchor[lanes]
-    sd = s_step[lanes]
-    p_best = np.zeros(lanes.size, dtype=np.int64)
-    p_best_i = np.zeros(lanes.size, dtype=np.int64)
-    p_best_j = np.zeros(lanes.size, dtype=np.int64)
-    p_reach_j = np.zeros(lanes.size, dtype=np.int64)
+        return tuple(result)
+    scores = table.reshape(-1)
+    width = table.shape[1]
 
     # Row 0: empty prefix plus leading horizontal gaps. The live span is
     # [0, hi] with hi the last j where -go - (j-1)*ge >= -x_drop.
     hi_cap = 1 + (xd - go) // ge if go <= xd else 0
-    lo = np.zeros(lanes.size, dtype=np.int64)
+    mm = m_cols[lanes]
     hi = np.minimum(mm, hi_cap)
-    cells[lanes] = hi + 1
-    p_reach_j[:] = hi
+    # Scalar row 0 is computed for *every* j <= m (the whole gap ramp);
+    # store the columns row 1 reads, [0, min(hi + 1, m)], plus guards.
+    seglen = np.minimum(hi + 1, mm) + 3
+    ends = np.cumsum(seglen)
+    starts = ends - seglen
+    j = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(starts + 1, seglen)
+    h_prev = np.where(j == 0, np.int64(0), -go - (j - 1) * ge)
+    h_prev[starts] = NEG_INF
+    h_prev[ends - 1] = NEG_INF
+    e_prev = np.full(h_prev.size, NEG_INF, dtype=np.int64)
 
-    # The slab: per-lane windows of absolute band positions. ``base[l]``
-    # is the absolute j of slab column 0; it is kept <= max(lo - 1, 0) so
-    # the diagonal read at j = lo always lands inside the frame.
-    base = np.zeros(lanes.size, dtype=np.int64)
-    width_slab = int(hi.max()) + 2 + _BAND_MARGIN
-    jj = np.arange(width_slab, dtype=np.int64)
-    # Scalar row 0 is computed for *every* j <= m (the whole gap ramp),
-    # not just the live span; mirror that within the frame so the first
-    # row's reads past hi match the scalar's (dead but real) values.
-    ramp = np.where(jj == 0, np.int64(0), -go - (jj - 1) * ge)
-    h_slab = np.where(jj[None, :] <= mm[:, None], ramp[None, :], NEG_INF)
-    e_slab = np.full((lanes.size, width_slab), NEG_INF, dtype=np.int64)
+    # Per-lane state: one row per field, one column per live lane, so
+    # retiring lanes is one column selection. The first six rows are the
+    # result fields; ``cells`` also counts each row's two guard cells
+    # until retirement takes them off.
+    zero = np.zeros(lanes.size, dtype=np.int64)
+    state = np.stack([
+        zero,  # best
+        zero,  # best_i
+        zero,  # best_j
+        zero,  # reach_i, set at retirement
+        hi,  # reach_j
+        hi + 1,  # cells: row 0's live span
+        lanes,
+        n_rows[lanes],
+        mm,
+        q_anchor[lanes] * width,  # table offset of the query position
+        q_step[lanes] * width,
+        s_anchor[lanes],
+        s_step[lanes],
+        zero,  # lo
+        hi,
+        starts + 1,  # base: the previous row's flat index of column 0
+    ])
+    x_all = ge_x_all = np.arange(0, dtype=np.int64)  # flat indices, grown on demand
 
-    max_code = codes.size - 1
     i = 0
-    while lanes.size:
-        i += 1
-        hi_new = np.minimum(hi + 1, mm)
-        jmat = base[:, None] + jj[None, :]
-        in_win = (jmat >= lo[:, None]) & (jmat <= hi_new[:, None])
-        cells[lanes] += hi_new + 1 - lo
+    while True:
+        (p_best, p_best_i, p_best_j, _, p_reach_j, p_cells, lanes, nn, mm,
+         q_row, q_row_step, sa, sd, lo, hi, base) = state
+        rank = np.arange(lanes.size, dtype=np.int64) * _BIG
+        while True:  # one DP row per step, until some lane retires
+            i += 1
+            seglen = np.minimum(hi + 1, mm)
+            seglen -= lo
+            seglen += 3  # the window [lo, hi_new] and its two guards
+            p_cells += seglen
+            ends = np.cumsum(seglen)
+            starts = ends - seglen
+            size = int(ends[-1])
+            # This row's flat index of each lane's column 0; every per-cell
+            # quantity below is affine in the flat index x, per lane.
+            col0 = starts + 1 - lo
+            q_row += q_row_step
+            per_lane = np.repeat(
+                np.stack([
+                    base - col0,  # x + this: the same column one row up
+                    sa - sd * col0,  # + sd * x: the subject position
+                    sd,
+                    rank - ge * col0,  # + ge * x: the F scan's offset
+                    q_row,
+                ]),
+                seglen,
+                axis=1,
+            )
+            up, s_pos, s_dir, offset, row = per_lane
+            if size > x_all.size:
+                x_all = np.arange(2 * size, dtype=np.int64)
+                ge_x_all = ge * x_all
+            x = x_all[:size]
+            up += x
+            s_dir *= x
+            s_pos += s_dir
+            offset += ge_x_all[:size]
+            # Substitution scores; positions off the sequence (guards, j = 0)
+            # only ever meet a NEG_INF neighbour, so clipping them is safe.
+            row += codes.take(s_pos, mode="clip")
+            h_up = h_prev.take(up, mode="clip")
+            e_cur = np.maximum(h_up - go, e_prev.take(up, mode="clip") - ge)
+            # Diagonal moves: H(i-1, j-1) is the previous cell's H(i-1, j), as
+            # a window's columns are consecutive (a left guard's is reset below).
+            g = np.empty(size, dtype=np.int64)
+            g[0] = NEG_INF
+            np.add(h_up[:-1], scores.take(row[1:], mode="clip"), out=g[1:])
+            np.maximum(g, e_cur, out=g)
+            guards = np.concatenate([starts, ends - 1])
+            g[guards] = NEG_INF
+            e_cur[guards] = NEG_INF
+            # Horizontal gaps via the running-max unrolling (gapped.py), one
+            # segmented scan over the whole row (module docstring).
+            run = g + offset
+            np.maximum.accumulate(run, out=run)
+            h_cur = np.empty(size, dtype=np.int64)
+            h_cur[0] = NEG_INF
+            np.subtract(run[:-1], offset[1:], out=h_cur[1:])
+            h_cur[1:] += ge - go
+            np.maximum(h_cur, g, out=h_cur)
+            h_cur[guards] = NEG_INF
+            h_prev, e_prev = h_cur, e_cur
 
-        # Substitution scores for this row; j = 0 has no diagonal move.
-        s_pos = sa[:, None] + sd[:, None] * jmat
-        sub = np.where(
-            in_win & (jmat >= 1),
-            pssm[
-                codes[np.clip(s_pos, 0, max_code)],
-                (qa + qd * i)[:, None],
-            ].astype(np.int64),
-            NEG_INF,
-        )
-        diag = np.empty_like(h_slab)
-        diag[:, 0] = NEG_INF
-        diag[:, 1:] = h_slab[:, :-1]
-        diag += sub
-        e_cur = np.where(
-            in_win, np.maximum(h_slab - go, e_slab - ge), NEG_INF
-        )
-        g = np.where(in_win, np.maximum(diag, e_cur), NEG_INF)
-        # Horizontal gaps via the running-max unrolling (gapped.py). The
-        # accumulate spans the whole slab row; pre-window terms are
-        # garbage and never beat a real one (module docstring).
-        t = g + ge * jmat
-        run = np.maximum.accumulate(t, axis=1)
-        f = np.empty_like(run)
-        f[:, 0] = NEG_INF
-        f[:, 1:] = run[:, :-1] - go - ge * (jmat[:, 1:] - 1)
-        h_cur = np.where(
-            in_win & (jmat > lo[:, None]), np.maximum(g, f), g
-        )
+            row_best = np.maximum.reduceat(h_cur, starts)
+            improved = row_best > p_best
+            np.maximum(p_best, row_best, out=p_best)
+            top = np.repeat(p_best, seglen)
+            if improved.any():
+                at_top = np.flatnonzero(h_cur == top)
+                first = at_top.take(np.searchsorted(at_top, starts), mode="clip")
+                np.copyto(p_best_i, i, where=improved)
+                np.subtract(first, col0, out=p_best_j, where=improved)
+            # The live cells, and each window's first and last of them.
+            alive = np.flatnonzero(h_cur >= top - xd)
+            a = np.searchsorted(alive, starts)
+            b = np.searchsorted(alive, ends)
+            live = b > a
+            retired = ~live | (nn <= i)
+            if alive.size:  # else every lane dies and retires
+                # A dead lane's lo/hi are garbage, but it retires now.
+                np.subtract(alive.take(a, mode="clip"), col0, out=lo)
+                np.subtract(alive.take(b - 1, mode="clip"), col0, out=hi)
+                np.maximum(p_reach_j, hi, out=p_reach_j, where=live)
+            np.copyto(base, col0)
+            if retired.any():
+                break
 
-        row_best = h_cur.max(axis=1)
-        improved = row_best > p_best
-        p_best = np.where(improved, row_best, p_best)
-        p_best_i = np.where(improved, i, p_best_i)
-        p_best_j = np.where(
-            improved, base + np.argmax(h_cur, axis=1), p_best_j
-        )
-        alive = h_cur >= (p_best - xd)[:, None]
-        any_alive = alive.any(axis=1)
-        first = np.argmax(alive, axis=1)
-        last = width_slab - 1 - np.argmax(alive[:, ::-1], axis=1)
-        lo = np.where(any_alive, base + first, lo)
-        hi = np.where(any_alive, base + last, hi)
-        p_reach_j = np.where(any_alive, np.maximum(p_reach_j, hi), p_reach_j)
-
-        # The next row's h_prev/e_prev: computed-window values (including
-        # trimmed-dead cells, as the scalar keeps them), garbage outside.
-        # ``h_cur`` is already exactly that (its off-window cells are g =
-        # NEG_INF by construction).
-        h_slab = h_cur
-        e_slab = e_cur
-
-        retired = ~any_alive | (nn <= i)
-        if retired.any():
-            done = retired.nonzero()[0]
-            out = lanes[done]
-            best[out] = p_best[done]
-            best_i[out] = p_best_i[done]
-            best_j[out] = p_best_j[done]
-            reach_i[out] = i
-            reach_j[out] = p_reach_j[done]
-
-        keep = ~retired
-        if not keep.any():
-            break
-        overflow = bool(
-            (np.minimum(hi[keep] + 1, mm[keep]) - base[keep]).max()
-            > width_slab - 1
-        )
-        if not retired.any() and not overflow:
-            continue
-
-        # Compact + re-base: drop retired lanes, slide each survivor's
-        # frame to start one column left of its live span, and re-size the
-        # slab to the widest next-row window plus margin.
-        sel = keep.nonzero()[0]
-        lanes = lanes[sel]
-        nn, mm = nn[sel], mm[sel]
-        qa, qd, sa, sd = qa[sel], qd[sel], sa[sel], sd[sel]
-        lo, hi = lo[sel], hi[sel]
-        p_best, p_best_i = p_best[sel], p_best_i[sel]
-        p_best_j, p_reach_j = p_best_j[sel], p_reach_j[sel]
-        old_base = base[sel]
-        base = np.maximum(lo - 1, 0)
-        width_slab = int(
-            (np.minimum(hi + 1, mm) - base).max()
-        ) + 2 + _BAND_MARGIN
-        jj = np.arange(width_slab, dtype=np.int64)
-        shift = base[:, None] + jj[None, :] - old_base[:, None]
-        valid = (shift >= 0) & (shift < h_slab.shape[1])
-        gather = np.clip(shift, 0, h_slab.shape[1] - 1)
-        rows = sel[:, None]
-        h_slab = np.where(valid, h_slab[rows, gather], NEG_INF)
-        e_slab = np.where(valid, e_slab[rows, gather], NEG_INF)
-
-    return best, best_i, best_j, reach_i, reach_j, cells
+        done = state[:, retired]
+        done[3] = i  # reach_i
+        done[5] -= 2 * i  # the guard cells
+        result[:, done[6]] = done[:6]
+        # Retired lanes just drop out: survivors read their previous row
+        # through ``base``, wherever it sits in the flat vector.
+        state = state[:, ~retired]
+        if state.shape[1] == 0:
+            return tuple(result)
 
 
 def batch_gapped_extend(
-    pssm: np.ndarray,
+    table: np.ndarray,
     db,
     seq_ids: np.ndarray,
     seed_query: np.ndarray,
@@ -245,11 +270,14 @@ def batch_gapped_extend(
     """Gapped-extend every ``(seq_id, seed)`` triple in one batched DP.
 
     Result-identical, element for element, to calling
-    :func:`~repro.core.gapped.gapped_extend` on each triple: the backward
-    and forward halves of all seeds run as ``2 * len(seq_ids)`` lanes of
-    one :func:`batch_half_extend` slab, and the halves are combined with
-    the same coordinate arithmetic. Seeds must be in bounds (the pipeline
-    derives them from extension columns, which guarantees it).
+    :func:`~repro.core.gapped.gapped_extend` on each triple with the PSSM
+    ``table`` was built from: the backward and forward halves of all seeds
+    run as ``2 * len(seq_ids)`` lanes of one :func:`batch_half_extend`
+    call, and the halves are combined with the same coordinate
+    arithmetic. ``table`` is the query's score table
+    (:func:`~repro.matrices.pssm.build_score_table`). Seeds must be in
+    bounds (the pipeline derives them from extension columns, which
+    guarantees it).
     """
     seq_ids = np.asarray(seq_ids, dtype=np.int64)
     seed_query = np.asarray(seed_query, dtype=np.int64)
@@ -257,7 +285,7 @@ def batch_gapped_extend(
     num = seq_ids.size
     if num == 0:
         return []
-    qlen = int(pssm.shape[1])
+    qlen = int(table.shape[0])
     starts = db.offsets[seq_ids]
     slen = db.offsets[seq_ids + 1] - starts
 
@@ -271,7 +299,7 @@ def batch_gapped_extend(
     n_rows = np.concatenate([seed_query + 1, qlen - seed_query - 1])
     m_cols = np.concatenate([seed_subject + 1, slen - seed_subject - 1])
     best, bi, bj, ri, rj, ncells = batch_half_extend(
-        pssm, db.codes, q_anchor, step, s_anchor, step,
+        table, db.codes, q_anchor, step, s_anchor, step,
         n_rows, m_cols, gap_open, gap_extend, x_drop,
     )
 

@@ -155,6 +155,7 @@ class BlastpPipeline:
         self.params = self.compiled.params
         self.query_codes = self.compiled.query_codes
         self.pssm = self.compiled.pssm
+        self.score_table = self.compiled.score_table
         self.seg_mask = self.compiled.seg_mask
         self.lookup = self.compiled.lookup
 
@@ -227,7 +228,7 @@ class BlastpPipeline:
         processes candidates in rounds — each round batch-extends the
         first surviving candidate of every sequence (provably
         independent: a box only ever suppresses later seeds of its own
-        sequence) through one lanes x band slab DP, applies the new
+        sequence) through one ragged-row batched DP, applies the new
         boxes with a vectorised containment test, and repeats. The
         accepted set, each extension's fields, and the output order are
         identical to the scalar best-first loop
@@ -255,7 +256,7 @@ class BlastpPipeline:
             pick = by_seq[head]  # one head per sequence, ascending seq_id
             chosen = pos[pick]
             wave = batch_gapped_extend(
-                self.pssm, db, seqs[chosen], seed_q[chosen], seed_s[chosen],
+                self.score_table, db, seqs[chosen], seed_q[chosen], seed_s[chosen],
                 go, ge, xd,
             )
             accepted.extend(wave)
@@ -304,7 +305,7 @@ class BlastpPipeline:
 
         The score-surviving boxes are re-solved as one lanes-stacked
         batched fill (:func:`~repro.core.traceback.batch_traceback_align`
-        — the same lanes x band shape as the gapped phase, storing one
+        — the same lockstep-lanes shape as the gapped phase, storing one
         direction byte per cell); the walk-back and rendering run per
         alignment over those bytes. On homolog-rich databases this phase
         handles hundreds of boxes per query and is not cold.
@@ -318,7 +319,7 @@ class BlastpPipeline:
             g for g in gapped if g.score >= cutoffs.report_cutoff
         ]
         tbs = batch_traceback_align(
-            self.pssm,
+            self.score_table,
             self.query_codes,
             [db.sequence(g.seq_id) for g in survivors],
             [

@@ -27,14 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alphabet import ALPHABET, GAP_CHAR
+from repro.matrices.pssm import PAD_SCORE
 
 #: Minus infinity for int64 score arithmetic (same convention as gapped.py).
 _NEG = np.int64(-(2**40))
 
 #: Minus infinity for the batched fill's int32 rows, and the score of the
-#: padding residue right-padded lanes carry: far below any reachable cell,
-#: far enough above the int32 floor that subtracting a penalty cannot wrap.
-_NEG32 = -(2**30)
+#: padding residue right-padded lanes carry (the score table's padding
+#: column): far below any reachable cell, far enough above the int32
+#: floor that subtracting a penalty cannot wrap.
+_NEG32 = PAD_SCORE
 
 # Direction byte of the batched fill, one per cell. The walk tests the
 # low three bits in its precedence order (stop, diagonal, E; else F).
@@ -149,7 +151,7 @@ _CHUNK_CELL_BUDGET = 2_000_000
 
 
 def batch_traceback_align(
-    pssm: np.ndarray,
+    table: np.ndarray,
     query_codes: np.ndarray,
     subjects: "list[np.ndarray]",
     boxes: "list[tuple[int, int, int, int]]",
@@ -158,7 +160,7 @@ def batch_traceback_align(
 ) -> "list[TracebackAlignment | None]":
     """Traceback-align every box, filling the DP rows in lockstep.
 
-    The lanes x band batching of the gapped-extension phase, applied to
+    The lockstep-lanes batching of the gapped-extension phase, applied to
     the phase-4 re-score: every box advances one query row per step with
     whole-row vectorised ``int32`` ops over all live lanes at once. Lanes
     are sorted longest-first so the lanes still holding row ``i`` always
@@ -168,11 +170,14 @@ def batch_traceback_align(
     :data:`_DIAG`, :data:`_FROM_E`, :data:`_F_EXT`, :data:`_E_EXT`) and
     each row's first maximum.
 
-    Lanes are right-padded with a residue that scores :data:`_NEG32`, so
-    a padded cell never exceeds the best real cell above or left of it
-    and never wins the first row-major maximum; real cells never read a
-    padded one (every dependency flows left-to-right or down). Results
-    are element-wise identical to per-box :func:`traceback_align` — the
+    ``table`` is the query's score table
+    (:func:`~repro.matrices.pssm.build_score_table`, built once per
+    compiled query). Lanes are right-padded with its padding residue,
+    which scores :data:`_NEG32`, so a padded cell never exceeds the best
+    real cell above or left of it and never wins the first row-major
+    maximum; real cells never read a padded one (every dependency flows
+    left-to-right or down). Results are element-wise identical to per-box
+    :func:`traceback_align` with the PSSM ``table`` was built from — the
     property suite pins it.
 
     ``subjects`` carries one full encoded subject per box (duplicates
@@ -186,7 +191,7 @@ def batch_traceback_align(
     """
     out: "list[TracebackAlignment | None]" = [None] * len(boxes)
     go, ge = int(gap_open), int(gap_extend)
-    qlen = pssm.shape[1]
+    qlen = table.shape[0]
     lanes: list[tuple[int, int, int, int, int]] = []
     for k, (box, subject) in enumerate(zip(boxes, subjects, strict=True)):
         qs, qe, ss, se = box
@@ -196,13 +201,6 @@ def batch_traceback_align(
     if not lanes:
         return out
     lanes.sort(key=lambda lane: -lane[3])
-    # Substitution scores as one flat (qlen, codes + 1) table: a lane's
-    # index at row 1 is ``qs * width + code``, and row i reads the table
-    # from offset ``(i - 1) * width``. The extra code is the padding residue.
-    width = pssm.shape[0] + 1
-    table = np.full((qlen, width), _NEG32, dtype=np.int32)
-    table[:, :-1] = pssm.T
-    table = table.reshape(-1)
     start = 0
     while start < len(lanes):
         n_max = lanes[start][3]
@@ -214,13 +212,12 @@ def batch_traceback_align(
                 break
             m_max = m_next
             stop += 1
-        _fill_chunk(pssm, table, query_codes, subjects, lanes[start:stop], go, ge, out)
+        _fill_chunk(table, query_codes, subjects, lanes[start:stop], go, ge, out)
         start = stop
     return out
 
 
 def _fill_chunk(
-    pssm: np.ndarray,
     table: np.ndarray,
     query_codes: np.ndarray,
     subjects: "list[np.ndarray]",
@@ -234,7 +231,11 @@ def _fill_chunk(
     count = len(chunk)
     n_max = chunk[0][3]
     m_max = max(lane[4] for lane in chunk)
-    width = pssm.shape[0] + 1
+    # Substitution scores from the flat score table: a lane's index at
+    # row 1 is ``qs * width + code``, and row i reads the table from
+    # offset ``(i - 1) * width``. The last code is the padding residue.
+    width = table.shape[1]
+    scores = table.reshape(-1)
     # Every per-row array is flat: lane r's columns j = 0..m_max sit at
     # r * w + j, so each step is one contiguous op over the live lanes,
     # and the j - 1 neighbour is the flat x - 1 (at j = 0 it reads the
@@ -281,7 +282,7 @@ def _fill_chunk(
         diag = sub[:span]
         # Indices are in range by construction; "clip" skips the checked,
         # buffered path of take.
-        table[(i - 1) * width :].take(index[:span], out=diag, mode="clip")
+        scores[(i - 1) * width :].take(index[:span], out=diag, mode="clip")
         diag += h_prev[:span]
         h_go = np.subtract(h_prev[1 : span + 1], go, out=f[:span])
         ei = e[:span]
@@ -314,6 +315,7 @@ def _fill_chunk(
     best = row_max[best_row, lane_ids].tolist()
     best_col = row_arg[best_row, lane_ids].tolist()
     cells = memoryview(dirs.reshape(-1))
+    pssm = table[:, :-1].T  # the PSSM again, for the midline's positives
     for r, ((k, qs, ss, _n, _m), row) in enumerate(zip(chunk, best_row.tolist())):
         if best[r] <= 0:
             continue

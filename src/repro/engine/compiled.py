@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.alphabet import encode
 from repro.analysis.witness import new_lock
-from repro.matrices.pssm import build_pssm
+from repro.matrices.pssm import build_pssm, build_score_table
 from repro.seeding.lookup import WordLookupTable
 from repro.seeding.words import build_neighborhood
 
@@ -70,6 +70,10 @@ class CompiledQuery:
         Word lookup table over the T-threshold neighbourhood.
     pssm:
         Position-specific scoring matrix (``alphabet x query_length``).
+    score_table:
+        The PSSM as the DP phases' ``int32`` score table
+        (:func:`~repro.matrices.pssm.build_score_table`), read by the
+        batched gapped extension and the traceback fill.
 
     The DFA form of the neighbourhood (:attr:`dfa`) is built lazily on
     first access and cached — CPU engines never need it — and the cache is
@@ -84,6 +88,7 @@ class CompiledQuery:
         seg_mask: np.ndarray | None,
         lookup: WordLookupTable,
         pssm: np.ndarray,
+        score_table: np.ndarray,
         _dfa_cell: list | None = None,
     ) -> None:
         self.params = params
@@ -91,6 +96,7 @@ class CompiledQuery:
         self.seg_mask = seg_mask
         self.lookup = lookup
         self.pssm = pssm
+        self.score_table = score_table
         # One-slot DFA cache shared between with_params() siblings.
         self._dfa_cell = _dfa_cell if _dfa_cell is not None else []  # guarded-by: self._dfa_lock
         self._dfa_lock = new_lock("CompiledQuery._dfa_lock")
@@ -125,6 +131,7 @@ class CompiledQuery:
                 self.seg_mask,
                 self.lookup,
                 self.pssm,
+                self.score_table,
                 _dfa_cell=self._dfa_cell,
             )
         return compile_query(self.query_codes, params)
@@ -163,5 +170,5 @@ def compile_query(
             masked=mask,
         )
     )
-    return CompiledQuery(params, query_codes, mask, lookup, pssm)
+    return CompiledQuery(params, query_codes, mask, lookup, pssm, build_score_table(pssm))
 

@@ -15,7 +15,7 @@ alignment scores into bit scores and E-values exactly as BLAST does.
 from repro.matrices.blosum import BLOSUM62, ScoringMatrix, match_mismatch_matrix
 from repro.matrices.henikoff import blosum_from_blocks
 from repro.matrices.karlin import KarlinParams, gapped_params, ungapped_params
-from repro.matrices.pssm import build_pssm, pssm_memory_bytes
+from repro.matrices.pssm import build_pssm, build_score_table, pssm_memory_bytes
 
 __all__ = [
     "BLOSUM62",
@@ -23,6 +23,7 @@ __all__ = [
     "ScoringMatrix",
     "blosum_from_blocks",
     "build_pssm",
+    "build_score_table",
     "gapped_params",
     "match_mismatch_matrix",
     "pssm_memory_bytes",

@@ -6,7 +6,8 @@ Two equivalences, each the load-bearing claim of one layer of the PR:
   a stack of random half-extensions equals the scalar
   :func:`~repro.core.gapped._half_extend` lane for lane on every
   :class:`~repro.core.gapped.HalfExtension` field (score, best cell,
-  reach, cell count);
+  reach, cell count), on random lanes and on ragged ones (one long
+  homolog among short lanes, so band widths differ widely in every row);
 * schedule level — the wave scheduler's accepted set, field values, and
   output order equal the oracle's serial best-first loop
   (:func:`~repro.verify.oracle.serial_gapped`) on workloads built to
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.alphabet import encode
 from repro.core.gapped import _half_extend, gapped_extend
+from repro.core import gapped_batch as gb_module
 from repro.core.gapped_batch import batch_gapped_extend, batch_half_extend
 from repro.core.pipeline import BlastpPipeline
 from repro.core.statistics import SearchParams
@@ -33,25 +35,106 @@ from repro.core import traceback as tb_module
 from repro.core.traceback import batch_traceback_align, traceback_align
 from repro.engine import make_engine
 from repro.io.database import SequenceDatabase
-from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
+from repro.matrices import (
+    BLOSUM62,
+    build_pssm,
+    build_score_table,
+    match_mismatch_matrix,
+)
 from repro.verify.oracle import serial_gapped
 from tests.conftest import swept
 
 RESIDUES = "ARNDCQEGHILKMFPSTWYV"
 
 
-def _score_table(rng, ncodes, qlen):
+def _random_pssm(rng, ncodes, qlen):
     """A random PSSM-shaped score table with BLOSUM-like magnitudes."""
     return rng.integers(-6, 8, size=(ncodes, qlen)).astype(np.int64)
 
 
-def _materialise(pssm, codes, qa, qd, sa, sd, n, m):
+def _materialise(table, codes, qa, qd, sa, sd, n, m):
     """The scalar walk-order score matrix a lane's parameters denote."""
-    scores = np.empty((n, m), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            scores[i - 1, j - 1] = pssm[codes[sa + sd * j], qa + qd * i]
-    return scores
+    rows = qa + qd * np.arange(1, n + 1)
+    cols = codes[sa + sd * np.arange(1, m + 1)]
+    return table[rows[:, None], cols[None, :]].astype(np.int64)
+
+
+def _assert_lanes_match_scalar(table, codes, lanes, go, ge, xd):
+    """``batch_half_extend`` on ``lanes`` — rows of ``(q_anchor, q_step,
+    s_anchor, s_step, n_rows, m_cols)`` — equals ``_half_extend`` on each
+    lane's materialised scores, on all six fields."""
+    qa, qd, sa, sd, nn, mm = np.asarray(lanes, dtype=np.int64).reshape(-1, 6).T
+    got = batch_half_extend(table, codes, qa, qd, sa, sd, nn, mm, go, ge, xd)
+    for k in range(qa.size):
+        scores = _materialise(
+            table, codes, int(qa[k]), int(qd[k]), int(sa[k]), int(sd[k]),
+            int(nn[k]), int(mm[k]),
+        )
+        want = _half_extend(scores, go, ge, xd)
+        assert tuple(int(field[k]) for field in got) == (
+            want.best, want.best_i, want.best_j,
+            want.reach_i, want.reach_j, want.cells,
+        ), (k, [int(field[k]) for field in got], want)
+
+
+@st.composite
+def _ragged_case(draw):
+    """One call's lanes, built so band widths differ widely in each row:
+    the query's homolog walked forward and backward in full, a forward
+    walk over a prefix of it (its band runs into ``m``), and short lanes
+    over unrelated subjects (few rows or columns, or x-drop deaths within
+    a few rows), in a random order. Besides real matrices, the scores may
+    be a random positive-drift PSSM, where cells the band's left edge
+    dropped can be outscored by their neighbours' gaps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = draw(
+        st.sampled_from(
+            [
+                BLOSUM62,
+                match_mismatch_matrix(5, -4),
+                match_mismatch_matrix(5, -12),
+                None,  # a random positive-drift PSSM
+            ]
+        )
+    )
+    ge = draw(st.integers(1, 3))
+    go = ge + draw(st.integers(0, 11))
+    xd = draw(st.integers(25, 120))
+    query = "".join(RESIDUES[i] for i in rng.integers(0, 20, int(rng.integers(40, 100))))
+    qc = encode(query)
+    if matrix is None:
+        pssm = _random_pssm(rng, 24, qc.size)
+    else:
+        pssm = build_pssm(qc, matrix)
+    table = build_score_table(pssm)
+    homolog = list(_edited(rng, query))
+    for _ in range(int(rng.integers(0, 4))):
+        homolog[int(rng.integers(0, len(homolog)))] = RESIDUES[int(rng.integers(0, 20))]
+    homolog = "".join(homolog)
+    prefix = homolog[: int(rng.integers(5, len(homolog) // 2))]
+    subjects = [homolog, prefix] + [
+        "".join(RESIDUES[i] for i in rng.integers(0, 20, int(rng.integers(1, 40))))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    starts = np.cumsum([0] + [len(t) for t in subjects])
+    codes = encode("".join(subjects))
+    qlen, hlen = qc.size, len(homolog)
+    lanes = [
+        (-1, 1, -1, 1, qlen, hlen),
+        (qlen, -1, hlen, -1, qlen, hlen),
+        (-1, 1, starts[1] - 1, 1, qlen, len(prefix)),
+    ]
+    for k in range(2, len(subjects)):
+        slen = len(subjects[k])
+        q0 = int(rng.integers(0, qlen))
+        if rng.integers(0, 2):  # forward from one before (q0, the subject's start)
+            n = int(rng.integers(1, qlen - q0 + 1))
+            lanes.append((q0 - 1, 1, starts[k] - 1, 1, n, int(rng.integers(1, slen + 1))))
+        else:  # backward from one past (q0, the subject's end)
+            n = int(rng.integers(1, q0 + 2))
+            lanes.append((q0 + 1, -1, starts[k + 1], -1, n, int(rng.integers(1, slen + 1))))
+    rng.shuffle(lanes)
+    return table, codes, lanes, go, ge, xd
 
 
 class TestBatchHalfExtendEquivalence:
@@ -66,7 +149,7 @@ class TestBatchHalfExtendEquivalence:
     def test_matches_scalar_lane_for_lane(self, seed, lanes, go, ge, xd):
         rng = np.random.default_rng(seed)
         qlen, clen, ncodes = 40, 120, 24
-        pssm = _score_table(rng, ncodes, qlen)
+        pssm = _random_pssm(rng, ncodes, qlen)
         codes = rng.integers(0, ncodes, size=clen).astype(np.uint8)
         qa = np.empty(lanes, dtype=np.int64)
         sa = np.empty(lanes, dtype=np.int64)
@@ -87,20 +170,28 @@ class TestBatchHalfExtendEquivalence:
                 sa[k] = rng.integers(0, clen)
                 nn[k] = rng.integers(0, qlen - qa[k])
                 mm[k] = rng.integers(0, clen - sa[k])
-        best, bi, bj, ri, rj, cells = batch_half_extend(
-            pssm, codes, qa, qd, sa, sd, nn, mm, go, ge, xd
+        _assert_lanes_match_scalar(
+            build_score_table(pssm), codes,
+            np.stack([qa, qd, sa, sd, nn, mm], axis=1), go, ge, xd,
         )
-        for k in range(lanes):
-            scores = _materialise(
-                pssm, codes, int(qa[k]), int(qd[k]), int(sa[k]), int(sd[k]),
-                int(nn[k]), int(mm[k]),
-            )
-            want = _half_extend(scores, go, ge, xd)
-            got = (best[k], bi[k], bj[k], ri[k], rj[k], cells[k])
-            assert got == (
-                want.best, want.best_i, want.best_j,
-                want.reach_i, want.reach_j, want.cells,
-            ), (k, got, want)
+
+    @given(_ragged_case())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_on_ragged_rows(self, case):
+        """Lanes of very unequal band width share every row: a long,
+        near-identical homolog (both directions, and one cut short so its
+        band reaches ``m``) widens its window under a large x-drop while
+        short lanes die or run out of rows around it. Windows touch
+        ``j = 0``, lose cells to x-drop at both band edges, and retire
+        mid-run, so every segment boundary of the flat row moves."""
+        _assert_lanes_match_scalar(*case)
+
+    @given(_ragged_case(), st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_calls_past_the_lane_cap_split(self, case, cap):
+        """More lanes than one segmented scan holds run in slices."""
+        with patch.object(gb_module, "_MAX_LANES", cap):
+            _assert_lanes_match_scalar(*case)
 
 
 class TestBatchGappedExtendEquivalence:
@@ -123,7 +214,9 @@ class TestBatchGappedExtendEquivalence:
         seed_q = rng.integers(0, len(query), size=num_seeds).astype(np.int64)
         seed_s = (rng.random(num_seeds) * lens).astype(np.int64)
         go, ge, xd = params.gap_open, params.gap_extend, 38
-        got = batch_gapped_extend(pssm, db, seq_ids, seed_q, seed_s, go, ge, xd)
+        got = batch_gapped_extend(
+            build_score_table(pssm), db, seq_ids, seed_q, seed_s, go, ge, xd
+        )
         for k in range(num_seeds):
             want = gapped_extend(
                 pssm, db.sequence(int(seq_ids[k])), int(seq_ids[k]),
@@ -285,7 +378,8 @@ class TestBatchTracebackEquivalence:
                 )
             )
         got = batch_traceback_align(
-            pssm, qc, subjects, boxes, params.gap_open, params.gap_extend
+            build_score_table(pssm), qc, subjects, boxes,
+            params.gap_open, params.gap_extend,
         )
         for k, (s, box) in enumerate(zip(subjects, boxes)):
             want = traceback_align(
@@ -303,7 +397,9 @@ class TestBatchTracebackEquivalence:
         cut = patch.object(tb_module, "_CHUNK_CELL_BUDGET", budget)
         spy = patch.object(tb_module, "_fill_chunk", wraps=tb_module._fill_chunk)
         with cut, spy as fill:
-            got = batch_traceback_align(pssm, qc, subjects, boxes, go, ge)
+            got = batch_traceback_align(
+                build_score_table(pssm), qc, subjects, boxes, go, ge
+            )
         assert fill.call_count >= 2
         assert got[-1] is None  # the all-negative box
         for k, (s, box) in enumerate(zip(subjects, boxes)):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.alphabet import encode
 from repro.core.traceback import batch_traceback_align, traceback_align
-from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
+from repro.matrices import BLOSUM62, build_pssm, build_score_table, match_mismatch_matrix
 
 
 def align(query, subject, matrix=None, go=5, ge=1, box=None):
@@ -123,16 +123,16 @@ class TestBatchTraceback:
             (int(a), int(a) + n - 1, int(b), int(b) + m - 1)
             for a, b in zip(rng.integers(0, 50, boxes), rng.integers(0, 50, boxes))
         ]
-        return build_pssm(query, BLOSUM62), query, subjects, spans
+        return build_score_table(build_pssm(query, BLOSUM62)), query, subjects, spans
 
     def test_working_set_is_a_byte_per_cell(self):
         """~2 M box cells (two chunks) fill in well under 8 MB: one direction
         byte per cell plus rolling rows, not full score matrices."""
-        pssm, query, subjects, boxes = self._inputs()
-        batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
+        table, query, subjects, boxes = self._inputs()
+        batch_traceback_align(table, query, subjects, boxes, 11, 1)
         tracemalloc.start()
         try:
-            batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
+            batch_traceback_align(table, query, subjects, boxes, 11, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -140,7 +140,7 @@ class TestBatchTraceback:
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_subjects_must_match_boxes(self, extra):
-        pssm, query, subjects, boxes = self._inputs(boxes=3, n=20, m=20)
+        table, query, subjects, boxes = self._inputs(boxes=3, n=20, m=20)
         subjects = subjects[:extra] if extra < 0 else subjects + subjects[:extra]
         with pytest.raises(ValueError):
-            batch_traceback_align(pssm, query, subjects, boxes, 11, 1)
+            batch_traceback_align(table, query, subjects, boxes, 11, 1)
