@@ -7,10 +7,11 @@ than ``x_drop`` below that direction's best. The result is the
 maximal-scoring ungapped segment through the seed word.
 
 Tie-breaking is pinned library-wide: each direction keeps the *shortest*
-prefix achieving its maximum (first ``argmax``). Every implementation — this
-vectorised one, the scalar reference below, and the three GPU kernels —
-follows the same rule, which is what makes cross-implementation
-output-equality tests exact instead of fuzzy.
+prefix achieving its maximum (first ``argmax``). Every implementation — the
+batched hot path :func:`batch_ungapped_extend`, the per-residue reference
+loop :func:`ungapped_extend` and the three GPU kernels — follows the same
+rule, which is what makes cross-implementation output-equality tests exact
+instead of fuzzy.
 """
 
 from __future__ import annotations
@@ -18,114 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.results import UngappedExtension
-
-
-def _direction_gain(deltas: np.ndarray, x_drop: int) -> tuple[int, int]:
-    """Best prefix of a score series under the x-drop rule.
-
-    Parameters
-    ----------
-    deltas:
-        Per-step score contributions, in walk order.
-    x_drop:
-        Stop once ``best_so_far - current > x_drop``.
-
-    Returns
-    -------
-    (gain, steps):
-        ``gain`` is the best prefix sum (0 when every prefix is negative)
-        and ``steps`` the number of residues in that best prefix.
-    """
-    if deltas.size == 0:
-        return 0, 0
-    cum = np.cumsum(deltas, dtype=np.int64)
-    # Best-so-far includes the empty prefix (score 0): a walk that dives
-    # x_drop below zero stops even if it would later recover.
-    run_max = np.maximum.accumulate(np.maximum(cum, 0))
-    dropped = run_max - cum > x_drop
-    if dropped.any():
-        limit = int(np.argmax(dropped))  # first index where the drop fires
-        cum = cum[: limit + 1]
-    best_idx = int(np.argmax(cum))
-    gain = int(cum[best_idx])
-    if gain <= 0:
-        return 0, 0
-    return gain, best_idx + 1
-
-
-def ungapped_extend(
-    pssm: np.ndarray,
-    subject_codes: np.ndarray,
-    seq_id: int,
-    query_pos: int,
-    subject_pos: int,
-    word_length: int,
-    x_drop: int,
-) -> UngappedExtension:
-    """Extend a seed word in both directions (vectorised).
-
-    Parameters
-    ----------
-    pssm:
-        Query PSSM, shape ``(ALPHABET_SIZE, query_length)``.
-    subject_codes:
-        Residue codes of the subject sequence.
-    seq_id:
-        Subject index, passed through into the result.
-    query_pos, subject_pos:
-        Seed word start positions.
-    word_length:
-        Seed word length ``W``.
-    x_drop:
-        Raw-score X-drop for both directions.
-
-    Returns
-    -------
-    UngappedExtension
-        The maximal segment (inclusive coordinates) and its score. The
-        segment always contains the seed word, even when the word score is
-        negative (mirroring FSA-BLAST, which anchors on the word).
-    """
-    qlen = pssm.shape[1]
-    slen = subject_codes.size
-    q0, s0 = query_pos, subject_pos
-    word_q = np.arange(q0, q0 + word_length)
-    word_score = int(
-        pssm[subject_codes[s0 : s0 + word_length], word_q].sum(dtype=np.int64)
-    )
-
-    # Right: pairs (q0 + W + k, s0 + W + k) while both in range.
-    n_right = min(qlen - (q0 + word_length), slen - (s0 + word_length))
-    right_deltas = (
-        pssm[
-            subject_codes[s0 + word_length : s0 + word_length + n_right],
-            np.arange(q0 + word_length, q0 + word_length + n_right),
-        ].astype(np.int64)
-        if n_right > 0
-        else np.zeros(0, dtype=np.int64)
-    )
-    right_gain, right_steps = _direction_gain(right_deltas, x_drop)
-
-    # Left: pairs (q0 - 1 - k, s0 - 1 - k) while both in range.
-    n_left = min(q0, s0)
-    left_deltas = (
-        pssm[
-            subject_codes[s0 - n_left : s0][::-1],
-            np.arange(q0 - 1, q0 - 1 - n_left, -1),
-        ].astype(np.int64)
-        if n_left > 0
-        else np.zeros(0, dtype=np.int64)
-    )
-    left_gain, left_steps = _direction_gain(left_deltas, x_drop)
-
-    return UngappedExtension(
-        seq_id=seq_id,
-        query_start=q0 - left_steps,
-        query_end=q0 + word_length - 1 + right_steps,
-        subject_start=s0 - left_steps,
-        subject_end=s0 + word_length - 1 + right_steps,
-        score=word_score + left_gain + right_gain,
-    )
 
 
 #: First-pass window of the escalating batched extension. With the BLASTP
@@ -143,7 +36,12 @@ BATCH_WINDOW = 128
 def _batch_direction(
     deltas: np.ndarray, x_drop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :func:`_direction_gain` over many extensions at once.
+    """One x-drop direction for many extensions at once.
+
+    Per row, the best prefix sum of the score series (0 when every prefix
+    is negative) and its length, under :func:`ungapped_extend`'s rule:
+    the walk stops once ``best_so_far - current > x_drop``, and the
+    shortest prefix reaching the best wins.
 
     Parameters
     ----------
@@ -165,7 +63,8 @@ def _batch_direction(
         z = np.zeros(n, dtype=np.int64)
         return z, z.copy(), np.zeros(n, dtype=bool)
     cum = np.cumsum(deltas, axis=1, dtype=np.int64)
-    # As in _direction_gain: the empty prefix's 0 floors the running best.
+    # Best-so-far includes the empty prefix (score 0): a walk that dives
+    # x_drop below zero stops even if it would later recover.
     run = np.maximum.accumulate(np.maximum(cum, 0), axis=1)
     dropped = run - cum > np.reshape(x_drop, (-1, 1))
     any_drop = dropped.any(axis=1)
@@ -212,8 +111,8 @@ def batch_ungapped_extend(
     :func:`ungapped_extend`. Seeds whose walk overruns the window (rare:
     only long homologous segments) are redone exactly in one batched
     second pass whose window covers the longest possible walk, so results
-    are bit-identical to calling :func:`ungapped_extend` per seed — a
-    property the test suite checks.
+    are bit-identical to running the reference loop
+    :func:`ungapped_extend` per seed — a property the test suite checks.
 
     Parameters
     ----------
@@ -266,8 +165,8 @@ def batch_ungapped_extend(
     # A windowed result is exact whenever the drop fired or the sequence
     # ran out inside the window — in the last pass the slot past a row's
     # last in-range residue always holds the sentinel, so it degenerates
-    # to the exact (unwindowed) :func:`_direction_gain`, bit-identical to
-    # a scalar redo without the per-row Python loop.
+    # to the exact (unwindowed) walk, bit-identical to a scalar redo
+    # without the per-row Python loop.
     gains = np.zeros((2, n), dtype=np.int64)
     steps = np.zeros((2, n), dtype=np.int64)
     pending = np.arange(n)
@@ -354,7 +253,7 @@ def _windowed_directions(
     return np.stack([gain_l, gain_r]), np.stack([steps_l, steps_r]), over_l | over_r
 
 
-def ungapped_extend_scalar(
+def ungapped_extend(
     pssm: np.ndarray,
     subject_codes: np.ndarray,
     seq_id: int,
@@ -363,11 +262,33 @@ def ungapped_extend_scalar(
     word_length: int,
     x_drop: int,
 ) -> UngappedExtension:
-    """Scalar (per-residue loop) reference for :func:`ungapped_extend`.
+    """Extend one seed word in both directions (the reference loop).
 
-    Follows the textbook x-drop loop one residue at a time. Exists so
-    property tests can pit the vectorised implementation against an
-    independently written one; never used on hot paths.
+    Follows the textbook x-drop loop one residue at a time, written
+    independently of :func:`batch_ungapped_extend`'s windowed reduction
+    so tests can pit the hot path against it; never used on hot paths.
+
+    Parameters
+    ----------
+    pssm:
+        Query PSSM, shape ``(ALPHABET_SIZE, query_length)``.
+    subject_codes:
+        Residue codes of the subject sequence.
+    seq_id:
+        Subject index, passed through into the result.
+    query_pos, subject_pos:
+        Seed word start positions.
+    word_length:
+        Seed word length ``W``.
+    x_drop:
+        Raw-score X-drop for both directions.
+
+    Returns
+    -------
+    UngappedExtension
+        The maximal segment (inclusive coordinates) and its score. The
+        segment always contains the seed word, even when the word score is
+        negative (mirroring FSA-BLAST, which anchors on the word).
     """
     qlen = pssm.shape[1]
     slen = subject_codes.size

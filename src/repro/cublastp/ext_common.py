@@ -2,8 +2,10 @@
 
 All three strategies (Algorithms 3-5) need the same ingredients: a score
 lookup routed through the §3.5 matrix placement, an x-drop walk whose
-semantics are bit-identical to :func:`repro.core.ungapped.ungapped_extend`
-(same strict-improvement, first-argmax tie-break), and an output buffer
+semantics are bit-identical to the reference loop
+:func:`repro.core.ungapped.ungapped_extend` and so to the CPU hot path
+:func:`~repro.core.ungapped.batch_ungapped_extend` (same
+strict-improvement, first-argmax tie-break), and an output buffer
 written through an atomic cursor. The walk state helpers here are careful
 to express every update as masked numpy so that lanes at different walk
 stages coexist in one warp — which is precisely the divergence the three

@@ -230,12 +230,6 @@ class SearchService:
             path = Path(db)
             if path.exists() and storage.sniff_format(path) == "binary":
                 return path, path, None
-            if backend == "process":
-                from repro.engine.procpool import database_path_for_workers
-
-                spill, cleanup = database_path_for_workers(db)
-                return spill, spill, cleanup
-            return db, None, None
         if backend == "process":
             from repro.engine.procpool import database_path_for_workers
 
@@ -446,7 +440,12 @@ class SearchService:
     # -- introspection -----------------------------------------------------
 
     def worker_pids(self) -> list[int]:
-        """Live process-backend worker PIDs (empty for the thread backend)."""
+        """Live process-backend worker PIDs.
+
+        Empty for the thread backend, and always empty in ``db-sweep``
+        mode: that mode builds its pool per batch and keeps none (only a
+        per-query process executor keeps a warm pool).
+        """
         pool = self.executor.process_pool
         return pool.worker_pids() if pool is not None else []
 

@@ -2,14 +2,20 @@
 
 A :class:`EngineVariant` pairs an engine (by registry name, including the
 ``cublastp:<strategy>`` forms) with an *execution path* — how the query
-and database reach it:
+and database reach it. The matrix splits along those two axes: every
+engine runs on the direct path, and every other path runs on the
+``reference`` engine, because no path depends on which engine it carries
+(db-sweep ignores it except to compile the queries). So a ``cublastp-*``
+name means cuBLASTP's kernels run, and each ``reference-*`` name is a
+path:
 
 ``direct``
     ``engine.run(engine.compile(q), db)``, the plain protocol call.
 ``view``
-    The database is wrapped in a full-range zero-copy
-    :class:`~repro.io.database.DatabaseView` first; results must be
-    identical to the copy (PR 2's invariant).
+    The database is searched as a zero-copy
+    :class:`~repro.io.database.DatabaseView` into a parent that holds one
+    more sequence in front, so the view's offset rebase is not the
+    identity; results must be identical to the copy.
 ``mmap``
     The database round-trips through the versioned binary format and is
     re-opened memory-mapped; exercises the storage layer end to end.
@@ -44,7 +50,9 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.statistics import SearchParams
 from repro.engine.executor import BatchExecutor
@@ -106,12 +114,26 @@ class EngineVariant:
                 engine, case.query_id, case.query, case.db, backend, mode=mode
             )
         if self.path == "view":
-            db: "SequenceDatabase" = case.db.view(0, len(case.db))
+            db: "SequenceDatabase" = _offset_view(case.db)
         elif self.path == "direct":
             db = case.db
         else:
             raise ValueError(f"unknown execution path {self.path!r}")
         return engine.run(engine.compile(case.query), db)
+
+
+def _offset_view(db: "SequenceDatabase") -> "SequenceDatabase":
+    """``db`` as a view of a parent holding a copy of its first sequence in
+    front of it (a full-range ``db.view(0, len(db))`` is ``db`` itself)."""
+    from repro.io.database import SequenceDatabase
+
+    head = int(db.offsets[1])
+    parent = SequenceDatabase(
+        np.concatenate([db.codes[:head], db.codes]),
+        np.concatenate([[0], db.offsets + head]),
+        ["view-pad", *db.identifiers],
+    )
+    return parent.view(1, len(parent))
 
 
 def _run_batched(
@@ -142,8 +164,9 @@ def _run_batched(
     return first
 
 
-#: The full matrix: all engines, all three cuBLASTP strategies, and the
-#: view/mmap/batch/process execution paths on representative engines.
+#: The full matrix: every engine on the direct path (all three cuBLASTP
+#: strategies, the baselines, and cuBLASTP under the sanitizer), then
+#: every other execution path on the reference engine.
 DEFAULT_VARIANTS: tuple[EngineVariant, ...] = (
     EngineVariant("cublastp-diagonal", "cublastp:diagonal"),
     EngineVariant("cublastp-hit", "cublastp:hit"),
@@ -152,14 +175,13 @@ DEFAULT_VARIANTS: tuple[EngineVariant, ...] = (
     EngineVariant("ncbi", "ncbi"),
     EngineVariant("cuda-blastp", "cuda-blastp"),
     EngineVariant("gpu-blastp", "gpu-blastp"),
+    EngineVariant("cublastp-sanitize", "cublastp", sanitize=True),
     EngineVariant("reference-view", "reference", path="view"),
     EngineVariant("reference-mmap", "reference", path="mmap"),
-    EngineVariant("cublastp-view", "cublastp", path="view"),
-    EngineVariant("cublastp-batch", "cublastp", path="batch"),
-    EngineVariant("cublastp-process", "cublastp", path="process"),
-    EngineVariant("cublastp-sanitize", "cublastp", sanitize=True),
-    EngineVariant("cublastp-batched", "cublastp", path="sweep"),
-    EngineVariant("cublastp-batched-process", "cublastp", path="sweep-process"),
+    EngineVariant("reference-batch", "reference", path="batch"),
+    EngineVariant("reference-process", "reference", path="process"),
+    EngineVariant("reference-sweep", "reference", path="sweep"),
+    EngineVariant("reference-sweep-process", "reference", path="sweep-process"),
 )
 
 #: Variant names accepted by ``repro verify --engines``.

@@ -26,7 +26,11 @@ if TYPE_CHECKING:
 
 @dataclass
 class Divergence:
-    """One engine variant departing from the oracle on one case."""
+    """One engine variant departing from the oracle on one case.
+
+    ``oracle_error`` marks the oracle itself raising on the case: then no
+    variant was compared, and ``variant`` names the oracle.
+    """
 
     case_id: str
     family: str
@@ -36,6 +40,7 @@ class Divergence:
     oracle_text: str = ""
     variant_text: str = ""
     reproducer: Reproducer | None = None
+    oracle_error: bool = False
 
     def summary(self) -> str:
         return f"{self.variant} diverges on {self.case_id}: {self.detail}"
@@ -117,8 +122,9 @@ class DifferentialRunner:
         except Exception as exc:
             return [
                 Divergence(
-                    case.case_id, case.family, case.seed, "reference",
+                    case.case_id, case.family, case.seed, self.oracle.name,
                     f"oracle raised {type(exc).__name__}: {exc}",
+                    oracle_error=True,
                 )
             ]
         divergences: list[Divergence] = []
@@ -158,7 +164,7 @@ class DifferentialRunner:
             report.cases_run += 1
             found = self.run_case(case)
             for div in found:
-                if div.variant == "reference":
+                if div.oracle_error:
                     report.oracle_errors.append((div.case_id, div.detail))
                     continue
                 if self.shrink and div.variant not in shrunk:

@@ -81,3 +81,16 @@ class TestBugInjection:
         shrunk = [d for d in report.divergences if d.reproducer is not None]
         assert len(shrunk) == 2
         assert {d.variant for d in shrunk} == {"bugged-score", "bugged-drop"}
+
+
+def test_a_variant_named_like_the_oracle_is_still_checked():
+    """``repro verify --engines reference`` puts the production reference
+    pipeline under test: its divergence is reported and minimised, not
+    filed as an oracle error because the variant shares the oracle's
+    name."""
+    bugged = BuggedVariant("reference", "reference", score_delta=1)
+    report = DifferentialRunner([bugged]).run(generate_cases(4, 7))
+    assert not report.oracle_errors
+    assert report.divergences
+    assert {d.variant for d in report.divergences} == {"reference"}
+    assert report.divergences[0].reproducer is not None

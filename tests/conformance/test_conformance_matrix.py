@@ -1,12 +1,13 @@
 """Conformance: the full engine matrix over the 64-case pinned corpus.
 
-Every engine (cuBLASTP under all three extension strategies, all
-baselines) and every execution path (zero-copy view, mmap round-trip,
-threaded batch) must reproduce the reference oracle hit-for-hit and
-score-for-score on every corpus case. The oracle itself is locked by the
-golden snapshots in ``tests/conformance/golden/`` — a refactor that
-changes any reported alignment shows up as a text diff there, not as a
-silent drift.
+Every engine on the direct path (cuBLASTP under all three extension
+strategies and under the sanitizer, all baselines) and every execution
+path on the reference engine (zero-copy view, mmap round-trip, threaded
+and process batches, thread and process db-sweeps) must reproduce the
+reference oracle hit-for-hit and score-for-score on every corpus case.
+The oracle itself is locked by the golden snapshots in
+``tests/conformance/golden/`` — a refactor that changes any reported
+alignment shows up as a text diff there, not as a silent drift.
 """
 
 from pathlib import Path
@@ -84,18 +85,23 @@ class TestEngineMatrix:
 
 def test_no_two_variants_share_an_implementation():
     """Each variant runs a distinct (engine class, config, path, sanitize)
-    — a second name for the same implementation only costs matrix time."""
+    — a second name for the same implementation only costs matrix time.
+    The db-sweep paths run the reference sweep whatever engine compiled
+    the queries, so they are keyed by the path alone."""
     from repro.core.statistics import SearchParams
 
     seen = {}
     for variant in DEFAULT_VARIANTS:
         engine = variant.make(SearchParams())
-        key = (
-            type(engine),
-            getattr(engine, "config", None),
-            variant.path,
-            variant.sanitize,
-        )
+        if variant.path in ("sweep", "sweep-process"):
+            key = (variant.path,)
+        else:
+            key = (
+                type(engine),
+                getattr(engine, "config", None),
+                variant.path,
+                variant.sanitize,
+            )
         assert key not in seen, f"{variant.name} == {seen[key]}"
         seen[key] = variant.name
 

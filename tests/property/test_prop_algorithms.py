@@ -8,10 +8,9 @@ from repro.alphabet import encode
 from repro.core.hits import HitArray
 from tests.conftest import seed_flags
 from repro.core.ungapped import (
-    _direction_gain,
+    _batch_direction,
     batch_ungapped_extend,
     ungapped_extend,
-    ungapped_extend_scalar,
 )
 from repro.cublastp.ext_window import WalkState, chunk_update
 from repro.baselines.smith_waterman import smith_waterman_score
@@ -37,15 +36,21 @@ def scalar_gain(deltas, x_drop):
     return (best, best_steps) if best > 0 else (0, 0)
 
 
+def direction_gain(deltas, x_drop):
+    """The batched direction reduction on one unwindowed row."""
+    row = np.array(deltas, dtype=np.int64).reshape(1, -1)
+    gain, steps, _ = _batch_direction(row, x_drop)
+    return int(gain[0]), int(steps[0])
+
+
 class TestDirectionGain:
     @given(deltas_lists, st.integers(1, 30))
     def test_matches_scalar(self, deltas, x_drop):
-        got = _direction_gain(np.array(deltas, dtype=np.int64), x_drop)
-        assert got == scalar_gain(deltas, x_drop)
+        assert direction_gain(deltas, x_drop) == scalar_gain(deltas, x_drop)
 
     @given(deltas_lists, st.integers(1, 30))
     def test_gain_nonnegative_and_bounded(self, deltas, x_drop):
-        gain, steps = _direction_gain(np.array(deltas, dtype=np.int64), x_drop)
+        gain, steps = direction_gain(deltas, x_drop)
         assert gain >= 0
         assert 0 <= steps <= len(deltas)
         if steps:
@@ -53,7 +58,7 @@ class TestDirectionGain:
 
     @given(deltas_lists, st.integers(1, 30))
     def test_gain_is_max_over_allowed_prefixes(self, deltas, x_drop):
-        gain, steps = _direction_gain(np.array(deltas, dtype=np.int64), x_drop)
+        gain, steps = direction_gain(deltas, x_drop)
         # No prefix ending at or before the stop point scores higher.
         _, stop_steps = scalar_gain(deltas, 10**9)  # unbounded best prefix
         cum = 0
@@ -86,14 +91,12 @@ class TestChunkWalkProperty:
 class TestUngappedProperties:
     @given(protein, protein, st.integers(1, 40), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_vector_scalar_batch_agree(self, q, s, x_drop, data):
+    def test_reference_and_batch_agree(self, q, s, x_drop, data):
         qc, sc = encode(q), encode(s)
         pssm = build_pssm(qc, BLOSUM62)
         qp = data.draw(st.integers(0, len(q) - 3))
         sp = data.draw(st.integers(0, len(s) - 3))
         a = ungapped_extend(pssm, sc, 0, qp, sp, 3, x_drop)
-        b = ungapped_extend_scalar(pssm, sc, 0, qp, sp, 3, x_drop)
-        assert a == b
         db = SequenceDatabase.from_strings([s])
         qs_, qe_, ss_, se_, sc_ = batch_ungapped_extend(
             pssm, db.codes, db.offsets[:1], db.offsets[1:],

@@ -301,21 +301,26 @@ class TestProcessBackendExecutor:
     ):
         """The executor's log receives each query's closing events on the
         thread backend too, as it does from the workers — for an engine
-        built without a log of its own."""
+        built without a log of its own. The results agree as well: this is
+        the one check that sends cuBLASTP through ``EngineSpec``, a worker
+        and the result payload (the verify matrix's process paths run the
+        reference engine)."""
 
         def closing(backend):
             events = EventLog()
             engine = make_engine(name, tiny_params)
-            BatchExecutor(engine, jobs=1, backend=backend, events=events).run(
+            batch = BatchExecutor(engine, jobs=1, backend=backend, events=events).run(
                 proc_queries[:2], tiny_db
             )
-            return sorted(
+            ends = sorted(
                 (e.engine, e.phase, e.work_items, e.query_id) for e in events.ends()
             )
+            return ends, [result_digest(r) for _, r in batch.results]
 
-        thread = closing("thread")
+        thread, thread_digests = closing("thread")
         assert thread and {q for *_, q in thread} == {"q0", "q1"}
-        assert thread == closing("process")
+        assert len(thread_digests) == 2
+        assert (thread, thread_digests) == closing("process")
 
     def test_worker_crash_mid_batch_preserves_siblings(
         self, tiny_db, tiny_params, monkeypatch

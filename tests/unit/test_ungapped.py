@@ -1,4 +1,5 @@
-"""Unit tests for x-drop ungapped extension (all three implementations)."""
+"""Unit tests for x-drop ungapped extension: the batched hot path against
+the per-residue reference loop."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.core.ungapped import (
     _batch_direction,
     batch_ungapped_extend,
     ungapped_extend,
-    ungapped_extend_scalar,
 )
 from repro.io import SequenceDatabase
 from repro.matrices import BLOSUM62, build_pssm, match_mismatch_matrix
@@ -21,13 +21,12 @@ def mm():
     return match_mismatch_matrix(5, -4)
 
 
-def extend(query, subject, qpos, spos, x_drop=10, matrix=None, scalar=False):
+def extend(query, subject, qpos, spos, x_drop=10, matrix=None):
     matrix = matrix or match_mismatch_matrix(5, -4)
     q = encode(query)
     s = encode(subject)
     pssm = build_pssm(q, matrix)
-    fn = ungapped_extend_scalar if scalar else ungapped_extend
-    return fn(pssm, s, 0, qpos, spos, 3, x_drop)
+    return ungapped_extend(pssm, s, 0, qpos, spos, 3, x_drop)
 
 
 class TestKnownExtensions:
@@ -74,17 +73,26 @@ class TestKnownExtensions:
 
 class TestImplementationEquivalence:
     @pytest.mark.parametrize("x_drop", [4, 15, 40])
-    def test_vector_equals_scalar_random(self, x_drop):
+    def test_batch_equals_reference_random(self, x_drop):
         rng = np.random.default_rng(42 + x_drop)
         q = encode("".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), 80)))
-        s = encode("".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), 90)))
+        s = "".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), 90))
+        db = SequenceDatabase.from_strings([s])
         pssm = build_pssm(q, BLOSUM62)
-        for _ in range(60):
-            qp = int(rng.integers(0, 78))
-            sp = int(rng.integers(0, 88))
-            a = ungapped_extend(pssm, s, 0, qp, sp, 3, x_drop)
-            b = ungapped_extend_scalar(pssm, s, 0, qp, sp, 3, x_drop)
-            assert a == b
+        qpos = rng.integers(0, 78, 60)
+        spos = rng.integers(0, 88, 60)
+        qs, qe, ss, se, sc = batch_ungapped_extend(
+            pssm, db.codes, db.offsets[:1], db.offsets[1:],
+            0, pssm.shape[1], qpos, spos, 3, x_drop,
+        )
+        for i in range(qpos.size):
+            ref = ungapped_extend(
+                pssm, db.sequence(0), 0, int(qpos[i]), int(spos[i]), 3, x_drop
+            )
+            assert (qs[i], qe[i], ss[i], se[i], sc[i]) == (
+                ref.query_start, ref.query_end, ref.subject_start,
+                ref.subject_end, ref.score,
+            )
 
     def test_deep_dip_then_recovery_stops(self):
         """Regression: a dip below -x_drop ends the walk even if the score
