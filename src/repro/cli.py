@@ -220,7 +220,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         db = args.database
     else:
         db = _load_database(args.database)
-    engine = make_engine(args.engine, _build_params(args))
+    engine = _make_engine(args)
     service = SearchService(
         db,
         engine=engine,
@@ -253,9 +253,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     query_id, query = _load_query(args.query)
     db = _load_database(args.database)
-    params = _build_params(args)
+    engine = _make_engine(args)
     events = EventLog()
-    result, report = CuBlastp(query, params, events=events).search_with_report(db)
+    result, report = engine.run_with_report(engine.compile(query), db, events=events)
     print(f"query {query_id} vs {args.database}: {result.summary()}\n")
     print(f"{'kernel':<22} {'ms':>9} {'gld':>6} {'div':>6} {'occ':>6}")
     for name, prof in report.gpu.profiles.items():
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="print simulated GPU profiles")
     add_search_args(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
+    p_profile.set_defaults(func=cmd_profile, engine="cublastp")
 
     from repro.analysis.cli import add_lint_parser
     from repro.verify.cli import add_verify_parser

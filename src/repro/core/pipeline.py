@@ -131,7 +131,7 @@ class BlastpPipeline:
         Search parameters (defaults are the BLASTP standards).
     events:
         Optional :class:`~repro.engine.events.EventLog` the phases emit
-        start/end events into.
+        their records into.
     """
 
     #: Engine-protocol name.
@@ -157,7 +157,7 @@ class BlastpPipeline:
         self.pssm = self.compiled.pssm
         self.score_table = self.compiled.score_table
         self.seg_mask = self.compiled.seg_mask
-        self.lookup = self.compiled.lookup
+        self.neighborhood = self.compiled.neighborhood
 
     @property
     def query_length(self) -> int:
@@ -489,10 +489,10 @@ class BlastpPipeline:
 
         The one-query batch sweep: with an
         :class:`~repro.engine.events.EventLog` attached, the phases emit
-        the sweep's events — a closing ``hit_detection`` /
-        ``ungapped_extension`` pair per block, then ``gapped_extension`` /
-        ``final_alignment`` start/end pairs, each carrying its work-item
-        count (the reference pipeline attributes no modelled time — it
+        the sweep's events — one ``hit_detection`` and one
+        ``ungapped_extension`` record per block, then one timed
+        ``gapped_extension`` and ``final_alignment`` record, each carrying
+        its work-item count (the reference pipeline attributes no modelled time — it
         *is* the semantics, not a performance model).
         """
         from repro.core.sweep import search_batch_sweep

@@ -170,7 +170,7 @@ def finish_phases(
     extensions are rendered directly instead. Returns the assembled
     result, its per-phase work counts, and the gapped extensions phase 3
     accepted (empty in ungapped-only mode) — what the result and the CPU
-    price both need. With an event log, each phase emits a start/end pair
+    price both need. With an event log, each phase emits one timed record
     under ``engine_name`` (default: the pipeline's) carrying its
     work-item count.
     """
@@ -258,17 +258,15 @@ def sweep_extensions(
             total_seeds[q] += num_seeds[q]
         if events is None:
             continue
-        # Closing events carrying the measured walls, the same whether the
-        # block ran here or in a pool worker (``wall_breakdown`` sums the
-        # ``wall_ms`` meta directly; nobody saw the starts).
+        # One record per phase and block, carrying the block's measured
+        # walls, the same whether the block ran here or in a pool worker.
         block_items = {
             "hit_detection": sum(num_hits),
             "ungapped_extension": sum(len(e) for e in extensions),
         }
         for phase, items in block_items.items():
             events.emit(
-                name, phase, "end",
-                work_items=items, query_id=query_id, wall_ms=phase_wall[phase],
+                name, phase, work_items=items, wall_ms=phase_wall[phase], query_id=query_id
             )
     return [
         (ExtensionArray.concat(all_extensions[q]), total_hits[q], total_seeds[q])
@@ -316,11 +314,10 @@ def search_batch_sweep(
     engine_name:
         Name phase events are emitted under (default: the pipelines').
     events:
-        Optional event log; the sweep emits closing ``hit_detection`` /
-        ``ungapped_extension`` events per block (batch-scoped unless the
-        batch is one query; their ``wall_ms`` sums in ``wall_breakdown``)
-        and per-query
-        ``gapped_extension`` / ``final_alignment`` pairs.
+        Optional event log; the sweep emits one ``hit_detection`` and one
+        ``ungapped_extension`` record per block (batch-scoped unless the
+        batch is one query) and one timed ``gapped_extension`` and
+        ``final_alignment`` record per query.
     """
     if not pipelines:
         return []

@@ -187,11 +187,12 @@ def run_cublastp(
     Phases 3–4 are the shared tail (:func:`~repro.core.sweep.finish_phases`)
     on the kernels' extensions, priced block by block at
     ``config.cpu_threads`` threads. With an
-    :class:`~repro.engine.events.EventLog`, every stage emits a
-    start/end event pair carrying its work-item count and the modelled
-    time the report attributes to it (kernel profile times, blocked CPU
-    makespans, PCIe transfers, host 'other') — the stream sums to the
-    report's ``serial_ms``.
+    :class:`~repro.engine.events.EventLog`, every stage emits one
+    record carrying its work-item count and the modelled time the report
+    attributes to it (kernel profile times, blocked CPU makespans, PCIe
+    transfers, host 'other') — the stream sums to the report's
+    ``serial_ms``. The stages are modelled, not timed, so their
+    ``wall_ms`` is ``None``.
     """
     cutoffs = pipe.cutoffs(db)
     gpu = run_gpu_phases(session, pipe, cutoffs)
@@ -264,9 +265,13 @@ def run_cublastp(
             "other": None,
         }
         for stage, ms in breakdown.items():
-            with events.phase("cuBLASTP", stage, query_id=pipe.query_id) as ev:
-                ev["work_items"] = stage_items.get(stage)
-                ev["modelled_ms"] = ms
+            events.emit(
+                "cuBLASTP",
+                stage,
+                work_items=stage_items[stage],
+                modelled_ms=ms,
+                query_id=pipe.query_id,
+            )
     report = CuBlastpReport(
         gpu=gpu,
         cpu=cpu,

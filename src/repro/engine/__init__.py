@@ -5,7 +5,7 @@ version of the paper's central move of decoupling BLASTP's phases so each
 can be scheduled on the resource that suits it:
 
 * :mod:`~repro.engine.compiled` — :class:`CompiledQuery` (the query-side
-  build: encode, SEG, neighbourhood, lookup/DFA, PSSM, built once and
+  build: encode, SEG, neighbourhood, DFA, PSSM, built once and
   shared across engines and database blocks);
 * :mod:`~repro.engine.protocol` — the :class:`Engine` protocol every
   implementation satisfies, and :func:`make_engine` for building engines

@@ -2,8 +2,8 @@
 
 Every BLASTP implementation in this repo needs the same query-side
 structures before it can touch the database: the encoded residues, the
-optional SEG mask, the T-threshold word neighbourhood, the lookup table /
-DFA over it, and the position-specific scoring matrix. None of it depends
+optional SEG mask, the T-threshold word neighbourhood (and the DFA over
+it), and the position-specific scoring matrix. None of it depends
 on the engine or the database, so it is built in one place and shared
 across engines, database blocks and cluster nodes. The one costly step,
 the neighbourhood, is a gather from a process-lifetime word →
@@ -27,8 +27,7 @@ import numpy as np
 from repro.alphabet import encode
 from repro.analysis.witness import new_lock
 from repro.matrices.pssm import build_pssm, build_score_table
-from repro.seeding.lookup import WordLookupTable
-from repro.seeding.words import build_neighborhood
+from repro.seeding.words import Neighborhood, build_neighborhood
 
 if TYPE_CHECKING:
     # Imported lazily at runtime: repro.core imports this module, so a
@@ -66,8 +65,8 @@ class CompiledQuery:
         Encoded query residues (``uint8``).
     seg_mask:
         SEG low-complexity mask (or ``None`` when ``params.seg`` is off).
-    lookup:
-        Word lookup table over the T-threshold neighbourhood.
+    neighborhood:
+        The T-threshold word neighbourhood: word index -> query positions.
     pssm:
         Position-specific scoring matrix (``alphabet x query_length``).
     score_table:
@@ -86,7 +85,7 @@ class CompiledQuery:
         params: SearchParams,
         query_codes: np.ndarray,
         seg_mask: np.ndarray | None,
-        lookup: WordLookupTable,
+        neighborhood: Neighborhood,
         pssm: np.ndarray,
         score_table: np.ndarray,
         _dfa_cell: list | None = None,
@@ -94,7 +93,7 @@ class CompiledQuery:
         self.params = params
         self.query_codes = query_codes
         self.seg_mask = seg_mask
-        self.lookup = lookup
+        self.neighborhood = neighborhood
         self.pssm = pssm
         self.score_table = score_table
         # One-slot DFA cache shared between with_params() siblings.
@@ -113,7 +112,7 @@ class CompiledQuery:
                 if not self._dfa_cell:
                     from repro.seeding.dfa import QueryDFA
 
-                    self._dfa_cell.append(QueryDFA(self.lookup.neighborhood))
+                    self._dfa_cell.append(QueryDFA(self.neighborhood))
         return self._dfa_cell[0]
 
     def with_params(self, params: SearchParams) -> "CompiledQuery":
@@ -129,7 +128,7 @@ class CompiledQuery:
                 params,
                 self.query_codes,
                 self.seg_mask,
-                self.lookup,
+                self.neighborhood,
                 self.pssm,
                 self.score_table,
                 _dfa_cell=self._dfa_cell,
@@ -161,14 +160,8 @@ def compile_query(
         from repro.seeding.seg import seg_mask
 
         mask = seg_mask(query_codes)
-    lookup = WordLookupTable(
-        build_neighborhood(
-            query_codes,
-            params.matrix,
-            params.word_length,
-            params.threshold,
-            masked=mask,
-        )
+    neighborhood = build_neighborhood(
+        query_codes, params.matrix, params.word_length, params.threshold, masked=mask
     )
-    return CompiledQuery(params, query_codes, mask, lookup, pssm, build_score_table(pssm))
+    return CompiledQuery(params, query_codes, mask, neighborhood, pssm, build_score_table(pssm))
 

@@ -1,11 +1,10 @@
 """Phase-level event stream shared by every engine.
 
-Reports, benchmarks, and (future) tracing used to reach into
-``CuBlastpReport`` internals to learn what a search did; the reference
-pipeline exposed nothing at all. Instead, every engine can now emit
-:class:`PhaseEvent` records into an :class:`EventLog` — phase start/end,
-work-item counters, and modelled-ms attribution — so one consumer works
-against every implementation.
+Every engine can emit :class:`PhaseEvent` records into an
+:class:`EventLog`: one closed record per phase it ran, carrying the
+phase's work-item count, its modelled time and its measured wall time.
+One consumer works against every implementation, instead of reaching
+into ``CuBlastpReport`` internals.
 
 The modelled times flowing through the stream are the same numbers the
 engine reports elsewhere (kernel profile times, LPT makespans, transfer
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.analysis.witness import new_lock, thread_shared
@@ -25,7 +24,7 @@ from repro.analysis.witness import new_lock, thread_shared
 
 @dataclass(frozen=True)
 class PhaseEvent:
-    """One phase boundary of one search.
+    """One phase of one search, closed.
 
     Attributes
     ----------
@@ -34,37 +33,29 @@ class PhaseEvent:
     phase:
         Canonical phase name (``"hit_detection"``, ``"gapped_extension"``,
         ``"data_transfer"``, ...).
-    kind:
-        ``"start"`` or ``"end"``.
     seq:
         Position in the log (total order over all threads).
     work_items:
         Number of work items the phase processed (hits, seeds, extensions,
-        alignments) — on ``"end"`` events, when the phase counts anything.
+        alignments), when the phase counts anything.
     modelled_ms:
-        Modelled time attributed to the phase — on ``"end"`` events, when
-        the engine prices its phases (the reference pipeline emits counters
-        only; the performance-modelled engines emit both).
+        Modelled time attributed to the phase, when the engine prices its
+        phases (the reference pipeline emits counters only; the
+        performance-modelled engines emit both).
+    wall_ms:
+        Measured host time the phase took, as opposed to the *modelled*
+        time above; ``None`` when the phase is modelled rather than timed.
     query_id:
         Batch query identifier, when the search runs under one.
-    t_wall:
-        ``time.perf_counter()`` at emission — real elapsed host time, as
-        opposed to the *modelled* times above. :meth:`EventLog.wall_breakdown`
-        pairs start/end stamps into measured per-phase durations (what the
-        throughput benchmark reports).
-    meta:
-        Engine-specific extras (kernel profile stats, thread counts, ...).
     """
 
     engine: str
     phase: str
-    kind: str
     seq: int
     work_items: int | None = None
     modelled_ms: float | None = None
+    wall_ms: float | None = None
     query_id: str | None = None
-    t_wall: float | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
 
 
 @thread_shared
@@ -85,25 +76,22 @@ class EventLog:
         self,
         engine: str,
         phase: str,
-        kind: str,
         *,
         work_items: int | None = None,
         modelled_ms: float | None = None,
+        wall_ms: float | None = None,
         query_id: str | None = None,
-        **meta: Any,
     ) -> PhaseEvent:
-        """Append one event (thread-safe) and return it."""
+        """Append one closed phase record (thread-safe) and return it."""
         with self._lock:
             event = PhaseEvent(
                 engine=engine,
                 phase=phase,
-                kind=kind,
                 seq=len(self._events),
                 work_items=work_items,
                 modelled_ms=modelled_ms,
+                wall_ms=wall_ms,
                 query_id=query_id,
-                t_wall=time.perf_counter(),
-                meta=meta,
             )
             self._events.append(event)
         return event
@@ -112,24 +100,21 @@ class EventLog:
     def phase(
         self, engine: str, phase: str, query_id: str | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Emit a start/end pair around a block.
+        """Time a block and emit its record when the block exits.
 
-        Yields a dict the block may fill with ``work_items``,
-        ``modelled_ms``, and any extra metadata to attach to the end event.
+        Yields a dict the block may fill with ``work_items``.
         """
-        self.emit(engine, phase, "start", query_id=query_id)
         attrs: dict[str, Any] = {}
+        t0 = time.perf_counter()
         try:
             yield attrs
         finally:
             self.emit(
                 engine,
                 phase,
-                "end",
-                work_items=attrs.pop("work_items", None),
-                modelled_ms=attrs.pop("modelled_ms", None),
+                work_items=attrs.get("work_items"),
+                wall_ms=(time.perf_counter() - t0) * 1e3,
                 query_id=query_id,
-                **attrs,
             )
 
     # -- consumption -------------------------------------------------------
@@ -144,28 +129,24 @@ class EventLog:
         with self._lock:
             return len(self._events)
 
-    def ends(
-        self, engine: str | None = None, query_id: str | None = None
-    ) -> list[PhaseEvent]:
-        """All ``"end"`` events, optionally filtered by engine / query."""
+    def _matching(self, engine: str | None, query_id: str | None) -> list[PhaseEvent]:
         return [
             e
             for e in self.events
-            if e.kind == "end"
-            and (engine is None or e.engine == engine)
+            if (engine is None or e.engine == engine)
             and (query_id is None or e.query_id == query_id)
         ]
 
     def breakdown(
         self, engine: str | None = None, query_id: str | None = None
     ) -> dict[str, float]:
-        """Phase -> summed modelled ms over matching end events.
+        """Phase -> summed modelled ms over matching events.
 
         This is the event-stream view of the per-report ``breakdown``
         dicts: identical numbers, one schema for every engine.
         """
         out: dict[str, float] = {}
-        for e in self.ends(engine, query_id):
+        for e in self._matching(engine, query_id):
             if e.modelled_ms is not None:
                 out[e.phase] = out.get(e.phase, 0.0) + e.modelled_ms
         return out
@@ -173,47 +154,25 @@ class EventLog:
     def wall_breakdown(
         self, engine: str | None = None, query_id: str | None = None
     ) -> dict[str, float]:
-        """Phase -> *measured* wall ms, paired from start/end stamps.
-
-        Unlike :meth:`breakdown` (modelled attribution), this reports
-        real elapsed host time. Start/end events are paired per
-        ``(engine, query_id, phase)`` — concurrent searches interleave in
-        the log but carry distinct query ids, so pairing stays exact. End
-        events carrying a ``wall_ms`` meta entry (re-emitted across a
-        process boundary, where the parent never saw the start) contribute
-        it directly.
-        """
+        """Phase -> summed *measured* wall ms over matching timed events."""
         out: dict[str, float] = {}
-        open_starts: dict[tuple, list[float]] = {}
-        for e in self.events:
-            if engine is not None and e.engine != engine:
-                continue
-            if query_id is not None and e.query_id != query_id:
-                continue
-            key = (e.engine, e.query_id, e.phase)
-            if e.kind == "start":
-                open_starts.setdefault(key, []).append(e.t_wall)
-            elif e.kind == "end":
-                if "wall_ms" in e.meta:
-                    out[e.phase] = out.get(e.phase, 0.0) + float(e.meta["wall_ms"])
-                    continue
-                stack = open_starts.get(key)
-                if stack and stack[-1] is not None and e.t_wall is not None:
-                    out[e.phase] = out.get(e.phase, 0.0) + (e.t_wall - stack.pop()) * 1e3
+        for e in self._matching(engine, query_id):
+            if e.wall_ms is not None:
+                out[e.phase] = out.get(e.phase, 0.0) + e.wall_ms
         return out
 
     def work_items(
         self, phase: str, engine: str | None = None, query_id: str | None = None
     ) -> int:
-        """Summed work items of one phase over matching end events."""
+        """Summed work items of one phase over matching events."""
         return sum(
-            e.work_items or 0 for e in self.ends(engine, query_id) if e.phase == phase
+            e.work_items or 0 for e in self._matching(engine, query_id) if e.phase == phase
         )
 
     def modelled_ms(
         self, engine: str | None = None, query_id: str | None = None
     ) -> float:
-        """Total modelled ms attributed over matching end events."""
+        """Total modelled ms attributed over matching events."""
         return sum(self.breakdown(engine, query_id).values())
 
     def clear(self) -> None:

@@ -84,10 +84,6 @@ class BatchResult:
 
     def __init__(self, records: list[QueryOutcome] | None = None) -> None:
         self.records: list[QueryOutcome] = list(records or [])
-        # Query-id index for O(1) result_for (first occurrence wins).
-        self._by_id: dict[str, QueryOutcome] = {}
-        for rec in self.records:
-            self._by_id.setdefault(rec.query_id, rec)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -101,26 +97,6 @@ class BatchResult:
     def errors(self) -> list[tuple[str, Exception]]:
         """``(query_id, error)`` pairs of the failed queries."""
         return [(r.query_id, r.error) for r in self.records if r.error is not None]
-
-    @property
-    def total_reported(self) -> int:
-        return sum(r.num_reported for _, r in self.results)
-
-    def result_for(self, query_id: str) -> "SearchResult":
-        """The result of ``query_id`` (O(1); raises the query's error if
-        it failed, :class:`KeyError` if it was never in the batch)."""
-        rec = self._by_id.get(query_id)
-        if rec is None:
-            raise KeyError(query_id)
-        if rec.error is not None:
-            raise rec.error
-        assert rec.result is not None  # QueryOutcome sets exactly one of the two
-        return rec.result
-
-    def summary(self) -> str:
-        from repro.io.report import summary_table
-
-        return summary_table(self.results)
 
 
 class BatchExecutor:
@@ -142,9 +118,6 @@ class BatchExecutor:
     backend:
         ``"thread"`` (default) or ``"process"`` — see the module
         docstring for the tradeoff.
-    mp_context:
-        ``multiprocessing`` start method for the process backend
-        (defaults to ``fork`` where available, else ``spawn``).
     events:
         Optional :class:`~repro.engine.events.EventLog` every search of
         the batch emits into (handed to the engine's ``run``, or re-emitted
@@ -199,7 +172,6 @@ class BatchExecutor:
         backend: str = "thread",
         events: EventLog | None = None,
         store: "DatabaseStore | None" = None,
-        mp_context: str | None = None,
         mode: str = "per-query",
         block_residues: int | None = None,
         keep_pool: bool = False,
@@ -227,7 +199,6 @@ class BatchExecutor:
         self.block_residues = block_residues
         self.events = events
         self.store = store
-        self.mp_context = mp_context
         self.keep_pool = keep_pool
         self.max_respawns = max_respawns
         # Pool residency is dispatcher-owned: exactly one thread drives
@@ -409,7 +380,6 @@ class BatchExecutor:
         pool = ProcessPool(
             task_spec,
             jobs=self.jobs,
-            mp_context=self.mp_context,
             max_respawns=self.max_respawns,
         )
         runs = pool.run(range(num_blocks))
@@ -471,17 +441,13 @@ class BatchExecutor:
                 if self.events is not None:
                     engine_name = payload.get("engine", engine_spec.name)
                     for phase, work_items, modelled_ms, wall_ms in payload.get("events", []):
-                        # Re-emission of worker-timed phases: the worker
-                        # already paired start/end; the parent log records
-                        # only the closing edge with the measured duration.
                         self.events.emit(
                             engine_name,
                             phase,
-                            "end",
                             work_items=work_items,
                             modelled_ms=modelled_ms,
+                            wall_ms=wall_ms,
                             query_id=query_id,
-                            **({"wall_ms": wall_ms} if wall_ms is not None else {}),
                         )
                 yield QueryOutcome(
                     index, query_id, result=result_from_payload(payload["result"])
@@ -511,7 +477,6 @@ class BatchExecutor:
         pool = ProcessPool(
             task_spec,
             jobs=self.jobs,
-            mp_context=self.mp_context,
             max_respawns=self.max_respawns,
         )
         if not self.keep_pool:

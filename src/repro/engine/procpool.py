@@ -228,10 +228,9 @@ class QueryTaskSpec:
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         }
         if state.events is not None:
-            wall = state.events.wall_breakdown()
             payload["events"] = [
-                (e.phase, e.work_items, e.modelled_ms, wall.get(e.phase))
-                for e in state.events.ends()
+                (e.phase, e.work_items, e.modelled_ms, e.wall_ms)
+                for e in state.events.events
             ]
             state.events.clear()
         return payload
@@ -360,9 +359,6 @@ class ProcessPool:
         be picklable builtins.
     jobs:
         Number of worker processes.
-    mp_context:
-        ``multiprocessing`` start method (defaults to
-        :func:`default_start_method`).
     max_respawns:
         Crash budget per worker slot; past it the slot stays dead (and if
         every slot dies, remaining tasks fail with
@@ -379,14 +375,13 @@ class ProcessPool:
         spec: Any,
         jobs: int,
         *,
-        mp_context: str | None = None,
         max_respawns: int = 2,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
         self.spec = spec
         self.jobs = jobs
-        self.ctx = multiprocessing.get_context(mp_context or default_start_method())
+        self.ctx = multiprocessing.get_context(default_start_method())
         self.max_respawns = max_respawns
         # Scheduling state below is dispatcher-owned: one thread drives
         # ensure_started/run/shutdown (sequential ``run`` calls only —

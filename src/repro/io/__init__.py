@@ -4,7 +4,7 @@ workloads."""
 
 from repro.io.database import DatabaseStats, DatabaseView, SequenceDatabase
 from repro.io.fasta import FastaRecord, read_fasta, read_fasta_file, write_fasta
-from repro.io.report import format_pairwise, summary_table, tabular_line, write_tabular
+from repro.io.report import format_pairwise, tabular_line, write_tabular
 from repro.io.store import DatabaseStore, ShardHandle, StoreStats, get_default_store
 from repro.io.workloads import (
     WorkloadSpec,
@@ -31,7 +31,6 @@ __all__ = [
     "read_fasta_file",
     "standard_queries",
     "standard_workloads",
-    "summary_table",
     "tabular_line",
     "write_fasta",
     "write_tabular",

@@ -8,12 +8,12 @@ truth for subject data.
 
 Slicing is zero-copy wherever the layout allows it: a contiguous run of
 sequences is a :class:`DatabaseView` — shared ``codes`` storage, rebased
-offsets, a global-id mapping — which is what the Fig. 12 block pipeline
-streams and what the cluster layer hands to each node under the
-contiguous scheme. Non-contiguous selections (interleaved partitions,
-length sorting) materialise a copy through one vectorised gather; the
-``materialize`` flag on :meth:`SequenceDatabase.subset` makes the choice
-explicit.
+offsets, and its ``start`` in the parent's sequence ids — which is what
+the database sweep and the Fig. 12 block pipeline stream and what the
+cluster layer hands to each node under the contiguous scheme.
+Non-contiguous selections (interleaved partitions, CUDA-BLASTP's length
+sort) materialise a copy through one vectorised gather
+(:meth:`SequenceDatabase.subset`).
 
 Persistence goes through :mod:`repro.io.storage` — a versioned binary
 format that reloads via ``mmap`` without any pickling.
@@ -167,28 +167,6 @@ class SequenceDatabase:
             min_length=int(lengths.min()),
         )
 
-    # -- global-id mapping -------------------------------------------------
-    #
-    # A plain database is its own coordinate system; views override these
-    # to translate into the parent's ids, so code that remaps (the cluster
-    # merge, block pipelines) can treat both uniformly.
-
-    @property
-    def base(self) -> "SequenceDatabase":
-        """The database owning the underlying storage (``self`` here)."""
-        return self
-
-    def to_global(self, local_seq_id: int) -> int:
-        """Map a local sequence id to the owning database's id space."""
-        if not 0 <= local_seq_id < len(self):
-            raise IndexError(local_seq_id)
-        return local_seq_id
-
-    @property
-    def global_ids(self) -> np.ndarray:
-        """Ids of this database's sequences in the owning database."""
-        return np.arange(len(self), dtype=np.int64)
-
     # -- transformations ---------------------------------------------------
 
     def view(self, start: int, stop: int) -> "SequenceDatabase":
@@ -202,29 +180,12 @@ class SequenceDatabase:
             return self
         return DatabaseView(self, start, stop)
 
-    def sorted_by_length(self, descending: bool = True) -> "SequenceDatabase":
-        """Return the sequences ordered by length (a copy unless already
-        sorted, in which case the database itself comes back).
-
-        CUDA-BLASTP pre-sorts the database by sequence length to improve the
-        load balance of its one-thread-per-sequence kernel; that baseline
-        calls this before launching.
-        """
-        order = np.argsort(self.lengths, kind="stable")
-        if descending:
-            order = order[::-1]
-        return self.subset(order)
-
-    def subset(self, indices: np.ndarray, materialize: bool | None = None) -> "SequenceDatabase":
+    def subset(self, indices: np.ndarray) -> "SequenceDatabase":
         """Return a database containing ``indices`` in the given order.
 
         A contiguous ascending run of indices returns a zero-copy
         :class:`DatabaseView`; any other selection materialises a new
-        packed database through one vectorised gather. Pass
-        ``materialize=True`` to force a copy even for contiguous runs
-        (e.g. to detach from a large parent), or ``materialize=False`` to
-        *require* the zero-copy path (raises :class:`SequenceError` when
-        the selection is not contiguous).
+        packed database through one vectorised gather.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 1:
@@ -235,11 +196,8 @@ class SequenceDatabase:
             )
         if np.any((indices < 0) | (indices >= len(self))):
             raise IndexError("subset index out of range")
-        contiguous = bool(np.all(np.diff(indices) == 1))
-        if contiguous and not materialize:
+        if np.all(np.diff(indices) == 1):
             return self.view(int(indices[0]), int(indices[-1]) + 1)
-        if materialize is False:
-            raise SequenceError("non-contiguous subset cannot be a zero-copy view")
         # One vectorised gather: for output position p in sequence k, the
         # source index is starts[k] + (p - new_offsets[k]).
         lengths = self.lengths[indices]
@@ -351,32 +309,9 @@ class DatabaseView(SequenceDatabase):
     # -- identity ----------------------------------------------------------
 
     @property
-    def parent(self) -> SequenceDatabase:
-        """The database whose storage this view shares."""
-        return self._parent
-
-    @property
-    def base(self) -> SequenceDatabase:
-        return self._parent
-
-    @property
     def start(self) -> int:
         """First parent sequence id covered by this view."""
         return self._start
-
-    @property
-    def stop(self) -> int:
-        """One past the last parent sequence id covered by this view."""
-        return self._stop
-
-    def to_global(self, local_seq_id: int) -> int:
-        if not 0 <= local_seq_id < len(self):
-            raise IndexError(local_seq_id)
-        return self._start + local_seq_id
-
-    @property
-    def global_ids(self) -> np.ndarray:
-        return np.arange(self._start, self._stop, dtype=np.int64)
 
     def _build_identifiers(self) -> list[str]:
         return self._parent.identifiers[self._start : self._stop]
@@ -385,9 +320,3 @@ class DatabaseView(SequenceDatabase):
         if not 0 <= index < len(self):
             raise IndexError(index)
         return self._parent.identifier(self._start + index)
-
-    def detach(self) -> SequenceDatabase:
-        """Materialise this view as an independent packed database."""
-        return SequenceDatabase(
-            self._codes.copy(), self._offsets.copy(), list(self.identifiers)
-        )

@@ -13,7 +13,7 @@ output (everything inside the library is 0-based).
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from repro.core.results import Alignment, SearchResult
 
@@ -134,15 +134,4 @@ def format_pairwise(
             lines.append("")
             qpos += q_adv
             spos += s_adv
-    return "\n".join(lines) + "\n"
-
-
-def summary_table(results: Iterable[tuple[str, SearchResult]]) -> str:
-    """A compact multi-query summary (one line per query)."""
-    lines = [f"{'query':<20} {'hits':>9} {'seeds':>8} {'gapped':>7} {'reported':>9}"]
-    for qid, r in results:
-        lines.append(
-            f"{qid:<20} {r.num_hits:>9} {r.num_seeds:>8} "
-            f"{r.num_gapped_extensions:>7} {r.num_reported:>9}"
-        )
     return "\n".join(lines) + "\n"

@@ -1,23 +1,27 @@
-"""Seeding structures: W-mer words, neighbourhoods, and lookup structures.
+"""Seeding structures: W-mer words, neighbourhoods, and the structures over them.
 
 Hit detection needs, for every length-``W`` word of a subject sequence, the
-list of query positions whose neighbourhood contains that word. Two
-interchangeable structures provide that mapping:
+list of query positions whose neighbourhood contains that word:
 
-* :class:`~repro.seeding.lookup.WordLookupTable` — the flat, word-indexed
-  table classic BLAST uses on the CPU;
+* :class:`~repro.seeding.words.Neighborhood` — that mapping as a flat,
+  word-indexed CSR table (:func:`build_neighborhood`), the structure
+  classic BLAST scans on the CPU and the one a compiled query carries;
 * :class:`~repro.seeding.dfa.QueryDFA` — the deterministic finite automaton
-  of Cameron et al. (Fig. 2a), whose small state table is what cuBLASTP
-  pins in shared memory while the position lists ride the read-only cache.
+  of Cameron et al. (Fig. 2a) over the same neighbourhood, whose small
+  state table is what cuBLASTP pins in shared memory while the position
+  lists ride the read-only cache;
+* :class:`~repro.seeding.multi_query.MultiQueryIndex` — many queries'
+  neighbourhoods merged into one index, so one database sweep serves a
+  whole batch.
 
-Both are built from the same neighbourhood (:func:`build_neighborhood`) and
-yield byte-identical hits; tests enforce this equivalence.
+The DFA's scan and the verifier's flat scan
+(:func:`repro.verify.oracle.detect_hits`) yield identical hits; tests
+enforce this equivalence.
 """
 
 from repro.seeding.dfa import QueryDFA
 from repro.seeding.multi_query import MultiQueryIndex, TaggedHits
-from repro.seeding.seg import masked_fraction, seg_mask, window_entropy
-from repro.seeding.lookup import WordLookupTable
+from repro.seeding.seg import seg_mask, window_entropy
 from repro.seeding.words import (
     DEFAULT_THRESHOLD,
     DEFAULT_WORD_LENGTH,
@@ -35,10 +39,8 @@ __all__ = [
     "Neighborhood",
     "QueryDFA",
     "TaggedHits",
-    "WordLookupTable",
     "all_words",
     "build_neighborhood",
-    "masked_fraction",
     "num_words",
     "seg_mask",
     "window_entropy",

@@ -118,10 +118,11 @@ class QueryDFA:
     def scan(self, subject_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Letter-by-letter DFA traversal of one subject sequence.
 
-        Semantically identical to
-        :meth:`repro.seeding.lookup.WordLookupTable.scan` (tests assert so);
-        this path exists to model the DFA's memory behaviour faithfully and
-        to serve as the reference for the GPU hit-detection kernel.
+        Semantically identical to the oracle's whole-database scan
+        (:func:`repro.verify.oracle.detect_hits`) on one sequence (tests
+        assert so); this path exists to model the DFA's memory behaviour
+        faithfully and to serve as the reference for the GPU hit-detection
+        kernel.
 
         Returns
         -------

@@ -114,7 +114,7 @@ class MultiQueryIndex:
     @classmethod
     def from_compiled(cls, compiled: "Sequence[CompiledQuery]") -> "MultiQueryIndex":
         """Build from the batch's compiled queries (the usual entry point)."""
-        return cls.build([c.lookup.neighborhood for c in compiled])
+        return cls.build([c.neighborhood for c in compiled])
 
     def entries_for_word(self, word_index: int) -> tuple[np.ndarray, np.ndarray]:
         """``(query_ids, query_positions)`` whose neighbourhood has the word."""
@@ -162,8 +162,9 @@ class MultiQueryIndex:
         starts = self.offsets[widx]
         counts = self.offsets[widx + 1] - starts
         total = int(counts.sum())
-        # Ragged expansion of the CSR slices (the WordLookupTable.scan
-        # trick): hit ``k`` of a window reads index entry ``starts + k``.
+        # Ragged expansion of the CSR slices (as in the oracle's
+        # ``detect_hits``): hit ``k`` of a window reads index entry
+        # ``starts + k``.
         first = np.cumsum(counts) - counts
         entry = np.arange(total, dtype=np.int64) + np.repeat(starts - first, counts)
         entry_keys = layout.pack(self.query_ids, 0, self.diag_offsets, 0)

@@ -92,11 +92,3 @@ def seg_mask(
     for w in np.nonzero(covered)[0]:
         mask[w : w + window] = True
     return mask
-
-
-def masked_fraction(codes: np.ndarray, **kwargs) -> float:
-    """Fraction of residues SEG masks (diagnostics and tests)."""
-    codes = np.asarray(codes)
-    if codes.size == 0:
-        return 0.0
-    return float(seg_mask(codes, **kwargs).mean())

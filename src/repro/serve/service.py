@@ -171,7 +171,6 @@ class SearchService:
         max_pending: int = 256,
         cache_capacity: int = 1024,
         max_respawns: int = 2,
-        mp_context: str | None = None,
     ) -> None:
         if window_ms < 0:
             raise ValueError("window_ms must be >= 0")
@@ -202,7 +201,6 @@ class SearchService:
             mode=mode,
             keep_pool=(backend == "process"),
             max_respawns=max_respawns,
-            mp_context=mp_context,
         )
         self._params_key = params_key(self.params)
         self._cond = new_condition("SearchService._cond")

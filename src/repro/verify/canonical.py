@@ -2,8 +2,8 @@
 
 Two implementations are *conformant* when their canonical forms are equal:
 every reported alignment must match on score, bit score, E-value,
-coordinates, and the rendered alignment strings — the paper's
-"identical output" claim, made mechanical. Alignments are re-sorted under
+coordinates, subject identifier and the rendered alignment strings — the
+paper's "identical output" claim, made mechanical. Alignments are re-sorted under
 a total order here, so engines are free to break score ties differently
 without that counting as a divergence (no current engine does, but the
 canonical form should not depend on it).
@@ -16,6 +16,7 @@ cleanly under ``git diff``.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -27,24 +28,30 @@ if TYPE_CHECKING:
 CANONICAL_VERSION = 1
 
 
+#: Every :class:`~repro.core.results.Alignment` field, in canonical sort
+#: order: the comparison key, the process payload and
+#: :func:`first_divergence`'s report all read this one list.
+#: ``subject_identifier`` sorts last, so it only orders alignments that
+#: agree on everything :func:`canonical_text` renders.
+_ALIGNMENT_FIELDS = (
+    "score", "seq_id", "query_start", "query_end", "subject_start", "subject_end",
+    "bit_score", "evalue", "identities", "positives", "gaps",
+    "aligned_query", "aligned_subject", "midline", "subject_identifier",
+)
+_field_values = attrgetter(*_ALIGNMENT_FIELDS)
+#: Key positions whose value is transformed (score negated, floats repr'd).
+_SCORE = _ALIGNMENT_FIELDS.index("score")
+_BIT_SCORE = _ALIGNMENT_FIELDS.index("bit_score")
+_EVALUE = _ALIGNMENT_FIELDS.index("evalue")
+
+
 def _alignment_key(a: "Alignment") -> tuple:
     """Total order + equality key of one alignment."""
-    return (
-        -a.score,
-        a.seq_id,
-        a.query_start,
-        a.query_end,
-        a.subject_start,
-        a.subject_end,
-        repr(a.bit_score),
-        repr(a.evalue),
-        a.identities,
-        a.positives,
-        a.gaps,
-        a.aligned_query,
-        a.aligned_subject,
-        a.midline,
-    )
+    key = list(_field_values(a))
+    key[_SCORE] = -key[_SCORE]
+    key[_BIT_SCORE] = repr(key[_BIT_SCORE])
+    key[_EVALUE] = repr(key[_EVALUE])
+    return tuple(key)
 
 
 def canonical_alignments(result: "SearchResult") -> tuple[tuple, ...]:
@@ -61,11 +68,13 @@ def canonical_text(result: "SearchResult") -> str:
     """Line-oriented canonical rendering (golden-snapshot payload).
 
     Floats are rendered with :func:`repr`, so the text is exactly as
-    strict as the tuple form — a one-ulp E-value drift is a diff.
+    strict as the tuple form — a one-ulp E-value drift is a diff. The
+    subject identifier is compared (:func:`results_equal`) but not
+    rendered, so the text and :func:`result_digest` do not carry it.
     """
     lines = [f"alignments={len(result.alignments)}"]
     for key in canonical_alignments(result):
-        (nscore, seq_id, qs, qe, ss, se, bit, ev, idn, pos, gaps, aq, asub, mid) = key
+        (nscore, seq_id, qs, qe, ss, se, bit, ev, idn, pos, gaps, aq, asub, mid, _) = key
         lines.append(
             f"seq={seq_id} score={-nscore} bits={bit} evalue={ev} "
             f"q={qs}-{qe} s={ss}-{se} ident={idn} pos={pos} gaps={gaps}"
@@ -88,15 +97,6 @@ def result_digest(result: "SearchResult") -> str:
 # as repr() strings — exactly as strict as the canonical tuple form, so
 # decode(encode(r)) has an identical canonical form and digest (the
 # conformance matrix's ``process`` variant proves it hit for hit).
-
-#: Alignment fields in payload order (the full dataclass, including
-#: ``subject_identifier``, which the canonical sort key omits).
-_ALIGNMENT_FIELDS = (
-    "seq_id", "subject_identifier", "score", "bit_score", "evalue",
-    "query_start", "query_end", "subject_start", "subject_end",
-    "aligned_query", "aligned_subject", "midline",
-    "identities", "positives", "gaps",
-)
 
 #: Scalar counters carried alongside the alignments.
 _RESULT_COUNTERS = (
@@ -214,19 +214,14 @@ def first_divergence(oracle: "SearchResult", other: "SearchResult") -> str | Non
             f"alignment count differs: oracle {len(ka)} vs {len(kb)} "
             f"({len(only_oracle)} missing, {len(only_other)} unexpected)"
         )
-    fields = (
-        "score", "seq_id", "query_start", "query_end", "subject_start",
-        "subject_end", "bit_score", "evalue", "identities", "positives",
-        "gaps", "aligned_query", "aligned_subject", "midline",
-    )
     for i, (a, b) in enumerate(zip(ka, kb)):
         if a != b:
             diffs = []
-            for j in range(len(fields)):
+            for j, field in enumerate(_ALIGNMENT_FIELDS):
                 if a[j] == b[j]:
                     continue
-                # Index 0 is the sort key -score; report the real score.
-                va, vb = (-a[j], -b[j]) if j == 0 else (a[j], b[j])
-                diffs.append(f"{fields[j]}: {va!r} != {vb!r}")
+                # The key holds -score; report the real score.
+                va, vb = (-a[j], -b[j]) if j == _SCORE else (a[j], b[j])
+                diffs.append(f"{field}: {va!r} != {vb!r}")
             return f"alignment #{i} differs ({'; '.join(diffs)})"
     return "canonical forms differ"  # unreachable, kept for safety

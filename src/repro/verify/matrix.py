@@ -32,7 +32,9 @@ path:
     The duplicated-query batch in the executor's ``db-sweep`` mode: the
     inverted, batch-first dataflow (one blocked database pass through a
     merged :class:`~repro.seeding.multi_query.MultiQueryIndex`) must be
-    result-identical to per-query search.
+    result-identical to per-query search. Blocks hold
+    :data:`SWEEP_BLOCK_RESIDUES` residues, so a case database of two or
+    more sequences spans several blocks and the cross-block merge runs.
 ``sweep-process``
     Same inversion under the process backend, where workers own database
     *blocks* and ship back query-tagged extension streams — the merge in
@@ -68,6 +70,11 @@ ORACLE_NAME = "reference"
 
 #: Execution paths a variant may route through.
 PATHS = ("direct", "view", "mmap", "batch", "process", "sweep", "sweep-process")
+
+#: Residues per block on the sweep paths. The smallest pinned corpus
+#: database of two or more sequences holds 80 residues; at 50 per block
+#: every such case is cut into at least two blocks.
+SWEEP_BLOCK_RESIDUES = 50
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,9 @@ def _run_batched(
     and the first is returned for the oracle comparison."""
     from repro.verify.canonical import results_equal
 
-    executor = BatchExecutor(engine, jobs=2, backend=backend, mode=mode)
+    executor = BatchExecutor(
+        engine, jobs=2, backend=backend, mode=mode, block_residues=SWEEP_BLOCK_RESIDUES
+    )
     outcomes = list(
         executor.stream([(query_id, query), (f"{query_id}+dup", query)], db)
     )

@@ -39,14 +39,13 @@ from repro.core.results import ExtensionArray, SearchResult
 from repro.core.statistics import Cutoffs, SearchParams
 from repro.engine.compiled import CompiledQuery, compile_query
 from repro.io.database import SequenceDatabase
-from repro.seeding.lookup import WordLookupTable
-from repro.seeding.words import word_indices
+from repro.seeding.words import Neighborhood, word_indices
 
 if TYPE_CHECKING:
     from repro.engine.events import EventLog
 
 
-def detect_hits(lookup: WordLookupTable, db: SequenceDatabase) -> HitArray:
+def detect_hits(nbr: Neighborhood, db: SequenceDatabase) -> HitArray:
     """Find every word hit between the query and every database sequence.
 
     Scans every subject column-major — exactly the order of Fig. 3 — in
@@ -54,7 +53,6 @@ def detect_hits(lookup: WordLookupTable, db: SequenceDatabase) -> HitArray:
     one CSR gather for the neighbourhood lists, then a ragged expansion.
     Returns the hits as one flat array in (sequence, column-major) order.
     """
-    nbr = lookup.neighborhood
     w = nbr.word_length
     offsets = db.offsets
     # Word index of every window of every sequence, computed on the packed
@@ -72,7 +70,8 @@ def detect_hits(lookup: WordLookupTable, db: SequenceDatabase) -> HitArray:
     starts = nbr.offsets[widx]
     counts = (nbr.offsets[widx + 1] - starts).astype(np.int64)
     total = int(counts.sum())
-    # Ragged expansion of the CSR slices (same trick as WordLookupTable.scan).
+    # Ragged expansion of the CSR slices: hit ``k`` of a window reads
+    # neighbourhood entry ``starts + k``.
     cum = np.cumsum(counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
     return HitArray(
@@ -187,7 +186,7 @@ class SerialOracle:
         protocol and ignored)."""
         pipe = BlastpPipeline(compiled, query_id=query_id)
         cutoffs = pipe.cutoffs(db)
-        hits = detect_hits(pipe.lookup, db)
+        hits = detect_hits(pipe.neighborhood, db)
         tagged = tag_hits(hits, pipe.params.two_hit_window)
         extensions, num_seeds, _, _ = phase_ungapped_tagged([pipe], tagged, db, [cutoffs])
         if pipe.params.ungapped_only:

@@ -94,3 +94,21 @@ def test_a_variant_named_like_the_oracle_is_still_checked():
     assert report.divergences
     assert {d.variant for d in report.divergences} == {"reference"}
     assert report.divergences[0].reproducer is not None
+
+
+def test_a_wrong_subject_name_is_a_divergence(tiny_query, tiny_db, tiny_params):
+    """Two results that differ only in an alignment's subject identifier
+    are not conformant. The rendered canonical text (golden payload,
+    digests) does not carry the identifier and stays the same."""
+    from dataclasses import replace
+
+    from repro.verify.canonical import canonical_text, first_divergence
+
+    engine = make_engine("reference", tiny_params)
+    good = engine.run(engine.compile(tiny_query), tiny_db)
+    assert good.alignments
+    bad = replace(good, alignments=list(good.alignments))
+    bad.alignments[0] = replace(bad.alignments[0], subject_identifier="not-the-subject")
+    assert not results_equal(good, bad)
+    assert "subject_identifier" in first_divergence(good, bad)
+    assert canonical_text(good) == canonical_text(bad)

@@ -55,6 +55,19 @@ class TestPinnedCorpus:
             assert len(again.db) == len(case.db)
             assert again.db.sequence_str(0) == case.db.sequence_str(0)
 
+    def test_sweep_paths_cut_every_multi_sequence_case(self, corpus):
+        """The sweep variants run the cross-block merge on every case
+        whose database has more than one sequence."""
+        from repro.core.sweep import num_sweep_blocks
+        from repro.verify.matrix import SWEEP_BLOCK_RESIDUES
+
+        single_block = [
+            c.case_id
+            for c in corpus
+            if len(c.db) >= 2 and num_sweep_blocks(c.db, SWEEP_BLOCK_RESIDUES) < 2
+        ]
+        assert not single_block
+
     def test_corpus_produces_alignments(self, oracle_results):
         """The corpus must exercise the full pipeline, not just phase 1."""
         reported = sum(len(r.alignments) for r in oracle_results.values())

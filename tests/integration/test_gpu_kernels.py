@@ -19,7 +19,7 @@ from tests.conftest import extension_keys, seed_flags, swept
 
 @pytest.fixture(scope="module")
 def session_factory(small_pipeline, small_db):
-    dfa = QueryDFA(small_pipeline.lookup.neighborhood)
+    dfa = QueryDFA(small_pipeline.neighborhood)
 
     def make(config=None):
         return DeviceSession(
@@ -62,7 +62,7 @@ def gpu_stages(session_factory, small_pipeline, small_db, small_cutoffs):
 
 class TestHitDetectionKernel:
     def test_hit_set_identical_to_reference(self, gpu_stages, small_pipeline, small_db):
-        ref = detect_hits(small_pipeline.lookup, small_db)
+        ref = detect_hits(small_pipeline.neighborhood, small_db)
         ref_set = set(
             zip(ref.seq_id.tolist(), ref.query_pos.tolist(), ref.subject_pos.tolist())
         )
@@ -85,7 +85,7 @@ class TestHitDetectionKernel:
         assert p.readonly_misses > 0  # DFA rides the read-only cache
 
     def test_bin_overflow_raises(self, small_pipeline, small_db):
-        dfa = QueryDFA(small_pipeline.lookup.neighborhood)
+        dfa = QueryDFA(small_pipeline.neighborhood)
         sess = DeviceSession(
             small_pipeline.query_codes, dfa, small_db,
             CuBlastpConfig(bin_capacity=1, num_bins=4),
@@ -130,7 +130,7 @@ class TestSortFilter:
     def test_filter_matches_reference_seed_mask(
         self, gpu_stages, small_pipeline, small_db
     ):
-        ref = detect_hits(small_pipeline.lookup, small_db)
+        ref = detect_hits(small_pipeline.neighborhood, small_db)
         mask = seed_flags(
             ref, small_pipeline.params.two_hit_window,
             small_pipeline.params.word_length,

@@ -52,7 +52,7 @@ def _gpu_front_end(pipe, db, num_bins):
     """Hit detection → assembly → segmented sort → two-hit filter."""
     session = DeviceSession(
         pipe.query_codes,
-        QueryDFA(pipe.lookup.neighborhood),
+        QueryDFA(pipe.neighborhood),
         db,
         CuBlastpConfig(num_bins=num_bins, bin_capacity=2048),
         pipe.params.matrix,
@@ -68,7 +68,7 @@ def _gpu_front_end(pipe, db, num_bins):
 
 def _reference_packed(pipe, db):
     """The reference hit detector's hits, packed like the bin elements."""
-    hits = detect_hits(pipe.lookup, db)
+    hits = detect_hits(pipe.neighborhood, db)
     return pack_hits(hits.seq_id, hits.diagonal, hits.subject_pos), hits
 
 

@@ -64,7 +64,7 @@ class TestSweepEqualsPerQueryUnion:
         tagged = index.sweep_block(db, compiled[0].params.two_hit_window)
         total = 0
         for q, c in enumerate(compiled):
-            solo = detect_hits(c.lookup, db)
+            solo = detect_hits(c.neighborhood, db)
             assert _tagged_hit_set(tagged, index, q) == _hit_set(solo)
             assert int(tagged.per_query[q]) == len(solo.seq_id)
             total += len(solo.seq_id)
@@ -106,6 +106,6 @@ class TestSweepEqualsPerQueryUnion:
         index = MultiQueryIndex.from_compiled(compiled)
         tagged = index.sweep_block(case.db, case.params.two_hit_window)
         assert _tagged_hit_set(tagged, index, 0) == _hit_set(
-            detect_hits(compiled[0].lookup, case.db)
+            detect_hits(compiled[0].neighborhood, case.db)
         )
         assert np.all(tagged_columns(tagged, index.query_lengths)[0] == 0)

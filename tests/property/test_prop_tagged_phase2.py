@@ -44,7 +44,7 @@ cases = st.tuples(
 
 def _reference_phase2(pipe, db, x_drop):
     """Phase 2 of one query as a per-record loop over the pinned rules."""
-    hits = detect_hits(pipe.lookup, db)
+    hits = detect_hits(pipe.neighborhood, db)
     w, window = pipe.params.word_length, pipe.params.two_hit_window
     records = sorted(zip(hits.seq_id.tolist(), hits.diagonal.tolist(), hits.subject_pos.tolist()))
     rows, num_seeds = [], 0
@@ -94,7 +94,7 @@ class TestTaggedEqualsPerQuery:
             )
             for q, pipe in enumerate(pipes):
                 # The oracle's one-query stream through the same code ...
-                tagged = tag_hits(detect_hits(pipe.lookup, block), pipe.params.two_hit_window)
+                tagged = tag_hits(detect_hits(pipe.neighborhood, block), pipe.params.two_hit_window)
                 solo, solo_seeds, _, _ = phase_ungapped_tagged(
                     [pipe], tagged, block, [cutoffs[q]]
                 )

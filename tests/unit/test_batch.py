@@ -34,30 +34,13 @@ class TestBatchSearch:
     def test_matches_individual_searches(self, queries, tiny_db, tiny_params):
         from repro.cublastp import CuBlastp
 
-        batch = run_batch(queries, tiny_db, tiny_params)
+        batch = dict(run_batch(queries, tiny_db, tiny_params).results)
         for qid, seq in queries:
             solo = CuBlastp(seq, tiny_params).search(tiny_db)
-            got = batch.result_for(qid)
+            got = batch[qid]
             assert [(a.seq_id, a.score) for a in got.alignments] == [
                 (a.seq_id, a.score) for a in solo.alignments
             ]
-
-    def test_result_for_missing(self, queries, tiny_db, tiny_params):
-        batch = run_batch(queries[:1], tiny_db, tiny_params)
-        with pytest.raises(KeyError):
-            batch.result_for("nope")
-
-    def test_summary_lines(self, queries, tiny_db, tiny_params):
-        batch = run_batch(queries, tiny_db, tiny_params)
-        text = batch.summary()
-        assert len(text.splitlines()) == 4  # header + one per query
-        assert "q2" in text
-
-    def test_total_reported(self, queries, tiny_db, tiny_params):
-        batch = run_batch(queries, tiny_db, tiny_params)
-        assert batch.total_reported == sum(
-            r.num_reported for _, r in batch.results
-        )
 
     def test_empty_batch(self, tiny_db, tiny_params):
         batch = run_batch([], tiny_db, tiny_params)
@@ -80,11 +63,6 @@ class TestBatchSearch:
         batch = run_batch(bad, tiny_db, tiny_params)
         assert [qid for qid, _ in batch.errors] == ["broken"]
         assert [qid for qid, _ in batch.results] == [qid for qid, _ in queries]
-
-    def test_result_for_uses_index(self, queries, tiny_db, tiny_params):
-        batch = run_batch(queries, tiny_db, tiny_params)
-        assert "q1" in batch._by_id
-        assert batch.result_for("q1") is batch._by_id["q1"].result
 
 
 class _PoisonedEngine:

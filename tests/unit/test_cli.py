@@ -167,6 +167,37 @@ class TestProfile:
         assert "gapped_extension" in out
 
 
+@pytest.mark.parametrize("command", ["search", "serve", "profile"])
+def test_threads_reach_the_engine(command, workspace, monkeypatch, capsys):
+    """Every engine-building command hands ``--threads`` to the engine."""
+    import repro.cli as cli
+    import repro.serve as serve
+    from repro.engine import make_engine
+
+    built = []
+
+    def recording_make_engine(*args, **kwargs):
+        built.append(make_engine(*args, **kwargs))
+        return built[-1]
+
+    class ServiceBuilt(Exception):
+        pass
+
+    def no_service(*args, **kwargs):
+        raise ServiceBuilt
+
+    monkeypatch.setattr(cli, "make_engine", recording_make_engine)
+    monkeypatch.setattr(serve, "SearchService", no_service)
+    argv = [command, workspace["query"], workspace["db"], "--threads", "2"]
+    if command == "serve":
+        with pytest.raises(ServiceBuilt):
+            main(argv[:1] + argv[2:])
+    else:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert [engine.config.cpu_threads for engine in built] == [2]
+
+
 class TestDbCommands:
     @pytest.fixture(scope="class")
     def binary_db(self, workspace):

@@ -61,7 +61,7 @@ class TestPacking:
 
 class TestWordEntries:
     def test_pack_word_entries_roundtrip(self, tiny_pipeline):
-        nbr = tiny_pipeline.lookup.neighborhood
+        nbr = tiny_pipeline.neighborhood
         entries = pack_word_entries(nbr)
         off = entries >> 20
         cnt = entries & ((1 << 20) - 1)

@@ -77,15 +77,6 @@ class TestAccess:
 
 
 class TestTransforms:
-    def test_sorted_by_length_descending(self, db):
-        s = db.sorted_by_length()
-        assert list(s.lengths) == [10, 5, 3, 2]
-        assert s.identifiers == ["c", "a", "d", "b"]
-
-    def test_sorted_ascending(self, db):
-        s = db.sorted_by_length(descending=False)
-        assert list(s.lengths) == [2, 3, 5, 10]
-
     def test_subset_preserves_content(self, db):
         sub = db.subset(np.array([2, 0]))
         assert sub.sequence_str(0) == "NDCQEGHILK"

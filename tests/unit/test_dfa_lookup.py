@@ -1,13 +1,14 @@
-"""Unit tests: DFA vs flat lookup table equivalence and DFA structure."""
+"""Unit tests: DFA vs the flat word-indexed scan, and DFA structure."""
 
 import numpy as np
 import pytest
 
 from repro.alphabet import ALPHABET_SIZE, encode
-from repro.io import generate_query
+from repro.io import SequenceDatabase, generate_query
 from repro.io.workloads import WorkloadSpec
 from repro.matrices import BLOSUM62
-from repro.seeding import QueryDFA, WordLookupTable, build_neighborhood
+from repro.seeding import QueryDFA, all_words, build_neighborhood
+from repro.verify.oracle import detect_hits
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +21,11 @@ def dfa(nbr):
     return QueryDFA(nbr)
 
 
-@pytest.fixture(scope="module")
-def lut(nbr):
-    return WordLookupTable(nbr)
+def lookup_scan(nbr, subject: str) -> tuple[np.ndarray, np.ndarray]:
+    """The flat word-indexed scan of one subject: the oracle's
+    whole-database scan over a one-sequence database."""
+    hits = detect_hits(nbr, SequenceDatabase.from_strings([subject]))
+    return hits.query_pos, hits.subject_pos
 
 
 class TestDfaStructure:
@@ -68,29 +71,29 @@ class TestScanEquivalence:
         assert list(zip(qp.tolist(), sp.tolist())) == [(0, 1), (1, 2)]
 
     @pytest.mark.parametrize("subject_seed", [0, 1, 2, 3])
-    def test_dfa_equals_lookup_on_random_subjects(self, dfa, lut, subject_seed):
+    def test_dfa_equals_lookup_on_random_subjects(self, dfa, nbr, subject_seed):
         spec = WorkloadSpec(name="t", num_sequences=1, mean_length=100, seed=subject_seed)
-        subj = encode(generate_query(120, spec, query_seed=subject_seed))
-        qp1, sp1 = dfa.scan(subj)
-        qp2, sp2 = lut.scan(subj)
+        subj = generate_query(120, spec, query_seed=subject_seed)
+        qp1, sp1 = dfa.scan(encode(subj))
+        qp2, sp2 = lookup_scan(nbr, subj)
         assert np.array_equal(qp1, qp2)
         assert np.array_equal(sp1, sp2)
 
-    def test_scan_short_subject(self, dfa, lut):
-        subj = encode("MK")
-        assert dfa.scan(subj)[0].size == 0
-        assert lut.scan(subj)[0].size == 0
+    def test_scan_short_subject(self, dfa, nbr):
+        assert dfa.scan(encode("MK"))[0].size == 0
+        assert lookup_scan(nbr, "MK")[0].size == 0
 
-    def test_scan_column_major_order(self, lut):
-        subj = encode("MKWTAYMKWTAY")
-        qp, sp = lut.scan(subj)
-        # subject positions non-decreasing = column-major emission order
-        assert np.all(np.diff(sp) >= 0)
+    def test_scan_column_major_order(self, dfa, nbr):
+        for qp, sp in (dfa.scan(encode("MKWTAYMKWTAY")), lookup_scan(nbr, "MKWTAYMKWTAY")):
+            assert sp.size
+            # subject positions non-decreasing = column-major emission order
+            assert np.all(np.diff(sp) >= 0)
 
-    def test_positions_for_word_passthrough(self, dfa, lut, nbr):
-        for w in (0, 100, 5000):
-            assert np.array_equal(
-                dfa.positions_for_word(w) if hasattr(dfa, "positions_for_word")
-                else nbr.positions_for_word(w),
-                lut.positions_for_word(w),
-            )
+    def test_positions_for_word_passthrough(self, dfa, nbr):
+        """A one-word subject emits exactly that word's position list."""
+        words = all_words(nbr.word_length)
+        listed = np.flatnonzero(np.diff(nbr.offsets))
+        for w in (0, *listed[:3]):
+            qp, sp = dfa.scan(words[w])
+            assert np.array_equal(qp, nbr.positions_for_word(w))
+            assert np.all(sp == 0)

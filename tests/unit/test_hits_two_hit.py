@@ -177,7 +177,7 @@ class TestPackedKeys:
         ]
 
     def test_mismatched_window_is_refused(self, tiny_pipeline, tiny_db, tiny_cutoffs):
-        hits = detect_hits(tiny_pipeline.lookup, tiny_db)
+        hits = detect_hits(tiny_pipeline.neighborhood, tiny_db)
         tagged = tag_hits(hits, tiny_pipeline.params.two_hit_window + 1)
         with pytest.raises(ConfigError, match="two-hit window"):
             phase_ungapped_tagged([tiny_pipeline], tagged, tiny_db, [tiny_cutoffs])
@@ -203,7 +203,7 @@ class TestSelectSeedsAndExtend:
 
     def test_no_hits_no_extensions(self, tiny_pipeline, tiny_cutoffs):
         db = SequenceDatabase.from_strings(["PPPP"])  # poly-proline: no hits vs query
-        hits = detect_hits(tiny_pipeline.lookup, db)
+        hits = detect_hits(tiny_pipeline.neighborhood, db)
         tagged = tag_hits(hits, tiny_pipeline.params.two_hit_window)
         exts, seeds, bounds, per_query = phase_ungapped_tagged(
             [tiny_pipeline], tagged, db, [tiny_cutoffs]

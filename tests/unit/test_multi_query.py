@@ -41,7 +41,7 @@ class TestBuild:
 
     def test_total_entries_is_sum_of_neighbourhoods(self, batch, index):
         assert index.total_entries == sum(
-            c.lookup.neighborhood.total_entries for c in batch
+            c.neighborhood.total_entries for c in batch
         )
         assert index.num_queries == len(batch)
         assert index.query_lengths == [
@@ -66,7 +66,7 @@ class TestBuild:
         assert checked > 0
 
     def test_per_word_entries_match_single_query_tables(self, batch, index):
-        solo = [c.lookup.neighborhood for c in batch]
+        solo = [c.neighborhood for c in batch]
         for word in (0, 137, 2400):
             qids, positions = index.entries_for_word(word)
             merged = [
@@ -84,7 +84,7 @@ class TestSweep:
         tagged = index.sweep_block(tiny_db, WINDOW)
         query, seq_id, query_pos, subject_pos = tagged_columns(tagged, index.query_lengths)
         for q, c in enumerate(batch):
-            solo = detect_hits(c.lookup, tiny_db)
+            solo = detect_hits(c.neighborhood, tiny_db)
             mine = query == q
             assert int(tagged.per_query[q]) == solo.seq_id.size
             # Same multiset of (seq, qpos, spos) triples.

@@ -11,11 +11,13 @@ Two layers under test:
   mid-batch.
 """
 
+import dataclasses
 import os
 import time
 
 import pytest
 
+from repro.core.sweep import num_sweep_blocks
 from repro.engine import (
     BatchExecutor,
     EngineSpec,
@@ -26,7 +28,8 @@ from repro.engine import (
     database_path_for_workers,
     make_engine,
 )
-from repro.io import generate_query
+from repro.engine.procpool import QueryTaskSpec
+from repro.io import generate_database, generate_query
 from repro.io.database import SequenceDatabase
 from repro.verify.canonical import result_digest
 
@@ -225,6 +228,16 @@ def proc_queries(tiny_spec):
     ]
 
 
+@pytest.fixture(scope="module")
+def multi_block_db(tiny_spec):
+    """A database the default sweep cuts into more than one block."""
+    db = generate_database(
+        dataclasses.replace(tiny_spec, name="multi", num_sequences=320, mean_length=250)
+    )
+    assert num_sweep_blocks(db) >= 2
+    return db
+
+
 class TestDatabaseSpill:
     def test_in_memory_database_spills_to_binary(self, tiny_db):
         path, cleanup = database_path_for_workers(tiny_db)
@@ -295,27 +308,59 @@ class TestProcessBackendExecutor:
         # Per-query attribution survives the re-emission.
         assert events.wall_breakdown(query_id="q0")
 
-    @pytest.mark.parametrize("name", ["reference", "cublastp"])
+    def test_shipped_walls_sum_to_the_worker_totals(
+        self, proc_queries, multi_block_db, tiny_params, tmp_path, monkeypatch
+    ):
+        """Each shipped record carries its own wall: a multi-block query's
+        per-block records sum to the worker log's totals."""
+        path = tmp_path / "multi.rpdb"
+        multi_block_db.save(path)
+        spec = QueryTaskSpec(
+            EngineSpec.from_engine(make_engine("reference", tiny_params)),
+            str(path),
+            collect_events=True,
+        )
+        state = spec.setup()
+        # Keep the worker's log after shipping, to compare against it.
+        monkeypatch.setattr(state.events, "clear", lambda: None)
+        payload = spec.run(state, proc_queries[0])
+        shipped: dict[str, float] = {}
+        for phase, _, _, wall_ms in payload["events"]:
+            shipped[phase] = shipped.get(phase, 0.0) + wall_ms
+        phases = [phase for phase, *_ in payload["events"]]
+        assert phases.count("hit_detection") == num_sweep_blocks(multi_block_db)
+        assert shipped == pytest.approx(state.events.wall_breakdown())
+
+    @pytest.mark.parametrize(
+        "name, db",
+        [
+            pytest.param("reference", "tiny", id="reference"),
+            pytest.param("cublastp", "tiny", id="cublastp"),
+            pytest.param("reference", "multi-block", id="reference-multi-block"),
+        ],
+    )
     def test_both_backends_log_the_same_closing_events(
-        self, name, proc_queries, tiny_db, tiny_params
+        self, name, db, proc_queries, tiny_db, multi_block_db, tiny_params
     ):
         """The executor's log receives each query's closing events on the
         thread backend too, as it does from the workers — for an engine
         built without a log of its own. The results agree as well: this is
         the one check that sends cuBLASTP through ``EngineSpec``, a worker
         and the result payload (the verify matrix's process paths run the
-        reference engine)."""
+        reference engine). On a multi-block database each block's records
+        cross separately."""
+        database = tiny_db if db == "tiny" else multi_block_db
 
         def closing(backend):
             events = EventLog()
             engine = make_engine(name, tiny_params)
             batch = BatchExecutor(engine, jobs=1, backend=backend, events=events).run(
-                proc_queries[:2], tiny_db
+                proc_queries[:2], database
             )
-            ends = sorted(
-                (e.engine, e.phase, e.work_items, e.query_id) for e in events.ends()
+            records = sorted(
+                (e.engine, e.phase, e.work_items, e.query_id) for e in events.events
             )
-            return ends, [result_digest(r) for _, r in batch.results]
+            return records, [result_digest(r) for _, r in batch.results]
 
         thread, thread_digests = closing("thread")
         assert thread and {q for *_, q in thread} == {"q0", "q1"}

@@ -6,7 +6,6 @@ from repro.core.results import Alignment, SearchResult
 from repro.io.report import (
     TABULAR_COLUMNS,
     format_pairwise,
-    summary_table,
     tabular_line,
     write_tabular,
 )
@@ -110,11 +109,3 @@ class TestPairwise:
         result = make_result([make_alignment(), make_alignment(seq_id=4)])
         text = format_pairwise("q", result, max_alignments=1)
         assert text.count(">sp|P12345") == 1
-
-
-class TestSummary:
-    def test_one_line_per_query(self):
-        r = make_result([make_alignment()])
-        text = summary_table([("q1", r), ("q2", r)])
-        assert len(text.splitlines()) == 3
-        assert "q2" in text

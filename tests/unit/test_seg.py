@@ -7,7 +7,7 @@ import pytest
 
 from repro.alphabet import encode
 from repro.core import BlastpPipeline
-from repro.seeding.seg import masked_fraction, seg_mask, window_entropy
+from repro.seeding.seg import seg_mask, window_entropy
 from repro.verify.oracle import detect_hits
 
 
@@ -42,7 +42,7 @@ class TestMask:
     def test_random_protein_unmasked(self):
         rng = np.random.default_rng(1)
         codes = rng.integers(0, 20, 300).astype(np.uint8)
-        assert masked_fraction(codes) < 0.05
+        assert seg_mask(codes).mean() < 0.05
 
     def test_low_complexity_island(self):
         rng = np.random.default_rng(2)
@@ -85,12 +85,9 @@ class TestPipelineIntegration:
         seg = BlastpPipeline(lc_query, dataclasses.replace(tiny_params, seg=True))
         assert seg.seg_mask is not None and seg.seg_mask.any()
         # Fewer neighbourhood entries -> fewer hits.
-        assert (
-            seg.lookup.neighborhood.total_entries
-            < plain.lookup.neighborhood.total_entries
-        )
-        h_plain = detect_hits(plain.lookup, tiny_db)
-        h_seg = detect_hits(seg.lookup, tiny_db)
+        assert seg.neighborhood.total_entries < plain.neighborhood.total_entries
+        h_plain = detect_hits(plain.neighborhood, tiny_db)
+        h_seg = detect_hits(seg.neighborhood, tiny_db)
         assert len(h_seg) < len(h_plain)
         # No hit seeds inside the masked region.
         masked_pos = np.nonzero(seg.seg_mask)[0]

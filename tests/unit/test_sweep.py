@@ -133,7 +133,7 @@ class TestExecutorSweepMode:
             events=log,
         )
         assert all(r.ok for r in ex.run(queries, db).records)
-        return [(e.engine, e.phase, e.work_items, e.query_id) for e in log.ends()]
+        return [(e.engine, e.phase, e.work_items, e.query_id) for e in log.events]
 
     @pytest.mark.parametrize("batch", [slice(None), slice(1)], ids=["batch", "one-query"])
     def test_sweep_events_match_across_backends(self, batch, batch_queries, tiny_db, tiny_params):
@@ -177,18 +177,18 @@ class TestExecutorSweepMode:
         assert [r.ok for r in records] == [True] * len(batch_queries)
         assert [r.result for r in records] == per_query_results
 
-    def test_spawned_workers_match_thread_backend(self, batch_queries, tiny_db, tiny_params):
+    def test_spawned_workers_match_thread_backend(
+        self, batch_queries, tiny_db, tiny_params, monkeypatch
+    ):
         """Spawned workers start with an empty neighbour table and fill
         their own rows; forked ones inherit the parent's. Same results."""
+        import repro.engine.procpool as procpool
+
+        monkeypatch.setattr(procpool, "default_start_method", lambda: "spawn")
         engine = make_engine("cublastp", tiny_params)
         threaded = BatchExecutor(engine, mode="db-sweep", block_residues=400)
         spawned = BatchExecutor(
-            engine,
-            mode="db-sweep",
-            backend="process",
-            mp_context="spawn",
-            jobs=2,
-            block_residues=400,
+            engine, mode="db-sweep", backend="process", jobs=2, block_residues=400
         )
         expected = threaded.run(batch_queries, tiny_db).records
         records = spawned.run(batch_queries, tiny_db).records

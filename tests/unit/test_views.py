@@ -37,21 +37,9 @@ class TestView:
     def test_view_of_view_collapses_to_root(self, db):
         v = db.view(1, 5)
         vv = v.view(1, 3)
-        assert vv.parent is db
-        assert vv.to_global(0) == 2
+        assert (vv.start, len(vv)) == (2, 2)
         assert vv.sequence_str(0) == "NDCQEGHILK"
         assert np.shares_memory(vv.codes, db.codes)
-
-    def test_to_global_and_global_ids(self, db):
-        v = db.view(2, 5)
-        assert [v.to_global(i) for i in range(3)] == [2, 3, 4]
-        assert np.array_equal(v.global_ids, [2, 3, 4])
-        with pytest.raises(IndexError):
-            v.to_global(3)
-
-    def test_base_database_global_ids_are_identity(self, db):
-        assert db.to_global(3) == 3
-        assert np.array_equal(db.global_ids, np.arange(5))
 
     def test_identifier_delegation(self, db):
         v = db.view(3, 5)
@@ -68,14 +56,6 @@ class TestView:
         with pytest.raises(SequenceError):
             db.view(0, 6)
 
-    def test_detach_copies(self, db):
-        v = db.view(1, 3)
-        d = v.detach()
-        assert not isinstance(d, DatabaseView)
-        assert not np.shares_memory(d.codes, db.codes)
-        assert [d.sequence_str(i) for i in range(2)] == ["AR", "NDCQEGHILK"]
-        assert d.identifiers == ["b", "c"]
-
     def test_view_stats_match_slice(self, db):
         v = db.view(0, 2)
         st = v.stats()
@@ -85,7 +65,7 @@ class TestView:
     def test_view_searchable_sequences_match_parent(self, db):
         v = db.view(1, 4)
         for i in range(len(v)):
-            assert np.array_equal(v.sequence(i), db.sequence(v.to_global(i)))
+            assert np.array_equal(v.sequence(i), db.sequence(v.start + i))
 
 
 class TestSubsetPolicy:
@@ -105,16 +85,6 @@ class TestSubsetPolicy:
         assert not np.shares_memory(sub.codes, db.codes)
         assert [sub.sequence_str(i) for i in range(2)] == ["WWW", "MKTAY"]
         assert sub.identifiers == ["d", "a"]
-
-    def test_materialize_forces_copy(self, db):
-        sub = db.subset(np.array([1, 2]), materialize=True)
-        assert not isinstance(sub, DatabaseView)
-        assert not np.shares_memory(sub.codes, db.codes)
-
-    def test_materialize_false_requires_contiguity(self, db):
-        with pytest.raises(SequenceError):
-            db.subset(np.array([0, 2]), materialize=False)
-        assert isinstance(db.subset(np.array([0, 1]), materialize=False), DatabaseView)
 
     def test_empty_subset_raises(self, db):
         with pytest.raises(SequenceError, match="zero sequences"):
@@ -149,7 +119,7 @@ class TestBlocksAndCaching:
         assert np.all(np.diff(bounds) >= 1)
 
     def test_block_global_ids_partition_parent(self, db):
-        ids = np.concatenate([b.global_ids for b in db.blocks(3)])
+        ids = np.concatenate([np.arange(b.start, b.start + len(b)) for b in db.blocks(3)])
         assert np.array_equal(ids, np.arange(len(db)))
 
     def test_lengths_cached_and_readonly(self, db):
@@ -167,8 +137,3 @@ class TestBlocksAndCaching:
         ids = v.identifiers
         assert ids == ["b", "c"]
         assert v.identifiers is ids
-
-    def test_sorted_by_length_of_sorted_db_is_zero_copy(self):
-        db = SequenceDatabase.from_strings(["AAAA", "GGG", "CC"])
-        s = db.sorted_by_length()  # already descending
-        assert np.shares_memory(s.codes, db.codes)
