@@ -13,16 +13,44 @@ normally forces a scalar loop. Unrolled, it is ``F[j] = max_{k<j} (G[k] +
 extend*k) - open - extend*(j-1)`` with ``G`` the gapless part of ``H`` — a
 running maximum, computed with ``np.maximum.accumulate``. Every row of the
 DP is therefore a handful of whole-window numpy operations.
+
+Path recording: every computed cell also gets one direction byte, so
+phase 4 (:mod:`repro.core.traceback`) walks the path this DP found from
+its best cell back to the seed anchor ``(0, 0)`` instead of solving the
+alignment again. The bits are those of NCBI's semi-gapped traceback
+(``ALIGN_EX``): how ``H``, ``E`` and ``F`` were reached, ties resolved
+towards the diagonal, then ``E``, and towards extending a gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 #: Effectively minus infinity for int64 score arithmetic without overflow.
 NEG_INF = np.int64(-(2**40))
+
+# Direction bits of one DP cell. The walk tests them in this precedence:
+# diagonal, then E, else F.
+DIAG = 1  # H == H[i-1, j-1] + s(i, j)
+FROM_E = 2  # H == E
+F_EXT = 4  # F[i, j] came from F[i, j-1] - ge, not from H[i, j-1] - go
+E_EXT = 8  # E[i, j] came from E[i-1, j] - ge, not from H[i-1, j] - go
+
+
+@dataclass(frozen=True, eq=False)
+class HalfPath:
+    """The direction bytes one half-extension recorded.
+
+    Cell ``(i, j)`` of DP row ``i >= 1`` is ``dirs[origin[i - 1] + j]``;
+    only the cells the x-drop DP computed are meaningful. Row 0 and
+    column 0 need no bytes: a path that reaches either ends in one gap
+    run from the anchor.
+    """
+
+    dirs: bytes
+    origin: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -32,7 +60,7 @@ class HalfExtension:
     ``best`` is the maximum cell score (0 for the empty alignment);
     ``best_i``/``best_j`` its row/column (0 means no residue consumed);
     ``reach_i``/``reach_j`` the furthest row/column that held a live cell —
-    the bounding box the traceback phase re-solves.
+    the extension's bounding box.
     """
 
     best: int
@@ -43,6 +71,8 @@ class HalfExtension:
     #: DP cells actually computed (the live band, not the bounding box) —
     #: what the CPU cost model charges for this half.
     cells: int = 0
+    #: The cells' direction bytes.
+    path: HalfPath | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -62,7 +92,8 @@ class GappedExtension:
     subject_end: int
     seed_query: int
     seed_subject: int
-    # Bounding box reached by live DP cells; traceback re-solves inside it.
+    # Bounding box reached by live DP cells: a later seed inside it is
+    # contained (BLAST's containment rule).
     box_query_start: int
     box_query_end: int
     box_subject_start: int
@@ -70,6 +101,12 @@ class GappedExtension:
     #: DP cells the two x-drop halves actually computed (a diagonal band,
     #: typically far smaller than the bounding box).
     cells: int = 0
+    #: The (backward, forward) halves' direction bytes, which phase 4
+    #: walks; ``None`` where the extension scores below the report cutoff
+    #: and no walk will read them.
+    paths: tuple[HalfPath, HalfPath] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _half_extend(
@@ -100,7 +137,7 @@ def _half_extend(
     if n == 0 or m == 0:
         # No room to move diagonally; a gap-only alignment never scores > 0,
         # so the empty alignment is optimal.
-        return HalfExtension(0, 0, 0, 0, 0, 0)
+        return HalfExtension(0, 0, 0, 0, 0, 0, HalfPath(b"", np.zeros(0, np.int64)))
 
     go = int(gap_open)
     ge = int(gap_extend)
@@ -116,6 +153,9 @@ def _half_extend(
 
     jj = np.arange(m + 1, dtype=np.int64)
     cells = hi - lo + 1  # row 0's live span
+    dir_rows: list[bytes] = []
+    origin: list[int] = []  # per row: where its column 0 would sit
+    size = 0
     for i in range(1, n + 1):
         hi_new = min(hi + 1, m)
         w = slice(lo, hi_new + 1)
@@ -138,6 +178,19 @@ def _half_extend(
         if width > 1:
             f[1:] = run[:-1] - go - ge * (jj[w][1:] - 1)
         h_cur = np.maximum(g, f)
+        # Direction bits. F extends where F[j-1] - ge is at least the
+        # opening H[j-1] - go (F[lo] is minus infinity: nothing to extend).
+        f_ext = np.zeros(width, dtype=bool)
+        f_ext[1:] = f[:-1] - ge >= h_cur[:-1] - go
+        bits = (
+            (h_cur == diag) * DIAG
+            + (h_cur == e_cur) * FROM_E
+            + f_ext * F_EXT
+            + (e_prev[w] - ge >= h_prev[w] - go) * E_EXT
+        )
+        origin.append(size - lo)
+        dir_rows.append(bits.astype(np.uint8).tobytes())
+        size += width
 
         row_best = int(h_cur.max())
         if row_best > best:
@@ -163,7 +216,8 @@ def _half_extend(
         reach_j = max(reach_j, hi)
         if lo > m:  # pragma: no cover - defensive; lo <= m by construction
             break
-    return HalfExtension(best, best_i, best_j, reach_i, reach_j, int(cells))
+    path = HalfPath(b"".join(dir_rows), np.array(origin, dtype=np.int64))
+    return HalfExtension(best, best_i, best_j, reach_i, reach_j, int(cells), path)
 
 
 def gapped_extend(
@@ -223,4 +277,5 @@ def gapped_extend(
         box_subject_start=max(0, seed_subject - back.reach_j),
         box_subject_end=min(seed_subject + fwd.reach_j, slen - 1),
         cells=back.cells + fwd.cells,
+        paths=(back.path, fwd.path),
     )

@@ -53,15 +53,65 @@ this module only answers "extend these (seq, seed) pairs, all at once".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.gapped import NEG_INF, GappedExtension
+from repro.core.gapped import NEG_INF, GappedExtension, HalfPath
 
 #: Per-lane offset of the segmented F scan: above the spread between any
 #: real DP value and any garbage value (module docstring).
 _BIG = np.int64(2**42)
 #: Lanes per segmented scan: ``_MAX_LANES * _BIG`` stays well inside int64.
 _MAX_LANES = 2**19
+
+
+@dataclass(frozen=True)
+class LanePaths:
+    """The direction bytes of one :func:`batch_half_extend` call.
+
+    ``dirs`` is every ragged row's bytes, guards included, one row after
+    the other. Each record is one lane's window in one DP row, in buffer
+    order: ``records[:, k]`` is ``(lane, start, length, origin)``, with
+    ``start``/``length`` the window's flat span (guards included) and
+    ``origin`` the flat index its column 0 would have.
+    """
+
+    dirs: np.ndarray
+    records: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: "list[LanePaths]", lane_offsets: "list[int]") -> "LanePaths":
+        """One call's paths from the paths of its consecutive lane slices."""
+        bases = np.cumsum([0] + [p.dirs.size for p in parts[:-1]])
+        return cls(
+            np.concatenate([p.dirs for p in parts]),
+            np.concatenate(
+                [
+                    p.records + np.array([[lane], [base], [0], [base]])
+                    for p, lane, base in zip(parts, lane_offsets, bases)
+                ],
+                axis=1,
+            ),
+        )
+
+    def select(self, keep: np.ndarray) -> "list[HalfPath | None]":
+        """Each lane's :class:`~repro.core.gapped.HalfPath` where ``keep``
+        is set, else ``None``. The kept windows are copied into one
+        compact buffer, so the dropped lanes' bytes are freed with this
+        object."""
+        kept = keep[self.records[0]]
+        lane, start, length, origin = self.records[:, kept]
+        dirs = self.dirs[np.repeat(kept, self.records[2])].tobytes()
+        origin += np.cumsum(length) - length - start
+        # A lane's records are in row order; a stable sort groups them.
+        order = np.argsort(lane, kind="stable")
+        origin = origin[order]
+        bounds = np.searchsorted(lane[order], np.arange(keep.size + 1)).tolist()
+        return [
+            HalfPath(dirs, origin[bounds[k] : bounds[k + 1]]) if keep[k] else None
+            for k in range(keep.size)
+        ]
 
 
 def batch_half_extend(
@@ -89,7 +139,7 @@ def batch_half_extend(
 
     Returns the six :class:`~repro.core.gapped.HalfExtension` fields as
     aligned int64 columns: ``(best, best_i, best_j, reach_i, reach_j,
-    cells)``.
+    cells)``, then the lanes' direction bytes (:class:`LanePaths`).
     """
     columns = [
         np.asarray(a, dtype=np.int64)
@@ -104,7 +154,11 @@ def batch_half_extend(
             )
             for k in range(0, num, _MAX_LANES)
         ]
-        return tuple(np.concatenate(field) for field in zip(*parts))
+        *fields, paths = zip(*parts)
+        return (
+            *(np.concatenate(field) for field in fields),
+            LanePaths.concat(list(paths), list(range(0, num, _MAX_LANES))),
+        )
     q_anchor, q_step, s_anchor, s_step, n_rows, m_cols = columns
     go, ge, xd = int(gap_open), int(gap_extend), int(x_drop)
     # The six result rows, filled in as lanes retire. Degenerate lanes (no
@@ -112,8 +166,10 @@ def batch_half_extend(
     # exactly like the scalar early return.
     result = np.zeros((6, num), dtype=np.int64)
     lanes = np.flatnonzero((n_rows > 0) & (m_cols > 0))
+    dir_rows: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
+    records: list[np.ndarray] = [np.zeros((4, 0), dtype=np.int64)]
     if lanes.size == 0:
-        return tuple(result)
+        return (*result, LanePaths(dir_rows[0], records[0]))
     scores = table.reshape(-1)
     width = table.shape[1]
 
@@ -157,6 +213,7 @@ def batch_half_extend(
         starts + 1,  # base: the previous row's flat index of column 0
     ])
     x_all = ge_x_all = np.arange(0, dtype=np.int64)  # flat indices, grown on demand
+    row_base = 0  # where this row's bytes start in the whole call's buffer
 
     i = 0
     while True:
@@ -200,13 +257,19 @@ def batch_half_extend(
             # only ever meet a NEG_INF neighbour, so clipping them is safe.
             row += codes.take(s_pos, mode="clip")
             h_up = h_prev.take(up, mode="clip")
-            e_cur = np.maximum(h_up - go, e_prev.take(up, mode="clip") - ge)
+            e_cur = h_up - go
+            e_ext = e_prev.take(up, mode="clip")
+            e_ext -= ge
+            # The direction byte is built high bit first: each ``d += d``
+            # shifts the bits so far up by one, and the next flag fills bit 0.
+            d = np.greater_equal(e_ext, e_cur).view(np.uint8)  # E_EXT
+            np.maximum(e_cur, e_ext, out=e_cur)
             # Diagonal moves: H(i-1, j-1) is the previous cell's H(i-1, j), as
             # a window's columns are consecutive (a left guard's is reset below).
-            g = np.empty(size, dtype=np.int64)
-            g[0] = NEG_INF
-            np.add(h_up[:-1], scores.take(row[1:], mode="clip"), out=g[1:])
-            np.maximum(g, e_cur, out=g)
+            diag = np.empty(size, dtype=np.int64)
+            diag[0] = NEG_INF
+            np.add(h_up[:-1], scores.take(row[1:], mode="clip"), out=diag[1:])
+            g = np.maximum(diag, e_cur)
             guards = np.concatenate([starts, ends - 1])
             g[guards] = NEG_INF
             e_cur[guards] = NEG_INF
@@ -220,6 +283,18 @@ def batch_half_extend(
             h_cur[1:] += ge - go
             np.maximum(h_cur, g, out=h_cur)
             h_cur[guards] = NEG_INF
+            # F at column j extends when the scan did not rise at j - 1.
+            flag = np.zeros(size, dtype=bool)
+            np.equal(run[1:-1], run[:-2], out=flag[2:])
+            d += d
+            d += flag.view(np.uint8)  # F_EXT
+            for other in (e_cur, diag):  # FROM_E, DIAG
+                np.equal(h_cur, other, out=flag)
+                d += d
+                d += flag.view(np.uint8)
+            dir_rows.append(d)
+            records.append(np.stack([lanes, starts + row_base, seglen, col0 + row_base]))
+            row_base += size
             h_prev, e_prev = h_cur, e_cur
 
             row_best = np.maximum.reduceat(h_cur, starts)
@@ -254,7 +329,8 @@ def batch_half_extend(
         # through ``base``, wherever it sits in the flat vector.
         state = state[:, ~retired]
         if state.shape[1] == 0:
-            return tuple(result)
+            paths = LanePaths(np.concatenate(dir_rows), np.concatenate(records, axis=1))
+            return (*result, paths)
 
 
 def batch_gapped_extend(
@@ -266,6 +342,7 @@ def batch_gapped_extend(
     gap_open: int,
     gap_extend: int,
     x_drop: int,
+    report_cutoff: int,
 ) -> list[GappedExtension]:
     """Gapped-extend every ``(seq_id, seed)`` triple in one batched DP.
 
@@ -278,6 +355,10 @@ def batch_gapped_extend(
     (:func:`~repro.matrices.pssm.build_score_table`). Seeds must be in
     bounds (the pipeline derives them from extension columns, which
     guarantees it).
+
+    Extensions scoring at least ``report_cutoff`` carry their halves'
+    direction bytes (``paths``) for phase 4 to walk; the others' bytes
+    are dropped here, as no walk will read them.
     """
     seq_ids = np.asarray(seq_ids, dtype=np.int64)
     seed_query = np.asarray(seed_query, dtype=np.int64)
@@ -298,7 +379,7 @@ def batch_gapped_extend(
     step = np.repeat(np.array([-1, 1], dtype=np.int64), num)
     n_rows = np.concatenate([seed_query + 1, qlen - seed_query - 1])
     m_cols = np.concatenate([seed_subject + 1, slen - seed_subject - 1])
-    best, bi, bj, ri, rj, ncells = batch_half_extend(
+    best, bi, bj, ri, rj, ncells, lane_paths = batch_half_extend(
         table, db.codes, q_anchor, step, s_anchor, step,
         n_rows, m_cols, gap_open, gap_extend, x_drop,
     )
@@ -314,6 +395,8 @@ def batch_gapped_extend(
     box_ss = np.maximum(0, seed_subject - rj[back])
     box_se = np.minimum(seed_subject + rj[fwd], slen - 1)
     total_cells = ncells[back] + ncells[fwd]
+    reported = score >= report_cutoff
+    halves = lane_paths.select(np.concatenate([reported, reported]))
     return [
         GappedExtension(
             seq_id=int(seq_ids[k]),
@@ -329,6 +412,7 @@ def batch_gapped_extend(
             box_subject_start=int(box_ss[k]),
             box_subject_end=int(box_se[k]),
             cells=int(total_cells[k]),
+            paths=(halves[k], halves[num + k]) if reported[k] else None,
         )
         for k in range(num)
     ]

@@ -257,7 +257,7 @@ class BlastpPipeline:
             chosen = pos[pick]
             wave = batch_gapped_extend(
                 self.score_table, db, seqs[chosen], seed_q[chosen], seed_s[chosen],
-                go, ge, xd,
+                go, ge, xd, cutoffs.report_cutoff,
             )
             accepted.extend(wave)
             accepted_pos.append(chosen)
@@ -301,70 +301,61 @@ class BlastpPipeline:
         db: SequenceDatabase,
         cutoffs: Cutoffs,
     ) -> list[Alignment]:
-        """Phase 4: re-score with traceback, apply the E-value cutoff.
+        """Phase 4: the reported alignments, each with its traceback.
 
-        The score-surviving boxes are re-solved as one lanes-stacked
-        batched fill (:func:`~repro.core.traceback.batch_traceback_align`
-        — the same lockstep-lanes shape as the gapped phase, storing one
-        direction byte per cell); the walk-back and rendering run per
-        alignment over those bytes. On homolog-rich databases this phase
-        handles hundreds of boxes per query and is not cold.
+        Which extensions are reported is decided from their own scores
+        and endpoints, before any walk: the report cutoff, then
+        de-duplication on ``(seq_id, endpoints)`` keeping the first in
+        phase-3 acceptance order, the E-value cutoff, the report order
+        and the ``max_alignments`` cut. Only the reported extensions are
+        then walked and rendered, in one
+        :func:`~repro.core.traceback.batch_traceback_align` call over the
+        direction bytes phase 3 recorded; each alignment keeps its
+        extension's score and endpoints.
         """
         seen: set[tuple[int, int, int, int, int]] = set()
-        out: list[Alignment] = []
+        kept: list[tuple[GappedExtension, float]] = []
         db_residues = cutoffs.effective_db_residues or int(db.codes.size)
         # One comparison per gapped extension (hundreds at most); the
-        # survivors feed one batched fill below.
-        survivors = [  # reprolint: disable=no-per-record-loop-in-phase
-            g for g in gapped if g.score >= cutoffs.report_cutoff
-        ]
-        tbs = batch_traceback_align(
-            self.score_table,
-            self.query_codes,
-            [db.sequence(g.seq_id) for g in survivors],
-            [
-                (
-                    g.box_query_start,
-                    g.box_query_end,
-                    g.box_subject_start,
-                    g.box_subject_end,
-                )
-                for g in survivors
-            ],
-            self.params.gap_open,
-            self.params.gap_extend,
-        )
-        for gext, tb in zip(survivors, tbs):
-            if tb is None:
+        # reported ones feed one batched walk below.
+        for g in gapped:  # reprolint: disable=no-per-record-loop-in-phase
+            if g.score < cutoffs.report_cutoff:
                 continue
-            key = (gext.seq_id, tb.query_start, tb.query_end, tb.subject_start, tb.subject_end)
+            key = (g.seq_id, g.query_start, g.query_end, g.subject_start, g.subject_end)
             if key in seen:
                 continue
             seen.add(key)
-            evalue = cutoffs.gapped.evalue(tb.score, self.query_length, db_residues)
-            if evalue > self.params.evalue:
-                continue
-            out.append(
-                Alignment(
-                    seq_id=gext.seq_id,
-                    subject_identifier=db.identifier(gext.seq_id),
-                    score=tb.score,
-                    bit_score=cutoffs.gapped.bit_score(tb.score),
-                    evalue=evalue,
-                    query_start=tb.query_start,
-                    query_end=tb.query_end,
-                    subject_start=tb.subject_start,
-                    subject_end=tb.subject_end,
-                    aligned_query=tb.aligned_query,
-                    aligned_subject=tb.aligned_subject,
-                    midline=tb.midline,
-                    identities=tb.identities,
-                    positives=tb.positives,
-                    gaps=tb.gaps,
-                )
+            evalue = cutoffs.gapped.evalue(g.score, self.query_length, db_residues)
+            if evalue <= self.params.evalue:
+                kept.append((g, evalue))
+        kept.sort(key=lambda ge: (-ge[0].score, ge[0].seq_id, ge[0].query_start, ge[0].subject_start))
+        kept = kept[: self.params.max_alignments]
+        tbs = batch_traceback_align(
+            self.pssm,
+            self.query_codes,
+            [db.sequence(g.seq_id) for g, _ in kept],
+            [g for g, _ in kept],
+        )
+        return [
+            Alignment(
+                seq_id=g.seq_id,
+                subject_identifier=db.identifier(g.seq_id),
+                score=tb.score,
+                bit_score=cutoffs.gapped.bit_score(tb.score),
+                evalue=evalue,
+                query_start=tb.query_start,
+                query_end=tb.query_end,
+                subject_start=tb.subject_start,
+                subject_end=tb.subject_end,
+                aligned_query=tb.aligned_query,
+                aligned_subject=tb.aligned_subject,
+                midline=tb.midline,
+                identities=tb.identities,
+                positives=tb.positives,
+                gaps=tb.gaps,
             )
-        out.sort(key=lambda a: (-a.score, a.seq_id, a.query_start, a.subject_start))
-        return out[: self.params.max_alignments]
+            for (g, evalue), tb in zip(kept, tbs)
+        ]
 
     def phase_ungapped_report(
         self,

@@ -84,8 +84,9 @@ def traceback_work_items(gapped: Iterable[GappedExtension], costs: CostConstants
     A production traceback re-runs the *banded* DP with path bookkeeping,
     so the charge is the extension's band cells at the (heavier) traceback
     cell cost; the bounding box is the fallback when cells weren't counted.
-    (This repo's reference traceback solves the whole box for simplicity —
-    the model prices the algorithm BLAST ships, not that shortcut.)
+    (This repo records the path during the banded DP itself and phase 4
+    only walks it, so the model prices BLAST's separate traceback pass,
+    not this repo's cheaper split.)
     """
     items = []
     for g in gapped:

@@ -95,16 +95,6 @@ class QueryDFA:
         """Flattened query-position lists (global memory side)."""
         return self._nbr.positions
 
-    @property
-    def state_table_nbytes(self) -> int:
-        """Shared-memory footprint of the state tables."""
-        return int(self._next_state.nbytes + self._word_of.nbytes)
-
-    @property
-    def position_lists_nbytes(self) -> int:
-        """Global-memory footprint of offsets + position lists."""
-        return int(self._nbr.offsets.nbytes + self._nbr.positions.nbytes)
-
     # -- traversal ---------------------------------------------------------
 
     def initial_state(self, prefix_codes: np.ndarray) -> int:

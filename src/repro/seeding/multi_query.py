@@ -116,11 +116,6 @@ class MultiQueryIndex:
         """Build from the batch's compiled queries (the usual entry point)."""
         return cls.build([c.neighborhood for c in compiled])
 
-    def entries_for_word(self, word_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(query_ids, query_positions)`` whose neighbourhood has the word."""
-        lo, hi = self.offsets[word_index], self.offsets[word_index + 1]
-        return self.query_ids[lo:hi], self.positions[lo:hi]
-
     # -- the sweep ---------------------------------------------------------
 
     def sweep_block(self, db: SequenceDatabase, two_hit_window: int) -> TaggedHits:

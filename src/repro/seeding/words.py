@@ -151,12 +151,6 @@ class Neighborhood:
         """Total number of (word, position) pairs in the neighbourhood."""
         return int(self.positions.size)
 
-    @property
-    def max_positions_per_word(self) -> int:
-        """Largest position list over all words (bin sizing uses this)."""
-        if self.positions.size == 0:
-            return 0
-        return int(np.diff(self.offsets).max())
 
 
 @thread_shared

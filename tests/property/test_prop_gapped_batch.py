@@ -14,9 +14,11 @@ Two equivalences, each the load-bearing claim of one layer of the PR:
   stress the containment rule (many triggers per sequence with
   overlapping bounding boxes).
 
-Plus the phase-4 rider: batched box fills
-(:func:`~repro.core.traceback.batch_traceback_align`) equal per-box
-:func:`~repro.core.traceback.traceback_align`.
+Plus the phase-4 rider, the anchored traceback: the direction bytes the
+batched DP records walk (:func:`~repro.core.traceback._walk_half`) to the
+same moves as an independent walk over the bytes the scalar
+``_half_extend`` records, and every walked path re-scores to its
+extension's score between its extension's coordinates.
 """
 
 from unittest.mock import patch
@@ -26,13 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alphabet import encode
-from repro.core.gapped import _half_extend, gapped_extend
+from repro.core.gapped import DIAG, E_EXT, F_EXT, FROM_E, _half_extend, gapped_extend
 from repro.core import gapped_batch as gb_module
 from repro.core.gapped_batch import batch_gapped_extend, batch_half_extend
 from repro.core.pipeline import BlastpPipeline
 from repro.core.statistics import SearchParams
-from repro.core import traceback as tb_module
-from repro.core.traceback import batch_traceback_align, traceback_align
+from repro.core.traceback import _walk_half, batch_traceback_align
 from repro.engine import make_engine
 from repro.io.database import SequenceDatabase
 from repro.matrices import (
@@ -64,7 +65,7 @@ def _assert_lanes_match_scalar(table, codes, lanes, go, ge, xd):
     s_anchor, s_step, n_rows, m_cols)`` — equals ``_half_extend`` on each
     lane's materialised scores, on all six fields."""
     qa, qd, sa, sd, nn, mm = np.asarray(lanes, dtype=np.int64).reshape(-1, 6).T
-    got = batch_half_extend(table, codes, qa, qd, sa, sd, nn, mm, go, ge, xd)
+    *got, _ = batch_half_extend(table, codes, qa, qd, sa, sd, nn, mm, go, ge, xd)
     for k in range(qa.size):
         scores = _materialise(
             table, codes, int(qa[k]), int(qd[k]), int(sa[k]), int(sd[k]),
@@ -215,7 +216,7 @@ class TestBatchGappedExtendEquivalence:
         seed_s = (rng.random(num_seeds) * lens).astype(np.int64)
         go, ge, xd = params.gap_open, params.gap_extend, 38
         got = batch_gapped_extend(
-            build_score_table(pssm), db, seq_ids, seed_q, seed_s, go, ge, xd
+            build_score_table(pssm), db, seq_ids, seed_q, seed_s, go, ge, xd, 0
         )
         for k in range(num_seeds):
             want = gapped_extend(
@@ -315,93 +316,191 @@ def _edited(rng, text):
     return "".join(out)
 
 
+
+
 @st.composite
 def _tie_heavy_case(draw):
-    """Boxes built for ties: a match/mismatch matrix, homopolymer runs over
-    a small alphabet, subjects that are edited copies of the query,
-    ``gap_open`` a multiple of ``gap_extend``, 1-row and 1-column boxes, a
-    last box that scores negative everywhere, and a chunk budget small
-    enough to cut at least two chunks."""
+    """Half-extensions built for ties, in :func:`_ragged_case`'s shape: a
+    match/mismatch matrix, homopolymer runs over a small alphabet,
+    subjects that are edited copies of the query, ``gap_open`` a multiple
+    of ``gap_extend``, 1-row and 1-column lanes, and a last lane that
+    scores negative everywhere."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     match, mismatch = draw(st.sampled_from([(1, -1), (2, -1), (2, -3), (5, -4)]))
     ge = draw(st.integers(1, 3))
     go = ge * draw(st.integers(1, 4))
+    xd = draw(st.integers(10, 80))
     letters = draw(st.sampled_from(["A", "AC", "ACD", "ACDEFGHIK"]))
     query = _runs(rng, letters, int(rng.integers(1, 60)))
     qc = encode(query)
-    pssm = build_pssm(qc, match_mismatch_matrix(match, mismatch))
-    subjects, boxes = [], []
-    for _ in range(draw(st.integers(1, 12))):
-        if rng.integers(0, 2):
-            subject = _edited(rng, query)
+    table = build_score_table(build_pssm(qc, match_mismatch_matrix(match, mismatch)))
+    subjects = [
+        _edited(rng, query) if rng.integers(0, 2)
+        else _runs(rng, letters, int(rng.integers(1, 60)))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    subjects.append("W" * int(rng.integers(1, 30)))  # W is in no query
+    starts = np.cumsum([0] + [len(t) for t in subjects])
+    lanes = []
+    for k, subject in enumerate(subjects):
+        shape = draw(st.sampled_from(["whole", "anywhere", "row", "column"]))
+        forward = bool(rng.integers(0, 2))
+        if shape == "whole":  # along the homolog diagonal, to a sequence end
+            q0, s0 = (0, 0) if forward else (qc.size - 1, len(subject) - 1)
         else:
-            subject = _runs(rng, letters, int(rng.integers(1, 60)))
-        subjects.append(encode(subject))
-        shape = draw(st.sampled_from(["whole", "box", "row", "column"]))
-        if shape == "whole":
-            boxes.append((0, qc.size - 1, 0, len(subject) - 1))
+            q0, s0 = int(rng.integers(0, qc.size)), int(rng.integers(0, len(subject)))
+        if forward:
+            n, m = qc.size - q0, len(subject) - s0
+            lane = [q0 - 1, 1, starts[k] + s0 - 1, 1]
+        else:
+            n, m = q0 + 1, s0 + 1
+            lane = [q0 + 1, -1, starts[k] + s0 + 1, -1]
+        if shape == "row":
+            n = 1
+        elif shape == "column":
+            m = 1
+        lanes.append(lane + [n, m])
+    return table, encode("".join(subjects)), lanes, go, ge, xd
+
+
+def _reference_walk(path, i, j):
+    """The moves from cell ``(i, j)`` back to the anchor, read off a
+    recording with the walk's rules spelled out: in a gap, keep going
+    while the cell says the gap extended; otherwise the diagonal if the
+    cell took it, else its vertical gap, else its horizontal gap. Rows
+    and columns past the recording's edge are the anchor's gap runs."""
+    out = []
+    state = "H"
+    while (i, j) != (0, 0):
+        if i == 0 or j == 0:
+            out.append("E" if i else "F")
+            i, j = (i - 1, j) if i else (i, j - 1)
             continue
-        qs, ss = int(rng.integers(0, qc.size)), int(rng.integers(0, len(subject)))
-        qe = qs if shape == "row" else int(rng.integers(qs, qc.size))
-        se = ss if shape == "column" else int(rng.integers(ss, len(subject)))
-        boxes.append((qs, qe, ss, se))
-    subjects.append(encode("W" * int(rng.integers(1, 30))))  # W is in no query
-    boxes.append((0, qc.size - 1, 0, subjects[-1].size - 1))
-    padded = max((qe - qs + 2) * (se - ss + 2) for qs, qe, ss, se in boxes)
-    budget = draw(st.integers(1, padded))
-    return pssm, qc, subjects, boxes, go, ge, budget
+        bits = path.dirs[int(path.origin[i - 1]) + j]
+        if state == "H":
+            state = "D" if bits & DIAG else "E" if bits & FROM_E else "F"
+            if state != "D":
+                continue
+            out.append("D")
+            i, j = i - 1, j - 1
+            state = "H"
+        elif state == "E":
+            out.append("E")
+            i -= 1
+            state = "E" if bits & E_EXT else "H"
+        else:
+            out.append("F")
+            j -= 1
+            state = "F" if bits & F_EXT else "H"
+    return bytes("DEF".index(move) for move in out)
 
 
-class TestBatchTracebackEquivalence:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 25))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_scalar_per_box(self, seed, num_boxes):
-        rng = np.random.default_rng(seed)
-        params = SearchParams()
-        query = "".join(RESIDUES[i] for i in rng.integers(0, 20, 50))
-        qc = encode(query)
-        pssm = build_pssm(qc, BLOSUM62)
-        subjects, boxes = [], []
-        for _ in range(num_boxes):
-            slen = int(rng.integers(5, 120))
-            subjects.append(
-                encode("".join(RESIDUES[i] for i in rng.integers(0, 20, slen)))
-            )
-            qs = int(rng.integers(0, len(query)))
-            ss = int(rng.integers(0, slen))
-            boxes.append(
-                (
-                    qs,
-                    int(rng.integers(qs, len(query))),
-                    ss,
-                    int(rng.integers(ss, slen)),
-                )
-            )
-        got = batch_traceback_align(
-            build_score_table(pssm), qc, subjects, boxes,
-            params.gap_open, params.gap_extend,
+def _rescore(scores, moves, go, ge):
+    """A walk's score column by column from the anchor, with affine gaps,
+    and the cell it ends on."""
+    i = j = total = 0
+    last = None
+    for move in reversed(moves):
+        if move == 0:
+            i, j = i + 1, j + 1
+            total += int(scores[i - 1, j - 1])
+        else:
+            total -= ge if move == last else go
+            if move == 1:
+                i += 1
+            else:
+                j += 1
+        last = move
+    return total, i, j
+
+
+def _assert_walks_match(table, codes, lanes, go, ge, xd):
+    """Lane for lane: the batched recording walks to the scalar
+    recording's moves, and the path re-scores to the lane's best score
+    from the anchor to the lane's best cell."""
+    qa, qd, sa, sd, nn, mm = np.asarray(lanes, dtype=np.int64).reshape(-1, 6).T
+    best, bi, bj, *_, paths = batch_half_extend(
+        table, codes, qa, qd, sa, sd, nn, mm, go, ge, xd
+    )
+    halves = paths.select(np.ones(qa.size, dtype=bool))
+    for k in range(qa.size):
+        scores = _materialise(
+            table, codes, int(qa[k]), int(qd[k]), int(sa[k]), int(sd[k]),
+            int(nn[k]), int(mm[k]),
         )
-        for k, (s, box) in enumerate(zip(subjects, boxes)):
-            want = traceback_align(
-                pssm, qc, s, box, params.gap_open, params.gap_extend
-            )
-            assert got[k] == want, (k, box)
+        want = _half_extend(scores, go, ge, xd)
+        moves = _walk_half(halves[k], int(bi[k]), int(bj[k]))
+        assert moves == _reference_walk(want.path, want.best_i, want.best_j), k
+        assert _rescore(scores, moves, go, ge) == (want.best, want.best_i, want.best_j), k
+
+
+def _column_score(pssm, tb, go, ge, seed_column):
+    """A rendered alignment's score, column by column with affine gaps.
+    Its halves meet at ``seed_column``: a gap run there is two runs, as
+    the two halves are scored apart."""
+    total, qpos, gap = 0, tb.query_start, None
+    for column, (a, b) in enumerate(zip(tb.aligned_query, tb.aligned_subject)):
+        if column == seed_column:
+            gap = None
+        if "-" in (a, b):
+            kind = "q" if a == "-" else "s"
+            total -= ge if gap == kind else go
+            gap = kind
+        else:
+            total += int(pssm[encode(b)[0], qpos])
+            gap = None
+        qpos += a != "-"
+    return total
+
+
+class TestAnchoredTraceback:
+    @given(_ragged_case())
+    @settings(max_examples=40, deadline=None)
+    def test_walks_match_scalar_on_ragged_rows(self, case):
+        _assert_walks_match(*case)
 
     @given(_tie_heavy_case())
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_on_ties(self, case):
-        """Equal-scoring paths everywhere: the batch fill's direction bytes
-        must encode exactly the scalar walk's precedence (stop, diagonal,
-        E, F) and its first row-major best cell, across chunk cuts."""
-        pssm, qc, subjects, boxes, go, ge, budget = case
-        cut = patch.object(tb_module, "_CHUNK_CELL_BUDGET", budget)
-        spy = patch.object(tb_module, "_fill_chunk", wraps=tb_module._fill_chunk)
-        with cut, spy as fill:
-            got = batch_traceback_align(
-                build_score_table(pssm), qc, subjects, boxes, go, ge
-            )
-        assert fill.call_count >= 2
-        assert got[-1] is None  # the all-negative box
-        for k, (s, box) in enumerate(zip(subjects, boxes)):
-            assert got[k] == traceback_align(pssm, qc, s, box, go, ge), (k, box)
+    def test_walks_match_scalar_on_ties(self, case):
+        """Equal-scoring paths everywhere: the batched bytes must encode
+        the scalar recording's precedence exactly."""
+        _assert_walks_match(*case)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_alignments_keep_their_extensions(self, seed, num_seeds):
+        """Rendered from both halves, an alignment starts and ends at its
+        extension's coordinates and scores its extension's score; the
+        scalar extensions render to the same alignments."""
+        rng = np.random.default_rng(seed)
+        letters = "ACDEFGHIK"[: int(rng.integers(1, 10))]
+        query = _runs(rng, letters, 60)
+        pssm = build_pssm(encode(query), match_mismatch_matrix(2, -3))
+        db = SequenceDatabase.from_strings([_edited(rng, query) for _ in range(6)])
+        seq_ids = rng.integers(0, len(db), size=num_seeds).astype(np.int64)
+        lens = db.offsets[seq_ids + 1] - db.offsets[seq_ids]
+        seed_q = rng.integers(0, len(query), size=num_seeds).astype(np.int64)
+        seed_s = (rng.random(num_seeds) * lens).astype(np.int64)
+        go, ge, xd = 4, 2, 30
+        got = batch_gapped_extend(
+            build_score_table(pssm), db, seq_ids, seed_q, seed_s, go, ge, xd, 1
+        )
+        got = [g for g in got if g.score >= 1]
+        want = [
+            gapped_extend(pssm, db.sequence(g.seq_id), g.seq_id,
+                          g.seed_query, g.seed_subject, go, ge, xd)
+            for g in got
+        ]
+        subjects = [db.sequence(g.seq_id) for g in got]
+        qc = encode(query)
+        alignments = batch_traceback_align(pssm, qc, subjects, got)
+        assert alignments == batch_traceback_align(pssm, qc, subjects, want)
+        for g, tb in zip(got, alignments):
+            assert (tb.score, tb.query_start, tb.query_end, tb.subject_start, tb.subject_end) == (
+                g.score, g.query_start, g.query_end, g.subject_start, g.subject_end
+            )
+            back = _walk_half(
+                g.paths[0], g.seed_query + 1 - g.query_start,
+                g.seed_subject + 1 - g.subject_start,
+            )
+            assert _column_score(pssm, tb, go, ge, len(back)) == g.score

@@ -47,12 +47,13 @@ class TestDfaStructure:
         assert dfa.initial_state(codes) == 0 * ALPHABET_SIZE + 1
 
     def test_state_table_small_enough_for_shared_memory(self, dfa):
-        assert dfa.state_table_nbytes < 48 * 1024 * 8  # full tables
+        assert dfa.next_state.nbytes + dfa.word_of.nbytes < 48 * 1024 * 8  # full tables
         # The per-state record form used on the device is tiny:
         assert dfa.num_states * 8 < 8 * 1024
 
     def test_position_lists_nbytes(self, dfa, nbr):
-        assert dfa.position_lists_nbytes == nbr.offsets.nbytes + nbr.positions.nbytes
+        """The DFA's global-memory side is the neighbourhood's own lists."""
+        assert dfa.offsets is nbr.offsets and dfa.positions is nbr.positions
 
 
 class TestScanEquivalence:

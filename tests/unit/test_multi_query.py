@@ -26,6 +26,12 @@ def index(batch):
     return MultiQueryIndex.from_compiled(batch)
 
 
+def _entries(index, word):
+    """``(query_ids, query_positions)`` of one word's slice of the index."""
+    lo, hi = index.offsets[word], index.offsets[word + 1]
+    return index.query_ids[lo:hi], index.positions[lo:hi]
+
+
 class TestBuild:
     def test_needs_at_least_one_query(self):
         with pytest.raises(ConfigError):
@@ -53,7 +59,7 @@ class TestBuild:
         query (the merge keeps each neighbourhood's own order)."""
         checked = 0
         for word in range(index.offsets.size - 1):
-            qids, positions = index.entries_for_word(word)
+            qids, positions = _entries(index, word)
             if qids.size == 0:
                 continue
             assert np.all(np.diff(qids) >= 0)  # batch order
@@ -68,7 +74,7 @@ class TestBuild:
     def test_per_word_entries_match_single_query_tables(self, batch, index):
         solo = [c.neighborhood for c in batch]
         for word in (0, 137, 2400):
-            qids, positions = index.entries_for_word(word)
+            qids, positions = _entries(index, word)
             merged = [
                 (int(q), int(p)) for q, p in zip(qids, positions)
             ]

@@ -1,12 +1,12 @@
 """Unit tests for alignment with traceback."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from repro.alphabet import encode
+from repro.alphabet import decode, encode
+from repro.core.gapped_batch import batch_gapped_extend, batch_half_extend
 from repro.core.traceback import batch_traceback_align, traceback_align
+from repro.io.database import SequenceDatabase
 from repro.matrices import BLOSUM62, build_pssm, build_score_table, match_mismatch_matrix
 
 
@@ -114,33 +114,58 @@ class TestScoreConsistency:
 
 
 class TestBatchTraceback:
-    def _inputs(self, boxes=40, n=200, m=250):
+    def _inputs(self, seeds=40, n=200, m=250):
+        """Extensions from ``seeds`` seeds into random subjects, each of
+        which is a mutated copy of a stretch of the query."""
         rng = np.random.default_rng(3)
         letters = list("ARNDCQEGHILKMFPSTWYV")
         query = encode("".join(rng.choice(letters, n + 50)))
-        subjects = [encode("".join(rng.choice(letters, m + 50))) for _ in range(boxes)]
-        spans = [
-            (int(a), int(a) + n - 1, int(b), int(b) + m - 1)
-            for a, b in zip(rng.integers(0, 50, boxes), rng.integers(0, 50, boxes))
-        ]
-        return build_score_table(build_pssm(query, BLOSUM62)), query, subjects, spans
+        subjects = []
+        for a in rng.integers(0, 50, seeds):
+            s = query[a : a + m].copy()
+            flip = rng.random(s.size) < 0.2
+            s[flip] = rng.integers(0, 20, int(flip.sum()))
+            subjects.append(s)
+        db = SequenceDatabase.from_strings([decode(s) for s in subjects])
+        seq_ids = np.arange(seeds, dtype=np.int64)
+        seed = np.full(seeds, 20, dtype=np.int64)
+        return build_pssm(query, BLOSUM62), query, db, seq_ids, seed
 
-    def test_working_set_is_a_byte_per_cell(self):
-        """~2 M box cells (two chunks) fill in well under 8 MB: one direction
-        byte per cell plus rolling rows, not full score matrices."""
-        table, query, subjects, boxes = self._inputs()
-        batch_traceback_align(table, query, subjects, boxes, 11, 1)
-        tracemalloc.start()
-        try:
-            batch_traceback_align(table, query, subjects, boxes, 11, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, peak
+    def test_phase3_keeps_a_byte_per_computed_cell(self):
+        """What phase 4 walks is one direction byte per cell phase 3
+        computed, plus two guard bytes per lane row, not a box."""
+        pssm, query, db, seq_ids, seed = self._inputs()
+        table = build_score_table(pssm)
+        q_anchor = np.concatenate([seed + 1, seed])
+        s_anchor = np.concatenate([db.offsets[seq_ids] + seed + 1, db.offsets[seq_ids] + seed])
+        step = np.repeat(np.array([-1, 1]), seq_ids.size)
+        n_rows = np.concatenate([seed + 1, query.size - seed - 1])
+        m_cols = np.concatenate([seed + 1, db.offsets[seq_ids + 1] - db.offsets[seq_ids] - seed - 1])
+        *fields, paths = batch_half_extend(
+            table, db.codes, q_anchor, step, s_anchor, step, n_rows, m_cols, 11, 1, 38
+        )
+        best_i, reach_i, cells = fields[1], fields[3], fields[5]
+        rows = paths.records.shape[1]
+        assert rows == int(reach_i.sum())
+        assert paths.dirs.dtype == np.uint8
+        # ``cells`` also counts each lane's row 0, which needs no bytes.
+        row0 = np.minimum(m_cols, 1 + (38 - 11) // 1) + 1
+        assert paths.dirs.size == int((cells - row0).sum()) + 2 * rows
+        assert int(best_i.max()) > 100  # long paths, so the test is not vacuous
+        # Lanes that will not be walked give their bytes back.
+        keep = np.arange(best_i.size) % 2 == 0
+        halves = paths.select(keep)
+        assert halves[1] is None
+        assert len(halves[0].dirs) == int(paths.records[2][keep[paths.records[0]]].sum())
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_subjects_must_match_boxes(self, extra):
-        table, query, subjects, boxes = self._inputs(boxes=3, n=20, m=20)
+        pssm, query, db, seq_ids, seed = self._inputs(seeds=3, n=20, m=20)
+        seed = np.full(3, 5, dtype=np.int64)
+        gapped = batch_gapped_extend(
+            build_score_table(pssm), db, seq_ids, seed, seed, 11, 1, 38, 0
+        )
+        subjects = [db.sequence(g.seq_id) for g in gapped]
         subjects = subjects[:extra] if extra < 0 else subjects + subjects[:extra]
         with pytest.raises(ValueError):
-            batch_traceback_align(table, query, subjects, boxes, 11, 1)
+            batch_traceback_align(pssm, query, subjects, gapped)
