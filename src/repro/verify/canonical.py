@@ -24,8 +24,10 @@ if TYPE_CHECKING:
 
 #: Bump when the canonical rendering changes incompatibly (golden
 #: snapshots embed it, so stale snapshots fail loudly instead of silently
-#: comparing different schemas).
-CANONICAL_VERSION = 1
+#: comparing different schemas). 2: every gapped alignment carries its
+#: extension's score and endpoints (phase 4 walks phase 3's recorded
+#: path instead of re-solving the bounding box).
+CANONICAL_VERSION = 2
 
 
 #: Every :class:`~repro.core.results.Alignment` field, in canonical sort
