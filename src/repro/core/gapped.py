@@ -49,7 +49,7 @@ class HalfPath:
     run from the anchor.
     """
 
-    dirs: bytes
+    dirs: np.ndarray
     origin: np.ndarray
 
 
@@ -137,7 +137,8 @@ def _half_extend(
     if n == 0 or m == 0:
         # No room to move diagonally; a gap-only alignment never scores > 0,
         # so the empty alignment is optimal.
-        return HalfExtension(0, 0, 0, 0, 0, 0, HalfPath(b"", np.zeros(0, np.int64)))
+        empty = np.zeros(0, dtype=np.int64)
+        return HalfExtension(0, 0, 0, 0, 0, 0, HalfPath(empty.astype(np.uint8), empty))
 
     go = int(gap_open)
     ge = int(gap_extend)
@@ -216,7 +217,9 @@ def _half_extend(
         reach_j = max(reach_j, hi)
         if lo > m:  # pragma: no cover - defensive; lo <= m by construction
             break
-    path = HalfPath(b"".join(dir_rows), np.array(origin, dtype=np.int64))
+    path = HalfPath(
+        np.frombuffer(b"".join(dir_rows), dtype=np.uint8), np.array(origin, dtype=np.int64)
+    )
     return HalfExtension(best, best_i, best_j, reach_i, reach_j, int(cells), path)
 
 

@@ -14,7 +14,10 @@ A row is *ragged*: it holds only each live lane's window ``[lo, hi_new]``
 each window framed by one guard cell per side. Work is therefore
 proportional to live cells, not to lanes times the widest band. The
 previous row is read through one index map (lane base plus column), so
-retiring a lane just drops its column of the per-lane state.
+retiring a lane just drops its column of the per-lane state. Each row
+also yields one direction byte per cell (:mod:`repro.core.gapped`'s
+bits), kept in the same flat layout, which phase 4 walks
+(:class:`LanePaths`).
 
 Exactness (the conformance argument, enforced by
 ``tests/property/test_prop_gapped_batch.py``):
@@ -46,6 +49,22 @@ Exactness (the conformance argument, enforced by
   the offset back leaves the scalar's F at every column where that is
   real. The offset stays inside ``int64`` for up to :data:`_MAX_LANES`
   lanes per scan; larger calls are split.
+* A garbage cell never matches a real predecessor's byte. A walk reads
+  bytes only on an optimal path from a real best cell, and each step
+  goes to the predecessor whose value made the current cell's, so it
+  only ever reads real cells. A real cell's bits compare its real ``H``
+  with its diagonal and ``E`` candidates (``DIAG``, ``FROM_E``), its
+  ``E`` extension with its ``E`` opening (``E_EXT``), and the F scan one
+  column left with the scan two columns left (``F_EXT``). Where a
+  candidate derives from a garbage cell (a guard, or the scalar's
+  out-of-window ``NEG_INF``), its value is within the drift above of
+  ``NEG_INF``: it never equals a real ``H``, so it sets no ``DIAG`` or
+  ``FROM_E``; and it never reaches a real alternative, so ``E_EXT`` and
+  ``F_EXT`` name the real one, exactly as the scalar's bits do. The
+  scan restarts at every window, so ``F_EXT`` at a window's first
+  column (the scan at its left guard against the previous lane's last
+  term) is never set, and no byte compares across lanes. Guard bytes
+  are written and never read.
 
 Wave scheduling lives in :meth:`BlastpPipeline.phase_gapped`, not here:
 this module only answers "extend these (seq, seed) pairs, all at once".
@@ -71,10 +90,10 @@ class LanePaths:
     """The direction bytes of one :func:`batch_half_extend` call.
 
     ``dirs`` is every ragged row's bytes, guards included, one row after
-    the other. Each record is one lane's window in one DP row, in buffer
-    order: ``records[:, k]`` is ``(lane, start, length, origin)``, with
-    ``start``/``length`` the window's flat span (guards included) and
-    ``origin`` the flat index its column 0 would have.
+    the other. ``records`` has one column per lane window, in buffer
+    order: ``(lane, length, lo)``, the window's length with its two
+    guards and its first column. The windows tile ``dirs``, so a
+    window's start is the sum of the lengths before it.
     """
 
     dirs: np.ndarray
@@ -83,28 +102,23 @@ class LanePaths:
     @classmethod
     def concat(cls, parts: "list[LanePaths]", lane_offsets: "list[int]") -> "LanePaths":
         """One call's paths from the paths of its consecutive lane slices."""
-        bases = np.cumsum([0] + [p.dirs.size for p in parts[:-1]])
         return cls(
             np.concatenate([p.dirs for p in parts]),
             np.concatenate(
-                [
-                    p.records + np.array([[lane], [base], [0], [base]])
-                    for p, lane, base in zip(parts, lane_offsets, bases)
-                ],
-                axis=1,
+                [p.records + [[k], [0], [0]] for p, k in zip(parts, lane_offsets)], axis=1
             ),
         )
 
     def select(self, keep: np.ndarray) -> "list[HalfPath | None]":
         """Each lane's :class:`~repro.core.gapped.HalfPath` where ``keep``
-        is set, else ``None``. The kept windows are copied into one
-        compact buffer, so the dropped lanes' bytes are freed with this
-        object."""
+        is set, else ``None``. When some lane is dropped, the kept
+        windows are copied into one compact buffer, so the dropped lanes'
+        bytes are freed with this object."""
         kept = keep[self.records[0]]
-        lane, start, length, origin = self.records[:, kept]
-        dirs = self.dirs[np.repeat(kept, self.records[2])].tobytes()
-        origin += np.cumsum(length) - length - start
-        # A lane's records are in row order; a stable sort groups them.
+        dirs = self.dirs if kept.all() else self.dirs[np.repeat(kept, self.records[1])]
+        lane, length, lo = self.records[:, kept].astype(np.int64)
+        origin = np.cumsum(length) - length + 1 - lo
+        # A lane's windows are in row order; a stable sort groups them.
         order = np.argsort(lane, kind="stable")
         origin = origin[order]
         bounds = np.searchsorted(lane[order], np.arange(keep.size + 1)).tolist()
@@ -139,7 +153,8 @@ def batch_half_extend(
 
     Returns the six :class:`~repro.core.gapped.HalfExtension` fields as
     aligned int64 columns: ``(best, best_i, best_j, reach_i, reach_j,
-    cells)``, then the lanes' direction bytes (:class:`LanePaths`).
+    cells)``, then the direction bytes of every computed cell of every
+    lane (:class:`LanePaths`), the scalar DP's bits bit for bit.
     """
     columns = [
         np.asarray(a, dtype=np.int64)
@@ -166,10 +181,10 @@ def batch_half_extend(
     # exactly like the scalar early return.
     result = np.zeros((6, num), dtype=np.int64)
     lanes = np.flatnonzero((n_rows > 0) & (m_cols > 0))
-    dir_rows: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
-    records: list[np.ndarray] = [np.zeros((4, 0), dtype=np.int64)]
+    dirs = bytearray()
+    records: list[np.ndarray] = [np.zeros((3, 0), dtype=np.int32)]
     if lanes.size == 0:
-        return (*result, LanePaths(dir_rows[0], records[0]))
+        return (*result, LanePaths(np.frombuffer(dirs, dtype=np.uint8), records[0]))
     scores = table.reshape(-1)
     width = table.shape[1]
 
@@ -213,7 +228,6 @@ def batch_half_extend(
         starts + 1,  # base: the previous row's flat index of column 0
     ])
     x_all = ge_x_all = np.arange(0, dtype=np.int64)  # flat indices, grown on demand
-    row_base = 0  # where this row's bytes start in the whole call's buffer
 
     i = 0
     while True:
@@ -292,9 +306,8 @@ def batch_half_extend(
                 np.equal(h_cur, other, out=flag)
                 d += d
                 d += flag.view(np.uint8)
-            dir_rows.append(d)
-            records.append(np.stack([lanes, starts + row_base, seglen, col0 + row_base]))
-            row_base += size
+            dirs += d.data
+            records.append(np.stack([lanes, seglen, lo]).astype(np.int32))
             h_prev, e_prev = h_cur, e_cur
 
             row_best = np.maximum.reduceat(h_cur, starts)
@@ -329,7 +342,9 @@ def batch_half_extend(
         # through ``base``, wherever it sits in the flat vector.
         state = state[:, ~retired]
         if state.shape[1] == 0:
-            paths = LanePaths(np.concatenate(dir_rows), np.concatenate(records, axis=1))
+            paths = LanePaths(
+                np.frombuffer(dirs, dtype=np.uint8), np.concatenate(records, axis=1)
+            )
             return (*result, paths)
 
 

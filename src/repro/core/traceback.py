@@ -179,7 +179,7 @@ def _walk_half(path: HalfPath, i: int, j: int) -> bytes:
     horizontal gap. Row 0 and column 0 hold no bytes: a walk that
     reaches either ends in one gap run from the anchor.
     """
-    dirs = path.dirs
+    dirs = memoryview(path.dirs)
     origin = path.origin[:i].tolist()
     moves = bytearray()
     state = _MOVE_DIAG  # the H state: the cell's own provenance decides

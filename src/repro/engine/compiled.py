@@ -72,7 +72,7 @@ class CompiledQuery:
     score_table:
         The PSSM as the DP phases' ``int32`` score table
         (:func:`~repro.matrices.pssm.build_score_table`), read by the
-        batched gapped extension and the traceback fill.
+        batched gapped extension.
 
     The DFA form of the neighbourhood (:attr:`dfa`) is built lazily on
     first access and cached — CPU engines never need it — and the cache is

@@ -19,11 +19,6 @@ from repro.matrices.blosum import ScoringMatrix
 #: 32 rows with 2 bytes each").
 PSSM_COLUMN_BYTES = 32 * 2
 
-#: Score of the padding residue in :func:`build_score_table`: far below any
-#: reachable DP cell, far enough above the ``int32`` floor that subtracting
-#: a gap penalty cannot wrap.
-PAD_SCORE = -(2**30)
-
 
 def build_pssm(query_codes: np.ndarray, matrix: ScoringMatrix) -> np.ndarray:
     """Build the PSSM for an encoded query.
@@ -54,15 +49,12 @@ def build_pssm(query_codes: np.ndarray, matrix: ScoringMatrix) -> np.ndarray:
 def build_score_table(pssm: np.ndarray) -> np.ndarray:
     """The PSSM transposed into the DP phases' ``int32`` score table.
 
-    Returns a ``(query_length, codes + 1)`` array whose row ``i`` holds
-    query position ``i``'s score against every residue code, plus one
-    padding residue (code ``codes``) scoring :data:`PAD_SCORE`. Flattened,
-    the score of ``(i, code)`` is one ``take`` at ``i * width + code``,
-    which is how the gapped extension and the traceback fill read it.
+    Returns a ``(query_length, codes)`` array whose row ``i`` holds query
+    position ``i``'s score against every residue code. Flattened, the
+    score of ``(i, code)`` is one ``take`` at ``i * codes + code``, which
+    is how the batched gapped extension reads it.
     """
-    table = np.full((pssm.shape[1], pssm.shape[0] + 1), PAD_SCORE, dtype=np.int32)
-    table[:, :-1] = pssm.T
-    return table
+    return np.ascontiguousarray(pssm.T, dtype=np.int32)
 
 
 def pssm_memory_bytes(query_length: int) -> int:

@@ -12,10 +12,11 @@ end-to-end benchmark check those paths against code they do not share:
 3. :func:`~repro.core.pipeline.phase_ungapped_tagged` — phase 2, shared
    with production;
 4. :func:`serial_gapped` — the scalar best-first gapped loop under
-   BLAST's containment rule, one candidate at a time;
+   BLAST's containment rule, one candidate at a time; its scalar DP
+   also records the direction bytes phase 4 walks;
 5. :meth:`~repro.core.pipeline.BlastpPipeline.phase_traceback` /
    :meth:`~repro.core.pipeline.BlastpPipeline.phase_ungapped_report` —
-   phase 4, shared with production.
+   phase 4, shared with production (the walk included).
 
 :class:`SerialOracle` composes them behind the engine protocol;
 ``make_engine("reference:serial-gapped")`` builds it.

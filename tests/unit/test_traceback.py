@@ -156,7 +156,7 @@ class TestBatchTraceback:
         keep = np.arange(best_i.size) % 2 == 0
         halves = paths.select(keep)
         assert halves[1] is None
-        assert len(halves[0].dirs) == int(paths.records[2][keep[paths.records[0]]].sum())
+        assert len(halves[0].dirs) == int(paths.records[1][keep[paths.records[0]]].sum())
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_subjects_must_match_boxes(self, extra):
