@@ -137,8 +137,8 @@ def _half_extend(
     if n == 0 or m == 0:
         # No room to move diagonally; a gap-only alignment never scores > 0,
         # so the empty alignment is optimal.
-        empty = np.zeros(0, dtype=np.int64)
-        return HalfExtension(0, 0, 0, 0, 0, 0, HalfPath(empty.astype(np.uint8), empty))
+        path = HalfPath(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64))
+        return HalfExtension(0, 0, 0, 0, 0, 0, path)
 
     go = int(gap_open)
     ge = int(gap_extend)

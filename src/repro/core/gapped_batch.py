@@ -111,19 +111,21 @@ class LanePaths:
 
     def select(self, keep: np.ndarray) -> "list[HalfPath | None]":
         """Each lane's :class:`~repro.core.gapped.HalfPath` where ``keep``
-        is set, else ``None``. When some lane is dropped, the kept
-        windows are copied into one compact buffer, so the dropped lanes'
-        bytes are freed with this object."""
-        kept = keep[self.records[0]]
-        dirs = self.dirs if kept.all() else self.dirs[np.repeat(kept, self.records[1])]
-        lane, length, lo = self.records[:, kept].astype(np.int64)
-        origin = np.cumsum(length) - length + 1 - lo
+        is set, else ``None``.
+
+        The paths share this call's buffer, so it is freed once no kept
+        lane's path is referenced, at once when no lane is kept. The kept
+        windows are not compacted into a buffer of their own: the copy
+        and its mask would cost more memory at the peak than the dropped
+        windows free."""
+        lane, length, lo = self.records
+        origin = np.cumsum(length, dtype=np.int64) - length + 1 - lo
         # A lane's windows are in row order; a stable sort groups them.
         order = np.argsort(lane, kind="stable")
         origin = origin[order]
         bounds = np.searchsorted(lane[order], np.arange(keep.size + 1)).tolist()
         return [
-            HalfPath(dirs, origin[bounds[k] : bounds[k + 1]]) if keep[k] else None
+            HalfPath(self.dirs, origin[bounds[k] : bounds[k + 1]]) if keep[k] else None
             for k in range(keep.size)
         ]
 
@@ -372,8 +374,8 @@ def batch_gapped_extend(
     guarantees it).
 
     Extensions scoring at least ``report_cutoff`` carry their halves'
-    direction bytes (``paths``) for phase 4 to walk; the others' bytes
-    are dropped here, as no walk will read them.
+    direction bytes (``paths``) for phase 4 to walk; the others hold
+    none, as no walk will read them.
     """
     seq_ids = np.asarray(seq_ids, dtype=np.int64)
     seed_query = np.asarray(seed_query, dtype=np.int64)
