@@ -70,9 +70,9 @@ class HalfExtension:
     reach_j: int
     #: DP cells actually computed (the live band, not the bounding box) —
     #: what the CPU cost model charges for this half.
-    cells: int = 0
+    cells: int
     #: The cells' direction bytes.
-    path: HalfPath | None = field(default=None, compare=False, repr=False)
+    path: HalfPath = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ class BlastpPipeline:
             evalue = cutoffs.gapped.evalue(g.score, self.query_length, db_residues)
             if evalue <= self.params.evalue:
                 kept.append((g, evalue))
-        kept.sort(key=lambda ge: (-ge[0].score, ge[0].seq_id, ge[0].query_start, ge[0].subject_start))
+        kept.sort(key=lambda k: (-k[0].score, k[0].seq_id, k[0].query_start, k[0].subject_start))
         kept = kept[: self.params.max_alignments]
         tbs = batch_traceback_align(
             self.pssm,

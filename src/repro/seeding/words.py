@@ -152,7 +152,6 @@ class Neighborhood:
         return int(self.positions.size)
 
 
-
 @thread_shared
 class NeighbourTable:
     """Lazily filled word → sorted neighbour words, for one ``(scores, W, T)``.

@@ -316,8 +316,6 @@ def _edited(rng, text):
     return "".join(out)
 
 
-
-
 @st.composite
 def _tie_heavy_case(draw):
     """Half-extensions built for ties, in :func:`_ragged_case`'s shape: a
