@@ -20,7 +20,7 @@ def compute_scaling(lab):
     result, _, gapped = finish_phases(pipe, db, exts, hits, seeds, cutoffs)
     times = {}
     for threads in (1, 2, 4):
-        r = cpu_phase_times(gapped, cutoffs.report_cutoff, result.alignments, threads)
+        r = cpu_phase_times(gapped, cutoffs.report_cutoff, threads)
         times[threads] = {"gapped": r.gapped_ms, "traceback": r.traceback_ms, "total": r.total_ms}
     return times
 

@@ -30,7 +30,7 @@ def main() -> None:
     print(f"database: {db.stats()}")
     print(f"query:    {len(query)} residues\n")
 
-    # Compile the query once (encode, SEG, neighbourhood, PSSM): any
+    # Compile the query once (encode, neighbourhood, PSSM): any
     # engine can run the compiled form — here cuBLASTP, and the CPU
     # reference below for the identity check, with zero rebuild.
     compiled = compile_query(query)

@@ -126,9 +126,7 @@ class CudaBlastp(ModelledEngine):
         result, _counts, gapped = finish_phases(
             pipe, db, extensions, 0, 0, cutoffs, engine_name=self.name, events=self.events
         )
-        cpu = cpu_phase_times(
-            gapped, cutoffs.report_cutoff, result.alignments, self.cpu_threads
-        )
+        cpu = cpu_phase_times(gapped, cutoffs.report_cutoff, self.cpu_threads)
         transfer = TransferModel()
         report = CoarseReport(
             kernel=profile,

@@ -69,8 +69,8 @@ class FsaBlast(ModelledEngine):
         """Search and attach the per-phase cost model.
 
         Phases 1–2 run as the one-query sweep, phases 3–4 as the shared
-        tail (:func:`~repro.core.sweep.finish_phases`, which also honours
-        ``ungapped_only``), priced at this engine's thread count
+        tail (:func:`~repro.core.sweep.finish_phases`), priced at this
+        engine's thread count
         (:func:`~repro.perfmodel.cpu_cost.cpu_phase_times`).
         """
         pipe = self.pipe
@@ -82,9 +82,7 @@ class FsaBlast(ModelledEngine):
             pipe, db, extensions, num_hits, num_seeds, cutoffs,
             engine_name=self.name, events=self.events,
         )
-        cpu = cpu_phase_times(
-            gapped, cutoffs.report_cutoff, result.alignments, self.threads, self.costs
-        )
+        cpu = cpu_phase_times(gapped, cutoffs.report_cutoff, self.threads, self.costs)
         num_words = int(
             np.maximum(db.lengths - pipe.params.word_length + 1, 0).sum()
         )

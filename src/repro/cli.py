@@ -62,7 +62,10 @@ def _load_database(arg: str) -> SequenceDatabase:
     """Resolve a database argument: binary store path or FASTA file."""
     if storage.sniff_format(arg) == "binary":
         return get_default_store().open(arg)
-    return SequenceDatabase.from_records(read_fasta_file(arg))
+    records = read_fasta_file(arg)
+    if not records:
+        raise SystemExit(f"error: {arg}: no FASTA records")
+    return SequenceDatabase.from_records(records)
 
 
 def _load_queries(arg: str) -> list[tuple[str, str]]:
@@ -295,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--evalue", type=float, default=10.0)
         p.add_argument("--threshold", type=int, default=11, help="neighbourhood T")
         p.add_argument("--window", type=int, default=40, help="two-hit window A")
-        p.add_argument("--max-alignments", type=int, default=500)
+        p.add_argument("--max-alignments", type=_positive_int, default=500)
         p.add_argument(
             "--effective-db-size",
-            type=int,
+            type=_positive_int,
             default=None,
             help="evaluate E-values as if the database had this many residues",
         )

@@ -58,30 +58,6 @@ class HitArray:
         """Diagonal number of every hit."""
         return diagonal_of(self.query_pos, self.subject_pos, self.query_length)
 
-    def sorted_diagonal_major(self) -> "HitArray":
-        """Reorder hits to (seq_id, diagonal, subject_pos) order.
-
-        This is the order the ungapped-extension phase consumes — the
-        target order of the paper's binning-sorting step.
-        """
-        order = np.lexsort((self.subject_pos, self.diagonal, self.seq_id))
-        return HitArray(
-            seq_id=self.seq_id[order],
-            query_pos=self.query_pos[order],
-            subject_pos=self.subject_pos[order],
-            query_length=self.query_length,
-        )
-
-    def as_tuples(self) -> list[tuple[int, int, int]]:
-        """Hits as ``(seq_id, query_pos, subject_pos)`` tuples (tests only)."""
-        return list(
-            zip(
-                self.seq_id.tolist(),
-                self.query_pos.tolist(),
-                self.subject_pos.tolist(),
-            )
-        )
-
 
 @dataclass(frozen=True)
 class KeyLayout:

@@ -22,13 +22,7 @@ from repro.core.gapped import GappedExtension
 from repro.core.gapped_batch import batch_gapped_extend
 from repro.core.hits import TaggedHits
 from repro.core.results import Alignment, ExtensionArray, SearchResult
-from repro.core.statistics import (
-    Cutoffs,
-    SearchParams,
-    bit_scores_for_scores,
-    evalues_for_scores,
-    resolve_cutoffs,
-)
+from repro.core.statistics import Cutoffs, SearchParams, resolve_cutoffs
 from repro.core.traceback import batch_traceback_align
 from repro.core.two_hit import select_seeds_and_extend
 from repro.engine.compiled import CompiledQuery, compile_query
@@ -53,7 +47,6 @@ class PhaseCounts:
     num_ungapped_extensions: int
     num_gapped_triggers: int
     num_gapped_extensions: int
-    num_traceback: int
     num_reported: int
 
 
@@ -156,7 +149,6 @@ class BlastpPipeline:
         self.query_codes = self.compiled.query_codes
         self.pssm = self.compiled.pssm
         self.score_table = self.compiled.score_table
-        self.seg_mask = self.compiled.seg_mask
         self.neighborhood = self.compiled.neighborhood
 
     @property
@@ -357,83 +349,6 @@ class BlastpPipeline:
             for (g, evalue), tb in zip(kept, tbs)
         ]
 
-    def phase_ungapped_report(
-        self,
-        extensions: ExtensionArray,
-        db: SequenceDatabase,
-        cutoffs: Cutoffs,
-    ) -> list[Alignment]:
-        """Render ungapped HSPs directly (BLAST's ``-ungapped`` mode).
-
-        Replaces phases 3 and 4: extensions meeting the E-value threshold
-        under the *ungapped* Karlin-Altschul statistics become reported
-        alignments (no gap columns by construction). E-values, bit
-        scores, the threshold filter and the first-occurrence de-dup all
-        run columnar; only the surviving (reported) rows are rendered.
-        """
-        from repro.alphabet import decode
-
-        ext = extensions
-        db_residues = cutoffs.effective_db_residues or int(db.codes.size)
-        evalues = evalues_for_scores(
-            cutoffs.ungapped, ext.score, self.query_length, db_residues
-        )
-        idx = np.flatnonzero(evalues <= self.params.evalue)
-        if idx.size:
-            # First survivor per (seq_id, query_start, subject_start):
-            # sort by the key (stable, so ties keep stream order), keep
-            # each run's head, then restore stream order — exactly the
-            # retired ``seen``-set walk.
-            order = np.lexsort(
-                (ext.subject_start[idx], ext.query_start[idx], ext.seq_id[idx])
-            )
-            srt = idx[order]
-            sid, qst, sst = ext.seq_id[srt], ext.query_start[srt], ext.subject_start[srt]
-            head = np.ones(srt.size, dtype=bool)
-            head[1:] = (
-                (sid[1:] != sid[:-1]) | (qst[1:] != qst[:-1]) | (sst[1:] != sst[:-1])
-            )
-            idx = np.sort(srt[head])
-        bits = bit_scores_for_scores(cutoffs.ungapped, ext.score[idx])
-        out: list[Alignment] = []
-        for j, k in enumerate(idx):
-            qs, qe = int(ext.query_start[k]), int(ext.query_end[k])
-            ss, se = int(ext.subject_start[k]), int(ext.subject_end[k])
-            seq_id = int(ext.seq_id[k])
-            q_seg = self.query_codes[qs : qe + 1]
-            s_seg = db.sequence(seq_id)[ss : se + 1]
-            aligned_query = decode(q_seg)
-            # Vectorised midline/identity: identity columns echo the
-            # query letter, positive-scoring mismatches mark '+'.
-            eq = q_seg == s_seg
-            pos = self.pssm[s_seg, np.arange(qs, qe + 1)] > 0
-            midline = np.where(
-                eq,
-                np.frombuffer(aligned_query.encode("ascii"), dtype="S1"),
-                np.where(pos, b"+", b" "),
-            ).tobytes().decode("ascii")
-            out.append(
-                Alignment(
-                    seq_id=seq_id,
-                    subject_identifier=db.identifier(seq_id),
-                    score=int(ext.score[k]),
-                    bit_score=float(bits[j]),
-                    evalue=float(evalues[k]),
-                    query_start=qs,
-                    query_end=qe,
-                    subject_start=ss,
-                    subject_end=se,
-                    aligned_query=aligned_query,
-                    aligned_subject=decode(s_seg),
-                    midline=midline,
-                    identities=int(eq.sum()),
-                    positives=int((eq | pos).sum()),
-                    gaps=0,
-                )
-            )
-        out.sort(key=lambda a: (-a.score, a.seq_id, a.query_start, a.subject_start))
-        return out[: self.params.max_alignments]
-
     def assemble(
         self,
         db: SequenceDatabase,
@@ -445,14 +360,13 @@ class BlastpPipeline:
         alignments: list[Alignment],
     ) -> tuple[SearchResult, PhaseCounts]:
         """The search result and its per-phase work counts, from the four
-        phases' outputs (``gapped`` is empty in ungapped-only mode)."""
+        phases' outputs."""
         counts = PhaseCounts(
             num_hits=num_hits,
             num_seeds=num_seeds,
             num_ungapped_extensions=len(extensions),
             num_gapped_triggers=num_triggers,
             num_gapped_extensions=len(gapped),
-            num_traceback=len(gapped),
             num_reported=len(alignments),
         )
         result = SearchResult(

@@ -35,11 +35,6 @@ class UngappedExtension:
         """Number of aligned residue pairs."""
         return self.subject_end - self.subject_start + 1
 
-    @property
-    def diagonal_offset(self) -> int:
-        """``subject_start - query_start`` (constant along the segment)."""
-        return self.subject_start - self.query_start
-
 
 @dataclass(eq=False)
 class ExtensionArray:
@@ -169,16 +164,6 @@ class ExtensionArray:
         return type(self)(
             seq_id, self.query_start, self.query_end,
             self.subject_start, self.subject_end, self.score,
-        )
-
-    def sorted_canonical(self) -> "ExtensionArray":
-        """Rows in ``(seq_id, query_start, subject_start)`` order.
-
-        The canonical inter-implementation order the GPU readback uses;
-        stable, so equal keys keep their input order.
-        """
-        return self.take(
-            np.lexsort((self.subject_start, self.query_start, self.seq_id))
         )
 
     def sorted_full(self) -> "ExtensionArray":

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.matrices.blosum import BLOSUM62, ScoringMatrix
 from repro.matrices.karlin import KarlinParams, gapped_params, ungapped_params
@@ -40,13 +38,6 @@ class SearchParams:
     gap_open: int = 11
     gap_extend: int = 1
     max_alignments: int = 500
-    #: Report ungapped HSPs directly (BLAST's -ungapped mode): phases 3/4
-    #: are skipped and E-values use the ungapped Karlin-Altschul params.
-    ungapped_only: bool = False
-    #: Apply SEG low-complexity soft masking to the query: no seeding from
-    #: masked regions, original residues kept for extension scoring (the
-    #: NCBI BLASTP default behaviour).
-    seg: bool = False
     #: Search-space override: compute E-values and the report cutoff as if
     #: the database had this many residues. The sandbox databases stand in
     #: for multi-GB NCBI ones (DESIGN.md §2); scaling the statistics to the
@@ -64,6 +55,10 @@ class SearchParams:
             raise ConfigError("evalue must be positive")
         if self.gap_open < 0 or self.gap_extend <= 0:
             raise ConfigError("gap penalties must be non-negative / positive")
+        if self.max_alignments < 1:
+            raise ConfigError("max_alignments must be >= 1")
+        if self.effective_db_residues is not None and self.effective_db_residues < 1:
+            raise ConfigError("effective_db_residues must be >= 1 (or None)")
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,6 @@ class Cutoffs:
     report_cutoff:
         Minimum gapped score for an alignment to be reported (from the
         E-value threshold and the search-space size).
-    ungapped:
-        Ungapped Karlin-Altschul parameters (bit scores for phase 2).
     gapped:
         Gapped Karlin-Altschul parameters (bit scores / E-values reported).
     """
@@ -91,7 +84,6 @@ class Cutoffs:
     gap_trigger: int
     x_drop_gapped: int
     report_cutoff: int
-    ungapped: KarlinParams
     gapped: KarlinParams
     #: Residue count used for the statistics (actual or emulated).
     effective_db_residues: int = 0
@@ -110,42 +102,6 @@ def raw_drop_from_bits(bits: float, params: KarlinParams) -> int:
     return max(1, math.floor(bits * math.log(2.0) / params.lam))
 
 
-def evalues_for_scores(
-    karlin: KarlinParams,
-    scores: np.ndarray,
-    query_length: int,
-    db_residues: int,
-) -> np.ndarray:
-    """Per-row E-values for a raw-score column (columnar phase 3/4 path).
-
-    Bit-identical to calling :meth:`KarlinParams.evalue` per record: the
-    canonical comparison is ``repr()``-exact on floats, and ``np.exp`` is
-    not guaranteed to match libm's ``math.exp`` in the last ulp, so this
-    memoises the *scalar* computation per unique raw score (extension
-    streams repeat a handful of scores thousands of times) instead of
-    switching transcendental implementations.
-    """
-    scores = np.asarray(scores, dtype=np.int64)
-    uniq, inverse = np.unique(scores, return_inverse=True)
-    values = np.array(
-        [karlin.evalue(int(s), query_length, db_residues) for s in uniq],
-        dtype=np.float64,
-    )
-    return values[inverse]
-
-
-def bit_scores_for_scores(karlin: KarlinParams, scores: np.ndarray) -> np.ndarray:
-    """Per-row bit scores for a raw-score column.
-
-    Same unique-score memoisation (and exactness argument) as
-    :func:`evalues_for_scores`.
-    """
-    scores = np.asarray(scores, dtype=np.int64)
-    uniq, inverse = np.unique(scores, return_inverse=True)
-    values = np.array([karlin.bit_score(int(s)) for s in uniq], dtype=np.float64)
-    return values[inverse]
-
-
 def resolve_cutoffs(params: SearchParams, query_length: int, db_residues: int) -> Cutoffs:
     """Convert bit-space parameters to raw cutoffs for a concrete search."""
     if query_length <= 0 or db_residues <= 0:
@@ -159,7 +115,6 @@ def resolve_cutoffs(params: SearchParams, query_length: int, db_residues: int) -
         gap_trigger=bits_to_raw(params.gap_trigger_bits, ungapped),
         x_drop_gapped=raw_drop_from_bits(params.x_drop_gapped_bits, gapped),
         report_cutoff=report,
-        ungapped=ungapped,
         gapped=gapped,
         effective_db_residues=effective,
     )

@@ -166,13 +166,11 @@ def finish_phases(
 
     The one phase 3–4 tail: the sweep, FSA-BLAST, cuBLASTP and the coarse
     GPU baselines all finish here, whatever produced their extensions
-    (engines differ only in phases 1–2). In ungapped-only mode the
-    extensions are rendered directly instead. Returns the assembled
-    result, its per-phase work counts, and the gapped extensions phase 3
-    accepted (empty in ungapped-only mode) — what the result and the CPU
-    price both need. With an event log, each phase emits one timed record
-    under ``engine_name`` (default: the pipeline's) carrying its
-    work-item count.
+    (engines differ only in phases 1–2). Returns the assembled result,
+    its per-phase work counts, and the gapped extensions phase 3
+    accepted — what the result and the CPU price both need. With an
+    event log, each phase emits one timed record under ``engine_name``
+    (default: the pipeline's) carrying its work-item count.
     """
     name = engine_name or pipe.name
 
@@ -181,18 +179,12 @@ def finish_phases(
             return nullcontext({})
         return events.phase(name, phase_name, query_id=pipe.query_id)
 
-    if pipe.params.ungapped_only:
-        gapped, num_triggers = [], 0
-        with phase("final_alignment") as ev:
-            alignments = pipe.phase_ungapped_report(extensions, db, cutoffs)
-            ev["work_items"] = len(alignments)
-    else:
-        with phase("gapped_extension") as ev:
-            gapped, num_triggers = pipe.phase_gapped(extensions, db, cutoffs)
-            ev["work_items"] = len(gapped)
-        with phase("final_alignment") as ev:
-            alignments = pipe.phase_traceback(gapped, db, cutoffs)
-            ev["work_items"] = len(alignments)
+    with phase("gapped_extension") as ev:
+        gapped, num_triggers = pipe.phase_gapped(extensions, db, cutoffs)
+        ev["work_items"] = len(gapped)
+    with phase("final_alignment") as ev:
+        alignments = pipe.phase_traceback(gapped, db, cutoffs)
+        ev["work_items"] = len(alignments)
     result, counts = pipe.assemble(
         db, extensions, num_hits, num_seeds, gapped, num_triggers, alignments
     )

@@ -27,13 +27,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.alphabet import ALPHABET, GAP_CHAR
-from repro.core.gapped import DIAG, E_EXT, F_EXT, FROM_E, HalfPath
+from repro.core.gapped import DIAG, E_EXT, F_EXT, FROM_E, NEG_INF, HalfPath
 
 if TYPE_CHECKING:
     from repro.core.gapped import GappedExtension
-
-#: Minus infinity for int64 score arithmetic (same convention as gapped.py).
-_NEG = np.int64(-(2**40))
 
 # Walk moves, one per alignment column.
 _MOVE_DIAG = 0  # query residue over subject residue
@@ -110,8 +107,8 @@ def traceback_align(
 
     go, ge = int(gap_open), int(gap_extend)
     H = np.zeros((n + 1, m + 1), dtype=np.int64)
-    E = np.full((n + 1, m + 1), _NEG, dtype=np.int64)
-    F = np.full((n + 1, m + 1), _NEG, dtype=np.int64)
+    E = np.full((n + 1, m + 1), NEG_INF, dtype=np.int64)
+    F = np.full((n + 1, m + 1), NEG_INF, dtype=np.int64)
     jj = np.arange(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         E[i, 1:] = np.maximum(H[i - 1, 1:] - go, E[i - 1, 1:] - ge)

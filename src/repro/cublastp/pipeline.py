@@ -220,7 +220,6 @@ def run_cublastp(
         price = cpu_phase_times(
             [g for g in gapped if lo <= g.seq_id < hi],
             cutoffs.report_cutoff,
-            [a for a in result.alignments if lo <= a.seq_id < hi],
             config.cpu_threads,
         )
         gap_block[b] = price.gapped_ms

@@ -2,8 +2,8 @@
 
 Every BLASTP implementation in this repo needs the same query-side
 structures before it can touch the database: the encoded residues, the
-optional SEG mask, the T-threshold word neighbourhood (and the DFA over
-it), and the position-specific scoring matrix. None of it depends
+T-threshold word neighbourhood (and the DFA over it), and the
+position-specific scoring matrix. None of it depends
 on the engine or the database, so it is built in one place and shared
 across engines, database blocks and cluster nodes. The one costly step,
 the neighbourhood, is a gather from a process-lifetime word →
@@ -50,7 +50,6 @@ def compile_signature(params: SearchParams) -> tuple[Hashable, ...]:
         params.matrix.scores.tobytes(),
         params.word_length,
         params.threshold,
-        params.seg,
     )
 
 
@@ -63,8 +62,6 @@ class CompiledQuery:
         The full search parameters the query was compiled under.
     query_codes:
         Encoded query residues (``uint8``).
-    seg_mask:
-        SEG low-complexity mask (or ``None`` when ``params.seg`` is off).
     neighborhood:
         The T-threshold word neighbourhood: word index -> query positions.
     pssm:
@@ -84,7 +81,6 @@ class CompiledQuery:
         self,
         params: SearchParams,
         query_codes: np.ndarray,
-        seg_mask: np.ndarray | None,
         neighborhood: Neighborhood,
         pssm: np.ndarray,
         score_table: np.ndarray,
@@ -92,7 +88,6 @@ class CompiledQuery:
     ) -> None:
         self.params = params
         self.query_codes = query_codes
-        self.seg_mask = seg_mask
         self.neighborhood = neighborhood
         self.pssm = pssm
         self.score_table = score_table
@@ -127,7 +122,6 @@ class CompiledQuery:
             return CompiledQuery(
                 params,
                 self.query_codes,
-                self.seg_mask,
                 self.neighborhood,
                 self.pssm,
                 self.score_table,
@@ -140,7 +134,7 @@ def compile_query(
     query: "str | np.ndarray | CompiledQuery",
     params: SearchParams | None = None,
 ) -> CompiledQuery:
-    """Compile ``query`` under ``params`` (encode, SEG, neighbourhood, PSSM).
+    """Compile ``query`` under ``params`` (encode, neighbourhood, PSSM).
 
     Accepts a residue string, an encoded ``uint8`` array, or an existing
     :class:`CompiledQuery` (rebound to ``params`` when given).
@@ -155,13 +149,8 @@ def compile_query(
     if query_codes.size < params.word_length:
         raise ValueError("query shorter than the word length")
     pssm = build_pssm(query_codes, params.matrix)
-    mask = None
-    if params.seg:
-        from repro.seeding.seg import seg_mask
-
-        mask = seg_mask(query_codes)
     neighborhood = build_neighborhood(
-        query_codes, params.matrix, params.word_length, params.threshold, masked=mask
+        query_codes, params.matrix, params.word_length, params.threshold
     )
-    return CompiledQuery(params, query_codes, mask, neighborhood, pssm, build_score_table(pssm))
+    return CompiledQuery(params, query_codes, neighborhood, pssm, build_score_table(pssm))
 

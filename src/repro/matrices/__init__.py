@@ -13,7 +13,6 @@ alignment scores into bit scores and E-values exactly as BLAST does.
 """
 
 from repro.matrices.blosum import BLOSUM62, ScoringMatrix, match_mismatch_matrix
-from repro.matrices.henikoff import blosum_from_blocks
 from repro.matrices.karlin import KarlinParams, gapped_params, ungapped_params
 from repro.matrices.pssm import build_pssm, build_score_table, pssm_memory_bytes
 
@@ -21,7 +20,6 @@ __all__ = [
     "BLOSUM62",
     "KarlinParams",
     "ScoringMatrix",
-    "blosum_from_blocks",
     "build_pssm",
     "build_score_table",
     "gapped_params",

@@ -125,62 +125,6 @@ _GAPPED_TABLE: dict[tuple[str, int, int], KarlinParams] = {
 }
 
 
-def length_adjustment(
-    params: KarlinParams,
-    query_length: int,
-    db_residues: int,
-    db_sequences: int,
-    iterations: int = 20,
-) -> int:
-    """BLAST's edge-effect correction to the search space.
-
-    An alignment of expected length ``l`` cannot start in the last ``l``
-    residues of the query or of a subject, so the effective search space
-    shrinks. BLAST solves the fixed point::
-
-        l = ln(K * (m - l) * (n - N*l)) / H
-
-    iteratively (``m`` query length, ``n`` total residues, ``N`` sequence
-    count) and clamps so effective lengths stay positive.
-
-    Returns
-    -------
-    int
-        The length adjustment ``l`` (0 when the search space is too small
-        for the correction to apply).
-    """
-    if query_length <= 0 or db_residues <= 0 or db_sequences <= 0:
-        raise ValueError("search-space dimensions must be positive")
-    if params.H <= 0:
-        return 0
-    ell = 0.0
-    for _ in range(iterations):
-        m_eff = max(1.0, query_length - ell)
-        n_eff = max(1.0, db_residues - db_sequences * ell)
-        nxt = math.log(max(params.K * m_eff * n_eff, math.e)) / params.H
-        # Keep the effective lengths positive (BLAST's clamp).
-        nxt = min(nxt, query_length - 1, db_residues / db_sequences - 1)
-        nxt = max(nxt, 0.0)
-        if abs(nxt - ell) < 0.5:
-            ell = nxt
-            break
-        ell = nxt
-    return int(ell)
-
-
-def effective_search_space(
-    params: KarlinParams,
-    query_length: int,
-    db_residues: int,
-    db_sequences: int,
-) -> float:
-    """Edge-corrected ``m' * n'`` product BLAST plugs into E-values."""
-    ell = length_adjustment(params, query_length, db_residues, db_sequences)
-    m_eff = max(1, query_length - ell)
-    n_eff = max(1, db_residues - db_sequences * ell)
-    return float(m_eff) * float(n_eff)
-
-
 def gapped_params(
     matrix: ScoringMatrix,
     gap_open: int | None = None,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.gapped import GappedExtension
-from repro.core.results import Alignment, ExtensionArray
+from repro.core.results import ExtensionArray
 from repro.perfmodel.calibration import CPU_CLOCK_GHZ, CostConstants, DEFAULT_COSTS
 
 
@@ -143,7 +143,6 @@ class CpuPhaseTimes:
 def cpu_phase_times(
     gapped: Sequence[GappedExtension],
     report_cutoff: int,
-    alignments: Sequence[Alignment],
     threads: int,
     costs: CostConstants = DEFAULT_COSTS,
 ) -> CpuPhaseTimes:
@@ -151,15 +150,7 @@ def cpu_phase_times(
 
     Gapped extension is the LPT makespan of every extension's DP, and
     traceback that of the extensions scoring at least ``report_cutoff``.
-    With no gapped extensions — BLAST's ``-ungapped`` mode, where the
-    reported HSPs are rendered instead — the alignments are priced at one
-    ungapped-cell pass over their columns; a gapped search whose phase 3
-    found nothing has no alignments either, so both prices are zero.
     """
-    if not gapped:
-        render_cycles = sum(a.length for a in alignments) * costs.ungapped_cell
-        ms = render_cycles / (3.1e9) * 1e3 / max(1, threads)
-        return CpuPhaseTimes(gapped_ms=0.0, traceback_ms=ms, threads=threads)
     reported = [g for g in gapped if g.score >= report_cutoff]
     return CpuPhaseTimes(
         gapped_ms=thread_makespan_ms(gapped_work_items(gapped, costs), threads, costs),

@@ -21,7 +21,6 @@ enforce this equivalence.
 
 from repro.seeding.dfa import QueryDFA
 from repro.seeding.multi_query import MultiQueryIndex, TaggedHits
-from repro.seeding.seg import seg_mask, window_entropy
 from repro.seeding.words import (
     DEFAULT_THRESHOLD,
     DEFAULT_WORD_LENGTH,
@@ -42,7 +41,5 @@ __all__ = [
     "all_words",
     "build_neighborhood",
     "num_words",
-    "seg_mask",
-    "window_entropy",
     "word_indices",
 ]

@@ -250,7 +250,6 @@ def build_neighborhood(
     matrix: ScoringMatrix,
     word_length: int = DEFAULT_WORD_LENGTH,
     threshold: int = DEFAULT_THRESHOLD,
-    masked: np.ndarray | None = None,
 ) -> Neighborhood:
     """Build the neighbourhood of every query position.
 
@@ -264,14 +263,6 @@ def build_neighborhood(
     ascending inside each word's slice — :class:`Neighborhood` documents
     that order and the hit-detection kernel bins by it.
 
-    Parameters
-    ----------
-    masked:
-        Optional boolean low-complexity mask over query residues (SEG,
-        soft masking): positions whose word overlaps a masked residue are
-        excluded from the neighbourhood — no seeding there — while
-        extension scoring (the PSSM) keeps the original residues.
-
     Raises
     ------
     SequenceError
@@ -284,15 +275,6 @@ def build_neighborhood(
         raise SequenceError(f"query of length {qlen} is shorter than W={word_length}")
     query_words = word_indices(query_codes, word_length)
     positions = np.arange(n_pos, dtype=np.int32)
-    if masked is not None:
-        masked = np.asarray(masked, dtype=bool)
-        if masked.size != qlen:
-            raise SequenceError("mask length must equal query length")
-        keep = np.ones(n_pos, dtype=bool)
-        for k in range(word_length):
-            keep &= ~masked[k : k + n_pos]
-        query_words = query_words[keep]
-        positions = positions[keep]
     table = _TABLES.get(matrix.scores, word_length, threshold)
     starts, counts, pool = table.rows(query_words)
     # Ragged expansion of the rows (the sweep_block trick): neighbour ``k``

@@ -6,7 +6,7 @@ sequential reference. This package makes that claim continuously
 checkable instead of spot-checked:
 
 * :mod:`~repro.verify.cases` — seeded generative workloads (random,
-  homolog-enriched, SEG-heavy, diagonal-pileup, boundary-length) plus
+  homolog-enriched, low-complexity, diagonal-pileup, boundary-length) plus
   the 64-case pinned corpus;
 * :mod:`~repro.verify.canonical` — the canonical, text-diffable result
   form two engines must agree on;

@@ -17,9 +17,10 @@ workload-dependence analysis; PAPERS.md):
     (:mod:`repro.io.workloads`), so gapped extension and traceback see
     real work.
 ``lowcomplexity``
-    SEG-heavy sequences: long single- and dual-residue runs in both the
-    query and subjects. Masking differences or off-by-ones in the SEG
-    window show up here first.
+    Long single- and dual-residue runs in both the query and subjects
+    (unmasked): one word at many positions, dense seeds on neighbouring
+    diagonals, overlapping gapped candidates and equal-score traceback
+    paths.
 ``pileup``
     Periodic sequences sharing short words with the query — pathological
     diagonal pileups that stress binning, the segmented sort, and the
@@ -144,7 +145,7 @@ def _lowcomplexity_case(seed: int) -> Case:
             parts.append(_lowcomplexity_piece(rng, int(rng.integers(15, 60))))
             parts.append(sample_background(rng, int(rng.integers(5, 25))))
         seqs.append(np.concatenate(parts))
-    # Query: background flanks around a SEG-triggering core.
+    # Query: background flanks around a low-complexity core.
     q = np.concatenate(
         [
             sample_background(rng, int(rng.integers(12, 30))),
@@ -157,7 +158,7 @@ def _lowcomplexity_case(seed: int) -> Case:
     )
     return Case(
         "lowcomplexity", seed, f"q-lc-{seed}", decode(q), db, _case_params(rng),
-        notes="SEG-heavy",
+        notes="low-complexity runs",
     )
 
 

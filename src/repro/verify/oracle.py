@@ -14,8 +14,7 @@ end-to-end benchmark check those paths against code they do not share:
 4. :func:`serial_gapped` — the scalar best-first gapped loop under
    BLAST's containment rule, one candidate at a time; its scalar DP
    also records the direction bytes phase 4 walks;
-5. :meth:`~repro.core.pipeline.BlastpPipeline.phase_traceback` /
-   :meth:`~repro.core.pipeline.BlastpPipeline.phase_ungapped_report` —
+5. :meth:`~repro.core.pipeline.BlastpPipeline.phase_traceback` —
    phase 4, shared with production (the walk included).
 
 :class:`SerialOracle` composes them behind the engine protocol;
@@ -190,12 +189,8 @@ class SerialOracle:
         hits = detect_hits(pipe.neighborhood, db)
         tagged = tag_hits(hits, pipe.params.two_hit_window)
         extensions, num_seeds, _, _ = phase_ungapped_tagged([pipe], tagged, db, [cutoffs])
-        if pipe.params.ungapped_only:
-            gapped, num_triggers = [], 0
-            alignments = pipe.phase_ungapped_report(extensions, db, cutoffs)
-        else:
-            gapped, num_triggers = serial_gapped(pipe, extensions, db, cutoffs)
-            alignments = pipe.phase_traceback(gapped, db, cutoffs)
+        gapped, num_triggers = serial_gapped(pipe, extensions, db, cutoffs)
+        alignments = pipe.phase_traceback(gapped, db, cutoffs)
         return pipe.assemble(
             db, extensions, len(hits), num_seeds, gapped, num_triggers, alignments
         )

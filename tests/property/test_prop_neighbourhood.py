@@ -4,16 +4,14 @@
 gathering rows of a lazily filled word → neighbour-words table. The
 definition it must reproduce is the one it replaced, kept here as the
 reference: score *every* word against *every* query position through the
-PSSM (a ``num_words x n_pos`` table), blank the positions the mask
-excludes, threshold, and read the survivors off in row-major order. The
+PSSM (a ``num_words x n_pos`` table), threshold, and read the survivors
+off in row-major order. The
 two must agree array for array — ``offsets`` and ``positions`` — over
 
 * random integer matrices, asymmetric ones included (the neighbour residue
   indexes the row, the query residue the column, as in the PSSM);
 * ``T`` from far below the smallest word score (every word a neighbour)
   to above the largest (an empty neighbourhood), ``W`` in {2, 3};
-* no mask, random masks, everything masked, a mask touching only the last
-  window;
 * queries of exactly ``W`` residues and homopolymers (one word, many
   positions);
 * one table reused across examples: rows are filled in whatever order the
@@ -33,7 +31,7 @@ from repro.seeding.words import all_words, build_neighborhood
 SCORE_SPAN = 12  # |entry| of the random matrices
 
 
-def _reference_neighbourhood(query, scores, word_length, threshold, masked):
+def _reference_neighbourhood(query, scores, word_length, threshold):
     """``(offsets, positions)`` from the full score table."""
     n_pos = query.size - word_length + 1
     pssm = scores[:, query]
@@ -41,11 +39,6 @@ def _reference_neighbourhood(query, scores, word_length, threshold, masked):
     table = np.zeros((words.shape[0], n_pos), dtype=np.int32)
     for k in range(word_length):
         table += pssm[words[:, k], k : k + n_pos].astype(np.int32)
-    if masked is not None:
-        bad = np.zeros(n_pos, dtype=bool)
-        for k in range(word_length):
-            bad |= masked[k : k + n_pos]
-        table[:, bad] = np.iinfo(np.int32).min
     word_ids, positions = np.nonzero(table >= threshold)
     offsets = np.zeros(words.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(word_ids, minlength=words.shape[0]), out=offsets[1:])
@@ -70,23 +63,9 @@ def queries(word_length):
     ).map(lambda codes: np.asarray(codes, dtype=np.uint8))
 
 
-@st.composite
-def masks(draw, length):
-    kind = draw(st.sampled_from(["none", "random", "all", "last"]))
-    if kind == "none":
-        return None
-    if kind == "random":
-        return np.asarray(draw(st.lists(st.booleans(), min_size=length, max_size=length)))
-    mask = np.full(length, kind == "all")
-    mask[-1] = True
-    return mask
-
-
-def _assert_same(query, matrix, word_length, threshold, masked):
-    got = build_neighborhood(query, matrix, word_length, threshold, masked)
-    offsets, positions = _reference_neighbourhood(
-        query, matrix.scores, word_length, threshold, masked
-    )
+def _assert_same(query, matrix, word_length, threshold):
+    got = build_neighborhood(query, matrix, word_length, threshold)
+    offsets, positions = _reference_neighbourhood(query, matrix.scores, word_length, threshold)
     assert got.offsets.dtype == offsets.dtype and got.positions.dtype == positions.dtype
     assert np.array_equal(got.offsets, offsets)
     assert np.array_equal(got.positions, positions)
@@ -102,7 +81,7 @@ def test_gather_equals_full_table_threshold(data):
     reach = word_length * SCORE_SPAN
     threshold = data.draw(st.integers(-reach - 3, reach + 3))
     query = data.draw(queries(word_length))
-    _assert_same(query, matrix, word_length, threshold, data.draw(masks(query.size)))
+    _assert_same(query, matrix, word_length, threshold)
 
 
 SHARED = _random_matrix(20140519)
@@ -113,4 +92,4 @@ SHARED = _random_matrix(20140519)
 def test_lazy_fill_order_changes_no_answer(data):
     # One signature, so every example reads (and extends) the same table.
     query = data.draw(queries(3))
-    _assert_same(query, SHARED, 3, 22, data.draw(masks(query.size)))
+    _assert_same(query, SHARED, 3, 22)

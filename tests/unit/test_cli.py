@@ -137,6 +137,27 @@ class TestSearch:
             main(["search", workspace["query"], workspace["db"], "--jobs", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-alignments", "-1"),
+            ("--max-alignments", "0"),
+            ("--effective-db-size", "-5"),
+            ("--effective-db-size", "0"),
+        ],
+    )
+    def test_out_of_range_limits_rejected(self, workspace, capsys, flag, value):
+        with pytest.raises(SystemExit):
+            main(["search", workspace["query"], workspace["db"], flag, value])
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_empty_database_file(self, workspace):
+        empty = workspace["dir"] / "empty.fasta"
+        empty.write_text("")
+        with pytest.raises(SystemExit, match="no FASTA records") as exc:
+            main(["search", "MKVLAAGIVG", str(empty)])
+        assert str(exc.value) == f"error: {empty}: no FASTA records"
+
     def test_jobs_with_repeated_query_hits_cache(self, workspace, capsys):
         recs = read_fasta_file(workspace["db"])
         multi = workspace["dir"] / "repeat.fasta"

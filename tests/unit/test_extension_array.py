@@ -106,13 +106,6 @@ class TestTransforms:
         ext = ExtensionArray.from_records(recs).sorted_full()
         assert list(ext) == sorted(recs)
 
-    def test_sorted_canonical_key(self):
-        ext = ExtensionArray.from_records(sample_records()).sorted_canonical()
-        keys = list(zip(
-            ext.seq_id.tolist(), ext.query_start.tolist(), ext.subject_start.tolist()
-        ))
-        assert keys == sorted(keys)
-
     def test_lengths(self):
         recs = sample_records()
         ext = ExtensionArray.from_records(recs)

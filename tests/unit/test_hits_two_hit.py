@@ -31,12 +31,6 @@ class TestHitArray:
         d = diagonal_of(np.array([20]), np.array([0]), 20)
         assert d.tolist() == [0]
 
-    def test_sorted_diagonal_major(self):
-        hits = make_hits([(0, 5, 3), (0, 1, 3), (0, 2, 8), (1, 0, 0)], 10)
-        s = hits.sorted_diagonal_major()
-        keys = list(zip(s.seq_id.tolist(), s.diagonal.tolist(), s.subject_pos.tolist()))
-        assert keys == sorted(keys)
-
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(ValueError):
             HitArray(
@@ -45,10 +39,6 @@ class TestHitArray:
                 subject_pos=np.zeros(2, dtype=np.int64),
                 query_length=5,
             )
-
-    def test_as_tuples(self):
-        hits = make_hits([(0, 1, 2), (1, 3, 4)], 10)
-        assert hits.as_tuples() == [(0, 1, 2), (1, 3, 4)]
 
 
 class TestSeedMask:
@@ -190,7 +180,7 @@ class TestSelectSeedsAndExtend:
         # No two extensions on the same diagonal may overlap their seeds:
         by_diag = {}
         for e in exts:
-            by_diag.setdefault((e.seq_id, e.diagonal_offset), []).append(e)
+            by_diag.setdefault((e.seq_id, e.subject_start - e.query_start), []).append(e)
         for group in by_diag.values():
             group.sort(key=lambda e: e.subject_start)
             # extensions are recorded in seed order; a later extension's

@@ -1,72 +1,18 @@
-"""Tests for ungapped-only mode, length adjustment, word sizes, persistence,
-and the statistical validity of reported E-values."""
+"""Tests for word sizes, persistence, and the statistical validity of
+reported E-values."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from repro.baselines import FsaBlast
 from repro.core import BlastpPipeline, SearchParams
 from repro.cublastp import CuBlastp
-from repro.engine import make_engine
 from repro.errors import ConfigError
 from repro.io import SequenceDatabase, generate_database
 from repro.io.workloads import WorkloadSpec
 from repro.matrices import BLOSUM62, ungapped_params
-from repro.matrices.karlin import effective_search_space, length_adjustment
-from repro.verify.canonical import result_digest
 from tests.conftest import swept
-
-
-class TestUngappedOnly:
-    def test_reports_hsp_without_gaps(self, tiny_query, tiny_db, tiny_params):
-        params = dataclasses.replace(tiny_params, ungapped_only=True)
-        result = BlastpPipeline(tiny_query, params).search(tiny_db)
-        assert result.num_reported >= 1
-        for a in result.alignments:
-            assert a.gaps == 0
-            assert "-" not in a.aligned_query
-            assert a.length == a.query_end - a.query_start + 1
-
-    def test_uses_ungapped_statistics(self, tiny_query, tiny_db, tiny_params):
-        params = dataclasses.replace(tiny_params, ungapped_only=True)
-        pipe = BlastpPipeline(tiny_query, params)
-        result = pipe.search(tiny_db)
-        cut = pipe.cutoffs(tiny_db)
-        best = result.best()
-        assert best.evalue == pytest.approx(
-            cut.ungapped.evalue(best.score, pipe.query_length, cut.effective_db_residues)
-        )
-
-    def test_scores_bounded_by_gapped_mode(self, tiny_query, tiny_db, tiny_params):
-        gapped = BlastpPipeline(tiny_query, tiny_params).search(tiny_db)
-        ung = BlastpPipeline(
-            tiny_query, dataclasses.replace(tiny_params, ungapped_only=True)
-        ).search(tiny_db)
-        if gapped.best() and ung.best():
-            assert ung.best().score <= gapped.best().score
-
-    def test_cublastp_matches_reference_in_ungapped_mode(
-        self, small_query, small_params, small_db
-    ):
-        """Every ungapped-mode entry point renders the reference's HSPs,
-        the timed and reporting ones included."""
-        params = dataclasses.replace(small_params, ungapped_only=True)
-        ref = BlastpPipeline(small_query, params).search(small_db)
-        assert ref.alignments and all(a.gaps == 0 for a in ref.alignments)
-        fsa_timed, _, counts = FsaBlast(small_query, params).search_with_timing(small_db)
-        ncbi = make_engine("ncbi", params)
-        ncbi_reported, _ = ncbi.run_with_report(ncbi.compile(small_query), small_db)
-        for got in (
-            FsaBlast(small_query, params).search(small_db),
-            fsa_timed,
-            ncbi_reported,
-            CuBlastp(small_query, params).search(small_db),
-        ):
-            assert result_digest(got) == result_digest(ref)
-        assert counts.num_gapped_triggers == counts.num_gapped_extensions == 0
 
 
 class TestWordSizes:
@@ -94,35 +40,6 @@ class TestWordSizes:
             .num_hits
         )
         assert h4 < h3
-
-
-class TestLengthAdjustment:
-    def test_positive_for_real_search_spaces(self):
-        p = ungapped_params(BLOSUM62)
-        ell = length_adjustment(p, 517, 10**8, 300_000)
-        assert 20 < ell < 120
-
-    def test_grows_with_search_space(self):
-        p = ungapped_params(BLOSUM62)
-        small = length_adjustment(p, 517, 10**6, 3_000)
-        big = length_adjustment(p, 517, 10**9, 3_000_000)
-        assert big > small
-
-    def test_effective_space_below_raw(self):
-        p = ungapped_params(BLOSUM62)
-        eff = effective_search_space(p, 517, 10**8, 300_000)
-        assert eff < 517 * 10**8
-        assert eff > 0
-
-    def test_clamped_for_tiny_query(self):
-        p = ungapped_params(BLOSUM62)
-        ell = length_adjustment(p, 25, 10**8, 300_000)
-        assert 0 <= ell <= 24
-
-    def test_invalid_inputs(self):
-        p = ungapped_params(BLOSUM62)
-        with pytest.raises(ValueError):
-            length_adjustment(p, 0, 100, 10)
 
 
 class TestPersistence:

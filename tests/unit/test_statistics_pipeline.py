@@ -25,6 +25,10 @@ class TestSearchParams:
             {"evalue": 0},
             {"gap_extend": 0},
             {"gap_open": -1},
+            {"max_alignments": 0},
+            {"max_alignments": -1},
+            {"effective_db_residues": 0},
+            {"effective_db_residues": -5},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
